@@ -44,10 +44,8 @@ from .ideals import (
 from .linalg import GF, QQ, EchelonBasis, Field, SparseVector, field_of_char, member, rref, sum_bases
 from .reports import canonical_json, with_schema
 from .terms import (
-    Context,
     Monomial,
     Polynomial,
-    enumerate_contexts,
     enumerate_monomials,
     format_multidegree,
     leaf,
@@ -75,7 +73,6 @@ __all__ = [
     "AuditReport",
     "BUILTIN_SOURCES",
     "ChainReport",
-    "Context",
     "EchelonBasis",
     "ExprSyntaxError",
     "Field",
@@ -108,7 +105,6 @@ __all__ = [
     "commutator_ideal_nilpotency",
     "component_basis",
     "custom_variety",
-    "enumerate_contexts",
     "enumerate_monomials",
     "expand",
     "field_of_char",

@@ -10,7 +10,6 @@ schema, or resource errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from typing import Optional
 
@@ -20,7 +19,7 @@ from .fdalg import FiniteDimAlgebra, audit
 from .ideals import AlgebraSlice, check_theorem, lie_power_series, lower_central_chain, theorem_names
 from .linalg import field_of_char
 from .reports import canonical_json, with_schema
-from .terms import format_multidegree
+from .terms import format_multidegree, multidegrees
 from .variety import builtin_variety, component_basis, custom_variety, variety_names, verify_identity
 
 _DEFAULT_MAX_MONOMIALS = 200000
@@ -55,7 +54,8 @@ def _add_guard(sp):
         type=int,
         default=_DEFAULT_MAX_MONOMIALS,
         metavar="N",
-        help=f"abort if a component needs more than N monomials (default {_DEFAULT_MAX_MONOMIALS})",
+        help="abort if a component's product space, the pairs of lower normal monomials "
+        f"it is built from, has more than N columns (default {_DEFAULT_MAX_MONOMIALS})",
     )
 
 
@@ -89,15 +89,6 @@ def _variety_from(args):
     if args.variety is None:
         raise WorkbenchError("need --variety or --identity")
     return builtin_variety(args.variety)
-
-
-def _all_multidegrees(k: int, cap: int):
-    return [
-        mu
-        for total in range(1, cap + 1)
-        for mu in itertools.product(range(total + 1), repeat=k)
-        if sum(mu) == total
-    ]
 
 
 def _emit(doc: dict, fmt: str, renderer) -> None:
@@ -232,12 +223,14 @@ def cmd_basis(args) -> int:
     field = field_of_char(args.char)
     variety = _variety_from(args)
     k, cap = args.gens, args.degree
+    if k < 1 or cap < 1:
+        raise WorkbenchError("--gens and --degree must be at least 1")
     if args.multilinear:
         if cap != k:
             raise WorkbenchError("--multilinear needs --degree equal to --gens")
         mus = [(1,) * k]
     else:
-        mus = _all_multidegrees(k, cap)
+        mus = multidegrees((cap,) * k, cap)
     dims = []
     for mu in mus:
         comp = component_basis(variety, field, k, mu, args.max_monomials)

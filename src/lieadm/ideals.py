@@ -14,29 +14,18 @@ dispatch table of named structural checks with witness reporting.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 from .errors import InputError
-from .linalg import EchelonBasis, Field, SparseVector, identity_basis, member, rref
+from .linalg import Field, SparseVector, accumulate, identity_basis, member, rref
 from .linalg import sum_bases as _sum_bases
-from .terms import format_multidegree, mdeg_add, mdeg_total, node, Polynomial
+from .terms import format_multidegree, mdeg_add, mdeg_total, multidegrees
 from .variety import FreeAlgebraComponent, VarietySpec, component_basis
 
 
 def _mu_order(mu: tuple[int, ...]) -> tuple:
     return (sum(mu), mu)
-
-
-def _accumulate(field: Field, acc: dict, vec: SparseVector, coeff) -> None:
-    add, mul = field.add, field.mul
-    for i, c in vec.entries:
-        u = add(acc.get(i, 0), mul(coeff, c))
-        if u:
-            acc[i] = u
-        elif i in acc:
-            del acc[i]
 
 
 class GradedSubspace:
@@ -107,7 +96,6 @@ class AlgebraSlice:
         "degree_cap",
         "max_monomials",
         "components",
-        "_mul",
         "_full",
         "_h",
         "_a",
@@ -132,12 +120,7 @@ class AlgebraSlice:
         self.k = k
         self.degree_cap = degree_cap
         self.max_monomials = max_monomials
-        mus = [
-            mu
-            for total in range(1, degree_cap + 1)
-            for mu in itertools.product(range(total + 1), repeat=k)
-            if sum(mu) == total
-        ]
+        mus = multidegrees((degree_cap,) * k, degree_cap)
 
         def build(mu):
             return component_basis(variety, field, k, mu, max_monomials)
@@ -148,7 +131,6 @@ class AlgebraSlice:
         else:
             comps = [build(mu) for mu in mus]
         self.components = dict(zip(mus, comps))
-        self._mul: dict[tuple, SparseVector] = {}
         self._full: Optional[GradedSubspace] = None
         self._h: list = [None]
         self._a: list = [None]
@@ -194,19 +176,12 @@ class AlgebraSlice:
     def multiply_classes(
         self, mu1: tuple[int, ...], q1: int, mu2: tuple[int, ...], q2: int
     ) -> Optional[SparseVector]:
-        """Product of two quotient basis classes, or None beyond the cap."""
+        """Product of two quotient basis classes, or None beyond the cap:
+        a column of the target component's product space."""
         mu = mdeg_add(mu1, mu2)
         if mdeg_total(mu) > self.degree_cap:
             return None
-        key = (mu1, q1, mu2, q2)
-        got = self._mul.get(key)
-        if got is None:
-            m1 = self.component(mu1).quotient_monomials[q1]
-            m2 = self.component(mu2).quotient_monomials[q2]
-            target = self.component(mu)
-            got = target.normal_forms[target.index[node(m1, m2)]]
-            self._mul[key] = got
-        return got
+        return self.components[mu].products[(mu1, q1, q2)]
 
     def multiply_vectors(
         self, mu1, v1: SparseVector, mu2, v2: SparseVector
@@ -217,7 +192,7 @@ class AlgebraSlice:
             for q2, c2 in v2.entries:
                 w = self.multiply_classes(mu1, q1, mu2, q2)
                 if w:
-                    _accumulate(f, acc, w, f.mul(c1, c2))
+                    accumulate(f, acc, w, f.mul(c1, c2))
         return SparseVector.from_dict(acc)
 
     def bracket_vectors(self, mu1, v1, mu2, v2) -> SparseVector:
@@ -228,10 +203,10 @@ class AlgebraSlice:
                 c = f.mul(c1, c2)
                 w = self.multiply_classes(mu1, q1, mu2, q2)
                 if w:
-                    _accumulate(f, acc, w, c)
+                    accumulate(f, acc, w, c)
                 w = self.multiply_classes(mu2, q2, mu1, q1)
                 if w:
-                    _accumulate(f, acc, w, f.neg(c))
+                    accumulate(f, acc, w, f.neg(c))
         return SparseVector.from_dict(acc)
 
     def associator_vectors(self, mu1, v1, mu2, v2, mu3, v3) -> SparseVector:
@@ -241,7 +216,7 @@ class AlgebraSlice:
         right = self.multiply_vectors(mu1, v1, mu23, self.multiply_vectors(mu2, v2, mu3, v3))
         f = self.field
         acc = dict(left.entries)
-        _accumulate(f, acc, right, f.neg(f.one))
+        accumulate(f, acc, right, f.neg(f.one))
         return SparseVector.from_dict(acc)
 
     # -- span operations -------------------------------------------------------

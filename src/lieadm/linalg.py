@@ -39,14 +39,20 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """The rationals (``char == 0``) or the prime field F_p (``char == p``)."""
+    """The rationals (``char == 0``) or the prime field F_p (``char == p``).
 
-    __slots__ = ("char",)
+    ``zero`` and ``one`` are set once per field; scalars are immutable, so
+    every caller may share them.
+    """
+
+    __slots__ = ("char", "zero", "one")
 
     def __init__(self, char: int):
         if char != 0 and not _is_prime(char):
             raise FieldError(f"characteristic must be 0 or a prime, got {char}")
         self.char = char
+        self.zero: Scalar = Fraction(0) if char == 0 else 0
+        self.one: Scalar = Fraction(1) if char == 0 else 1
 
     # -- identity -----------------------------------------------------------
 
@@ -64,14 +70,6 @@ class Field:
         return "Q" if self.char == 0 else f"F{self.char}"
 
     # -- arithmetic ----------------------------------------------------------
-
-    @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.char == 0 else 1
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b if self.char == 0 else (a + b) % self.char
@@ -190,6 +188,17 @@ class SparseVector:
         if not c:
             return SparseVector(())
         return SparseVector((i, field.mul(v, c)) for i, v in self.entries)
+
+
+def accumulate(field: Field, acc: dict[int, Scalar], vec: SparseVector, coeff) -> None:
+    """acc += coeff * vec, on an index->scalar dict that stores no zeros."""
+    add, mul = field.add, field.mul
+    for i, c in vec.entries:
+        u = add(acc.get(i, 0), mul(coeff, c))
+        if u:
+            acc[i] = u
+        elif i in acc:
+            del acc[i]
 
 
 def _row_as_dict(row, ambient_dim: int) -> dict[int, Scalar]:

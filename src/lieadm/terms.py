@@ -1,27 +1,26 @@
-"""Free magma monomials, multidegrees, polynomials, one-hole contexts.
+"""Free magma monomials, multidegrees, polynomials, substitution.
 
 A monomial is a full binary tree whose leaves carry generator indices.
 The canonical order on monomials compares (total degree, multidegree
 lexicographically, preorder shape word, leaf word); it is strict and
 total, and every enumeration below returns its results in that order, so
 witnesses and cache contents never depend on construction history.
+Within one multidegree the order is compatible with multiplication: if
+m < m' then m*n < m'*n and n*m < n*m'.
 
-Generator index ``HOLE`` (-1) is reserved for the distinguished leaf of a
-one-hole context. Identity templates reuse the same trees with variable
-indices in place of generator indices; one substitution engine serves
-both.
+Identity templates reuse the same trees with variable indices in place
+of generator indices, and ``substitute`` replaces them by monomials.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import InputError
 from .linalg import Field, Scalar
-
-HOLE = -1
 
 
 class Monomial:
@@ -117,6 +116,25 @@ def format_multidegree(mu: tuple[int, ...]) -> str:
     return "(" + ",".join(str(c) for c in mu) + ")"
 
 
+def multidegrees(bound: tuple[int, ...], max_total: Optional[int] = None) -> list[tuple[int, ...]]:
+    """Nonzero multidegrees nu <= bound componentwise with total degree at
+    most ``max_total`` (default: no limit beyond the bound), ordered by
+    total degree, then lexicographically.
+
+    ``multidegrees((D,) * k, D)`` lists every multidegree over k
+    generators up to total degree D; ``multidegrees(mu, sum(mu) - 1)``
+    lists the proper nonzero parts of mu.
+    """
+    top = mdeg_total(bound) if max_total is None else max_total
+    out = [
+        nu
+        for nu in itertools.product(*(range(c + 1) for c in bound))
+        if 0 < mdeg_total(nu) <= top
+    ]
+    out.sort(key=lambda nu: (mdeg_total(nu), nu))
+    return out
+
+
 def expected_count(mu: tuple[int, ...]) -> int:
     """Catalan(n-1) * n! / prod(counts!) for total degree n."""
     n = mdeg_total(mu)
@@ -139,33 +157,13 @@ def enumerate_monomials(k: int, mu: tuple[int, ...]) -> tuple[Monomial, ...]:
     if n == 1:
         return (leaf(mu.index(1)),)
     out = []
-    for a in _proper_submultidegrees(mu):
+    for a in multidegrees(mu, n - 1):
         b = mdeg_sub(mu, a)
         for l in enumerate_monomials(k, a):
             for r in enumerate_monomials(k, b):
                 out.append(node(l, r))
     out.sort(key=lambda m: (m.shape, m.leaves))
     return tuple(out)
-
-
-def _proper_submultidegrees(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All a with 0 < a < mu componentwise-partially (a != 0, a != mu)."""
-    ranges = [range(c + 1) for c in mu]
-    out = []
-
-    def rec(i, acc):
-        if i == len(mu):
-            t = tuple(acc)
-            if any(t) and t != mu:
-                out.append(t)
-            return
-        for v in ranges[i]:
-            acc.append(v)
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(0, [])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +280,7 @@ def jordan(p: Polynomial, q: Polynomial, cap: Optional[int] = None) -> Polynomia
 
 
 # ---------------------------------------------------------------------------
-# substitution and contexts
+# substitution
 
 
 def substitute(template: Polynomial, assignment: dict[int, Monomial]) -> Polynomial:
@@ -316,87 +314,6 @@ def _substitute_mono(m: Monomial, assignment: dict[int, Monomial]) -> Monomial:
         _substitute_mono(m.left, assignment),
         _substitute_mono(m.right, assignment),
     )
-
-
-class Context:
-    """A monomial with exactly one hole leaf."""
-
-    __slots__ = ("tree",)
-
-    def __init__(self, tree: Monomial):
-        if tree.leaves.count(HOLE) != 1:
-            raise InputError("a context must have exactly one hole")
-        self.tree = tree
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Context) and self.tree == other.tree
-
-    def __hash__(self) -> int:
-        return hash(("Context", self.tree))
-
-    def __repr__(self) -> str:
-        return f"Context({render_monomial(self.tree, lambda g: 'HOLE' if g == HOLE else f'x{g + 1}')})"
-
-    @property
-    def is_bare_hole(self) -> bool:
-        return self.tree.is_leaf
-
-
-def plug_monomial(c: Context, m: Monomial) -> Monomial:
-    return _plug(c.tree, m)
-
-
-def _plug(tree: Monomial, m: Monomial) -> Monomial:
-    if tree.is_leaf:
-        return m if tree.gen == HOLE else tree
-    if HOLE in tree.left.leaves:
-        return node(_plug(tree.left, m), tree.right)
-    return node(tree.left, _plug(tree.right, m))
-
-
-def plug(c: Context, p: Polynomial) -> Polynomial:
-    """Linear extension of hole filling."""
-    f = p.field
-    out: dict[Monomial, Scalar] = {}
-    for m, coeff in p.terms.items():
-        img = plug_monomial(c, m)
-        w = f.add(out.get(img, 0), coeff)
-        if w:
-            out[img] = w
-        elif img in out:
-            del out[img]
-    q = Polynomial(f)
-    q.terms = out
-    return q
-
-
-@lru_cache(maxsize=None)
-def enumerate_contexts(
-    k: int, hole_mu: tuple[int, ...], total_mu: tuple[int, ...]
-) -> tuple[Context, ...]:
-    """All one-hole contexts over generators 0..k-1 whose hole, filled
-    with a monomial of multidegree ``hole_mu``, yields ``total_mu``.
-
-    Implemented by enumerating monomials over the alphabet extended with
-    the hole as an extra generator carrying count 1, so the context list
-    inherits the canonical monomial order.
-    """
-    if not mdeg_leq(hole_mu, total_mu):
-        raise InputError(f"hole multidegree {hole_mu} exceeds total {total_mu}")
-    if mdeg_total(hole_mu) < 1:
-        raise InputError("the hole must absorb positive degree")
-    rest = mdeg_sub(total_mu, hole_mu)
-    extended = rest + (1,)
-    out = []
-    for m in enumerate_monomials(k + 1, extended):
-        out.append(Context(_relabel_hole(m, k)))
-    return tuple(out)
-
-
-def _relabel_hole(m: Monomial, k: int) -> Monomial:
-    if m.is_leaf:
-        return leaf(HOLE) if m.gen == k else m
-    return node(_relabel_hole(m.left, k), _relabel_hole(m.right, k))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Everything here is deliberately written against the grain of the package:
 monomials are nested tuples instead of interned tree objects, relation
-rows come from closing identity instances under one-sided multiplications
-rather than one-hole contexts (the two generate the same span, since a
-context is a composition of left and right multiplications along the path
-to the hole), rows are kept dense, unsorted and with duplicates, and the
-eliminator is plain Gaussian reduction over Fraction lists. Agreement
+rows live on all free magma monomials and come from closing identity
+instances under one-sided multiplications, rather than from the engine's
+degree-by-degree product spaces of lower normal forms, rows are kept
+dense, unsorted and with duplicates, and the eliminator is plain Gaussian
+reduction over Fraction lists. Agreement
 between this module and the engine is therefore meaningful evidence, not
 the same code computing the same thing twice.
 """

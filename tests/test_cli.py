@@ -63,6 +63,14 @@ class TestBasis:
         rows = {r["multidegree"]: r["dim"] for r in doc["dims"]}
         assert rows["(1,1)"] == 1
 
+    @pytest.mark.parametrize("gens,degree", [("0", "3"), ("-1", "3"), ("2", "0")])
+    def test_empty_alphabet_or_degree_refused(self, capsys, gens, degree):
+        code, out, err = run(
+            capsys, "basis", "--variety", "novikov", "--gens", gens, "--degree", degree
+        )
+        assert code == 2
+        assert err.startswith("error:") and not out
+
     def test_variety_required(self, capsys):
         code, _, err = run(capsys, "basis", "--gens", "2", "--degree", "2")
         assert code == 2

@@ -11,6 +11,7 @@ from lieadm.ideals import (
     theorem_names,
 )
 from lieadm.linalg import GF, QQ
+from lieadm.terms import Polynomial, node
 from lieadm.variety import builtin_variety
 
 
@@ -35,6 +36,25 @@ class TestSliceBasics:
             make_slice(k=0)
         with pytest.raises(InputError):
             make_slice(cap=0)
+
+    def test_multiply_classes_is_normal_form_of_product(self):
+        # the product table read by the slice against the normal form of
+        # the free-magma product, computed through the factors
+        s = make_slice("assosymmetric", k=2, cap=4)
+        checked = 0
+        for mu1, c1 in s.components.items():
+            for mu2, c2 in s.components.items():
+                mu = tuple(x + y for x, y in zip(mu1, mu2))
+                for q1, m1 in enumerate(c1.quotient_monomials):
+                    for q2, m2 in enumerate(c2.quotient_monomials):
+                        got = s.multiply_classes(mu1, q1, mu2, q2)
+                        if sum(mu) > 4:
+                            assert got is None
+                            continue
+                        want = s.component(mu).normal_form(Polynomial.of(QQ, node(m1, m2)))
+                        assert got == want
+                        checked += 1
+        assert checked == 84
 
     def test_parallel_build_matches_serial(self):
         a = make_slice("novikov", cap=4, jobs=1)

@@ -27,6 +27,11 @@ def frac_rows(rows):
 
 
 class TestField:
+    def test_constants_are_shared(self):
+        assert QQ.one is QQ.one and QQ.zero is QQ.zero
+        assert QQ.one == Fraction(1) and isinstance(QQ.one, Fraction)
+        assert GF(5).one == 1 and GF(5).zero == 0
+
     def test_char_must_be_prime_or_zero(self):
         with pytest.raises(FieldError):
             field_of_char(4)

@@ -4,14 +4,16 @@ import random
 
 import pytest
 
-from lieadm.linalg import QQ
+from lieadm.linalg import QQ, rref
 from lieadm.terms import Polynomial, enumerate_monomials
 from lieadm.variety import builtin_variety, component_basis
 
 from naive_oracle import (
+    convert_monomial,
     naive_is_zero,
     naive_monomials,
     naive_reducer,
+    naive_relation_polys,
     naive_relation_rank,
 )
 
@@ -31,6 +33,24 @@ class TestRankAgreement:
         comp = component_basis(builtin_variety(name), QQ, k, mu)
         assert count == len(comp.monomials)
         assert rank == comp.relations.rank
+
+
+class TestRelationBasisAgreement:
+    @pytest.mark.parametrize("name", VARIETIES)
+    @pytest.mark.parametrize("mu", [(2, 1), (2, 2), (1, 1, 1), (1, 1, 1, 1)])
+    def test_derived_relations_match_oracle_span(self, name, mu):
+        # the engine builds components from products of lower normal forms;
+        # its relation view over free magma monomials must be the reduced
+        # basis of the span the oracle gets by closing identity instances
+        # under one-sided multiplications
+        k = len(mu)
+        comp = component_basis(builtin_variety(name), QQ, k, mu)
+        index = {convert_monomial(m): i for i, m in enumerate(comp.monomials)}
+        rows = [
+            {index[t]: c for t, c in poly.items()}
+            for poly in naive_relation_polys(sources_of(name), k, mu)
+        ]
+        assert comp.relations == rref(QQ, len(comp.monomials), rows)
 
 
 class TestMonomialCountAgreement:

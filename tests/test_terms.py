@@ -1,4 +1,4 @@
-"""Planar monomials, graded polynomials, substitution, one-hole contexts."""
+"""Planar monomials, multidegrees, graded polynomials, substitution."""
 
 import math
 
@@ -10,7 +10,6 @@ from lieadm.terms import (
     Polynomial,
     associator,
     commutator,
-    enumerate_contexts,
     enumerate_monomials,
     expected_count,
     format_multidegree,
@@ -21,10 +20,9 @@ from lieadm.terms import (
     mdeg_sub,
     mdeg_total,
     multidegree,
+    multidegrees,
     multiply,
     node,
-    plug,
-    plug_monomial,
     render_monomial,
     render_polynomial,
     substitute,
@@ -103,6 +101,16 @@ class TestMultidegreeHelpers:
         with pytest.raises(InputError):
             mdeg_sub((1, 0), (0, 1))
 
+    def test_all_multidegrees_up_to_a_cap(self):
+        # by total degree, then lexicographically
+        assert multidegrees((2, 2), 2) == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+        assert len(multidegrees((3,) * 3, 3)) == 3 + 6 + 10
+
+    def test_parts_of_a_multidegree(self):
+        assert multidegrees((1, 1)) == [(0, 1), (1, 0), (1, 1)]
+        assert multidegrees((2, 1), 2) == [(0, 1), (1, 0), (1, 1), (2, 0)]
+        assert multidegrees((0, 0)) == []
+
     def test_format(self):
         assert format_multidegree((2, 1)) == "(2,1)"
         assert format_multidegree((3,)) == "(3)"
@@ -172,44 +180,6 @@ class TestSubstitution:
         image = substitute(template, {0: a, 1: b})
         pa, pb = Polynomial.of(QQ, a), Polynomial.of(QQ, b)
         assert image == commutator(pa, pb)
-
-
-class TestContexts:
-    def test_degree_one_hole_in_degree_three(self):
-        # One generator, hole of degree 1, ambient degree 3: six planar
-        # placements, counted independently by hand.
-        cs = enumerate_contexts(1, (1,), (3,))
-        assert len(cs) == 6
-
-    def test_bare_hole(self):
-        (c,) = enumerate_contexts(1, (1,), (1,))
-        assert c.is_bare_hole
-
-    def test_plug_restores_multidegree(self):
-        for c in enumerate_contexts(2, (1, 1), (2, 2)):
-            filled = plug_monomial(c, node(leaf(0), leaf(1)))
-            assert multidegree(filled, 2) == (2, 2)
-
-    def test_plug_is_linear(self):
-        cs = enumerate_contexts(2, (1, 0), (2, 1))
-        c = next(ctx for ctx in cs if not ctx.is_bare_hole)
-        p = Polynomial.of(QQ, leaf(0)).scaled(QQ.from_int(2))
-        image = plug(c, p)
-        assert image == Polynomial.of(QQ, plug_monomial(c, leaf(0))).scaled(
-            QQ.from_int(2)
-        )
-
-    def test_hole_must_fit(self):
-        with pytest.raises(InputError):
-            enumerate_contexts(1, (2,), (1,))
-        with pytest.raises(InputError):
-            enumerate_contexts(1, (0,), (2,))
-
-    def test_context_count_grows_with_ambient_degree(self):
-        # count at total degree n equals catalan(n-1) * n: planar trees on
-        # n leaves times the choice of which leaf is the hole
-        counts = [len(enumerate_contexts(1, (1,), (n,))) for n in (1, 2, 3, 4)]
-        assert counts == [1, 2, 6, 20]
 
 
 class TestRendering:

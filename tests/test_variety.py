@@ -120,6 +120,66 @@ class TestComponentDimensions:
         with pytest.raises(ResourceError):
             component_basis(builtin_variety("magma"), QQ, 4, (2, 2, 2, 2), max_monomials=100)
 
+    def test_guard_counts_product_space_columns(self):
+        # the free magma component (1,1,1) has 12 columns: a generator times
+        # one of the two products of the other two, on either side. A cached
+        # component was paid for already and skips the guard.
+        clear_caches()
+        with pytest.raises(ResourceError) as err:
+            component_basis(builtin_variety("magma"), QQ, 3, (1, 1, 1), max_monomials=11)
+        assert "(1,1,1)" in str(err.value)
+        assert "12 product-space columns" in str(err.value)
+        assert "guard of 11" in str(err.value)
+
+    def test_guard_checks_lower_components(self):
+        # (2,2) itself has 30 columns, but its part (1,2) already has 6
+        clear_caches()
+        with pytest.raises(ResourceError, match=r"\(1,2\) has 6 product-space columns"):
+            component_basis(builtin_variety("magma"), QQ, 2, (2, 2), max_monomials=5)
+
+    def test_guard_ignores_free_magma_size(self):
+        # 1680 free magma monomials, but only 380 product-space columns
+        clear_caches()
+        v = builtin_variety("bicommutative")
+        comp = component_basis(v, QQ, 5, (1,) * 5, max_monomials=400)
+        assert comp.column_count == 380
+        assert expected_count((1,) * 5) == 1680
+
+
+class TestClosedForms:
+    # multilinear dimensions with closed forms from the literature:
+    # Novikov C(2n-2, n-1) (Dzhumadil'daev and Lofwall, HHA 2002) and
+    # bicommutative 2^n - 2 (Dzhumadil'daev, Ismailov and Tulenbaev, 2011)
+
+    def test_novikov_degree_five(self):
+        comp = component_basis(builtin_variety("novikov"), QQ, 5, (1,) * 5)
+        assert comp.quotient_dim == math.comb(8, 4) == 70
+
+    def test_bicommutative_degree_six(self):
+        comp = component_basis(builtin_variety("bicommutative"), QQ, 6, (1,) * 6)
+        assert comp.quotient_dim == 2**6 - 2 == 62
+
+
+class TestDerivedViews:
+    @pytest.mark.parametrize("name", ["novikov", "assosymmetric", "magma"])
+    def test_relations_are_monomial_minus_normal_form(self, name):
+        comp = component_basis(builtin_variety(name), GF(5), 2, (2, 1))
+        normal = set(comp.quotient_monomials)
+        assert comp.relations.rank + comp.quotient_dim == len(comp.monomials)
+        for pivot, row in zip(comp.relations.pivots, comp.relations.rows):
+            m = comp.monomials[pivot]
+            assert m not in normal
+            assert comp.index[m] == pivot
+            relation = Polynomial(GF(5), {comp.monomials[j]: c for j, c in row.entries})
+            assert not comp.normal_form(relation)
+
+    def test_rows_are_product_space_rows(self):
+        v = builtin_variety("novikov")
+        comp = component_basis(v, QQ, 3, (1, 1, 1))
+        rows = relation_rows(v, QQ, 3, (1, 1, 1))
+        assert rows and all(j < comp.column_count for row in rows for j in row)
+        assert all(row[min(row)] == 1 for row in rows)
+
 
 class TestNormalForm:
     def test_defining_identity_reduces_to_zero(self):
@@ -237,3 +297,14 @@ class TestCaches:
         b = component_basis(v, QQ, 2, (1, 1))
         assert a is not b
         assert a.quotient_dim == b.quotient_dim
+
+    def test_clear_caches_drops_monomial_table(self):
+        enumerate_monomials(2, (2, 1))
+        assert enumerate_monomials.cache_info().currsize > 0
+        clear_caches()
+        assert enumerate_monomials.cache_info().currsize == 0
+
+    def test_lower_components_are_shared(self):
+        v = builtin_variety("assosymmetric")
+        top = component_basis(v, QQ, 2, (2, 1))
+        assert top.lower[(1, 1)] is component_basis(v, QQ, 2, (1, 1))
