@@ -4,12 +4,13 @@ Subcommands: basis, verify, chain, check, algebra, search. Every command
 prints either an aligned text table (default) or a JSON document
 (--format json) carrying the same fields. Exit codes: 0 all checks
 verified or held, 1 at least one violation (witness printed), 2 usage,
-schema, or resource errors.
+schema, or resource errors, or stdout closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -468,9 +469,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except WorkbenchError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``). Point the descriptor
+        # at devnull so the interpreter's final flush of the rest is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

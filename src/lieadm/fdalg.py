@@ -12,12 +12,19 @@ integer or fraction text. The audit computes variety memberships with
 witnesses, both canonical chains, and the nilpotency index of the
 commutator ideal, then cross-checks the structural facts the chains are
 expected to satisfy for members of the covered varieties.
+
+Membership evaluates each identity on every tuple of basis vectors. One
+audit keeps an evaluation table of monomial values keyed by (shape, basis
+arguments), shared by the terms, identities and varieties it checks, so
+each subproduct such as (e_1 e_2) e_3 is multiplied out once per audit;
+the table is dropped with the audit and never stored on the algebra.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from operator import itemgetter
 from typing import Optional
 
 from .errors import FieldError, SchemaError
@@ -42,6 +49,17 @@ def _render_fd(field: Field, entries) -> str:
         else:
             chunks.append(f" - {body}" if negative else f" + {body}")
     return "".join(chunks) if chunks else "0"
+
+
+def _reduced(p: int, acc: dict) -> dict:
+    """``acc`` without its zeros, scalars reduced mod p when p > 0.
+
+    Arithmetic branches on the characteristic once per vector, not once
+    per scalar: sums accumulate with plain ``+``/``*`` and are reduced here.
+    """
+    if p:
+        return {k: r for k, t in acc.items() if (r := t % p)}
+    return {k: t for k, t in acc.items() if t}
 
 
 class FiniteDimAlgebra:
@@ -138,39 +156,25 @@ class FiniteDimAlgebra:
     # -- arithmetic on sparse e-coordinate dicts ---------------------------------
 
     def multiply(self, u: dict, v: dict) -> dict:
-        f = self.field
+        products = self.products
         out: dict = {}
         for i, a in u.items():
             for j, b in v.items():
-                prod = self.products.get((i, j))
-                if not prod:
-                    continue
-                ab = f.mul(a, b)
-                for k, c in prod:
-                    t = f.add(out.get(k, 0), f.mul(ab, c))
-                    if t:
-                        out[k] = t
-                    elif k in out:
-                        del out[k]
-        return out
+                prod = products.get((i, j))
+                if prod:
+                    ab = a * b
+                    for k, c in prod:
+                        out[k] = out.get(k, 0) + ab * c
+        return _reduced(self.field.char, out) if out else out
 
     def bracket(self, u: dict, v: dict) -> dict:
-        f = self.field
         out = self.multiply(u, v)
-        for k, c in self.multiply(v, u).items():
-            t = f.sub(out.get(k, 0), c)
-            if t:
-                out[k] = t
-            elif k in out:
-                del out[k]
-        return out
-
-    def eval_monomial(self, m: Monomial, args: tuple[int, ...]) -> dict:
-        if m.gen is not None:
-            return {args[m.gen]: self.field.one}
-        return self.multiply(
-            self.eval_monomial(m.left, args), self.eval_monomial(m.right, args)
-        )
+        vu = self.multiply(v, u)
+        if not vu:
+            return out
+        for k, c in vu.items():
+            out[k] = out.get(k, 0) - c
+        return _reduced(self.field.char, out)
 
     def relabeled(self, perm: tuple[int, ...]) -> "FiniteDimAlgebra":
         """Same algebra with basis vector i renamed to perm[i] (0-based)."""
@@ -201,25 +205,65 @@ class MembershipVerdict:
         return {"member": self.member, "witness": self.witness}
 
 
-def check_membership(alg: FiniteDimAlgebra, variety: VarietySpec) -> MembershipVerdict:
+def _evaluate(alg: FiniteDimAlgebra, table: dict, m: Monomial, args: tuple) -> dict:
+    """e-coordinates of monomial m with leaf i set to basis vector args[i].
+
+    ``table`` maps a shape to {leaf arguments: value}; every subproduct is
+    looked up there and multiplied out only the first time it is needed.
+    Values are shared by every later look-up, so callers must not modify them.
+    """
+    by_args = table.setdefault(m.shape, {})
+    value = by_args.get(args)
+    if value is None:
+        if m.gen is not None:
+            value = {args[0]: alg.field.one}
+        else:
+            d = m.left.degree
+            value = alg.multiply(
+                _evaluate(alg, table, m.left, args[:d]),
+                _evaluate(alg, table, m.right, args[d:]),
+            )
+        by_args[args] = value
+    return value
+
+
+def check_membership(
+    alg: FiniteDimAlgebra, variety: VarietySpec, table: Optional[dict] = None
+) -> MembershipVerdict:
     """Evaluate every defining identity on every basis tuple.
 
     Multilinearity makes basis tuples sufficient; the first failing
-    (identity, tuple) in order is the witness.
+    (identity, tuple) in order is the witness. ``table`` holds monomial
+    values on basis arguments (see ``_evaluate``); pass the same dict to
+    several calls on one algebra to share them, as ``audit`` does.
     """
     f = alg.field
+    p = f.char
+    if table is None:
+        table = {}
     for ident in variety.identities:
-        template = ident.template(f)
+        # (values of the monomial's shape, its leaf arguments, monomial, coefficient)
+        terms = [
+            (
+                table.setdefault(m.shape, {}),
+                itemgetter(*m.leaves) if m.degree > 1 else lambda combo, g=m.gen: (combo[g],),
+                m,
+                c,
+            )
+            for m, c in ident.template(f).terms.items()
+        ]
         nvars = len(ident.variables)
         for combo in itertools.product(range(alg.dim), repeat=nvars):
             acc: dict = {}
-            for mono, coeff in template.terms.items():
-                for k, c in alg.eval_monomial(mono, combo).items():
-                    t = f.add(acc.get(k, 0), f.mul(coeff, c))
-                    if t:
-                        acc[k] = t
-                    elif k in acc:
-                        del acc[k]
+            for by_args, leaves_of, m, coeff in terms:
+                args = leaves_of(combo)
+                value = by_args.get(args)
+                if value is None:
+                    value = _evaluate(alg, table, m, args)
+                for k, c in value.items():
+                    acc[k] = acc.get(k, 0) + coeff * c
+            if acc:
+                acc = _reduced(p, acc)
             if acc:
                 witness = {
                     "identity": ident.name,
@@ -404,8 +448,10 @@ class AuditReport:
 
 
 def audit(alg: FiniteDimAlgebra) -> AuditReport:
+    table: dict = {}
     memberships = {
-        name: check_membership(alg, builtin_variety(name)) for name in variety_names()
+        name: check_membership(alg, builtin_variety(name), table)
+        for name in variety_names()
     }
     lie = lie_series_fd(alg)
     lower = lower_central_fd(alg)

@@ -1,6 +1,9 @@
 """Command line driver: flags, exit codes, JSON and table output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -270,6 +273,29 @@ class TestAlgebra:
         assert code == 0
         assert doc["status"] in out
         assert f"class {doc['lower_central']['class']}" in out
+
+
+class TestClosedStdout:
+    def test_reader_gone_exits_2_without_traceback(self):
+        # A pipe whose read end is closed before the CLI starts: every
+        # write to it fails, as after ``| head`` has exited.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(lieadm.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lieadm.cli", "algebra", "--file", str(DATA / "heis3.json")],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        assert proc.returncode == 2
 
 
 class TestSearch:

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lieadm
 from lieadm.errors import SchemaError
@@ -16,7 +17,8 @@ from lieadm.fdalg import (
     lie_series_fd,
     lower_central_fd,
 )
-from lieadm.variety import builtin_variety
+from lieadm.reports import canonical_json
+from lieadm.variety import builtin_variety, custom_variety, variety_names
 
 DATA = Path(lieadm.__file__).parent / "data"
 
@@ -123,6 +125,12 @@ class TestMembership:
         for name in ("associative", "novikov", "assosymmetric"):
             assert check_membership(a, builtin_variety(name)).member, name
 
+    def test_degree_one_identity(self):
+        # a one-leaf template monomial is read from the tuple on its own
+        v = check_membership(load("zero2.json"), custom_variety(["2*x"]))
+        assert not v.member
+        assert v.witness == {"identity": "custom_1", "arguments": {"x": "e1"}, "residual": "2*e1"}
+
     def test_heisenberg_memberships(self):
         a = load("heis3.json")
         # products of two basis vectors land in the annihilator, so every
@@ -198,6 +206,52 @@ class TestAudit:
         assert da["lower_central"]["dims"] == db["lower_central"]["dims"]
         assert da["lie_powers"]["dims"] == db["lie_powers"]["dims"]
         assert da["commutator_ideal_index"] == db["commutator_ideal_index"]
+
+    def test_repeated_audit_leaves_algebra_as_it_was(self):
+        a = load("heis3.json")
+        state = (a.field, a.dim, dict(a.products))
+        first = canonical_json(audit(a).to_doc())
+        assert canonical_json(audit(a).to_doc()) == first
+        # the evaluation table lives only inside one audit
+        assert FiniteDimAlgebra.__slots__ == ("field", "dim", "products")
+        assert not hasattr(a, "__dict__")
+        assert (a.field, a.dim, a.products) == state
+
+    def test_shared_table_gives_standalone_verdicts(self):
+        a = load("nonmember2.json")
+        report = audit(a)
+        for name in variety_names():
+            alone = check_membership(a, builtin_variety(name))
+            assert report.memberships[name].to_doc() == alone.to_doc()
+
+
+@st.composite
+def relabelled_algebras(draw):
+    """A small algebra over Q or F5 and a permutation of its basis."""
+    p = draw(st.sampled_from((0, 5)))
+    n = draw(st.integers(1, 4))
+    index = st.integers(1, n)
+    coeff = st.sampled_from(("1", "-1", "2", "1/2", "-3/2") if p == 0 else ("1", "2", "3", "4"))
+    entries = draw(st.dictionaries(st.tuples(index, index, index), coeff, max_size=10))
+    products = [[i, j, k, c] for (i, j, k), c in sorted(entries.items())]
+    doc = {"field": {"p": p} if p else "Q", "dim": n, "products": products}
+    perm = tuple(draw(st.permutations(range(n))))
+    return FiniteDimAlgebra.from_doc(doc), perm
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(relabelled_algebras())
+def test_audit_invariant_under_relabelling(case):
+    alg, perm = case
+    a, b = audit(alg), audit(alg.relabeled(perm))
+    assert {n: v.member for n, v in a.memberships.items()} == {
+        n: v.member for n, v in b.memberships.items()
+    }
+    for chain in ("lie", "lower"):
+        ca, cb = getattr(a, chain), getattr(b, chain)
+        assert ca.dims() == cb.dims()
+        assert ca.class_index() == cb.class_index()
+    assert a.commutator_index == b.commutator_index
 
 
 class TestCorpus:
