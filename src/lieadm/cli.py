@@ -74,16 +74,6 @@ def _add_variety(sp):
     )
 
 
-def _add_jobs(sp):
-    sp.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="build components with N worker threads (default 1)",
-    )
-
-
 def _variety_from(args):
     if getattr(args, "identity", None):
         return custom_variety(args.identity)
@@ -269,7 +259,7 @@ def cmd_chain(args) -> int:
     field = field_of_char(args.char)
     variety = _variety_from(args)
     slice_ = AlgebraSlice(
-        variety, field, args.gens, args.degree, jobs=args.jobs, max_monomials=args.max_monomials
+        variety, field, args.gens, args.degree, max_monomials=args.max_monomials
     )
     n = args.terms if args.terms is not None else args.degree
     if args.series == "lower-central":
@@ -285,7 +275,7 @@ def cmd_check(args) -> int:
     field = field_of_char(args.char)
     variety = _variety_from(args)
     slice_ = AlgebraSlice(
-        variety, field, args.gens, args.degree, jobs=args.jobs, max_monomials=args.max_monomials
+        variety, field, args.gens, args.degree, max_monomials=args.max_monomials
     )
     params = {
         name: getattr(args, name)
@@ -328,7 +318,6 @@ def cmd_search(args) -> int:
             field,
             args.gens,
             args.degree,
-            jobs=args.jobs,
             max_monomials=args.max_monomials,
         )
         report = check_theorem(slice_, "bicom_not_right_nilpotent")
@@ -346,7 +335,6 @@ def cmd_search(args) -> int:
                     field,
                     k,
                     cap,
-                    jobs=args.jobs,
                     max_monomials=args.max_monomials,
                 )
                 report = check_theorem(slice_, "assoc_even_even")
@@ -422,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field(sp)
     _add_format(sp)
     _add_guard(sp)
-    _add_jobs(sp)
     sp.set_defaults(run=cmd_chain)
 
     sp = sub.add_parser("check", help="run one named structural check")
@@ -435,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field(sp)
     _add_format(sp)
     _add_guard(sp)
-    _add_jobs(sp)
     sp.set_defaults(run=cmd_check)
 
     sp = sub.add_parser("algebra", help="audit a structure-constant algebra file")
@@ -459,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field(sp)
     _add_format(sp)
     _add_guard(sp)
-    _add_jobs(sp)
     sp.set_defaults(run=cmd_search)
 
     return parser

@@ -18,6 +18,15 @@ audit keeps an evaluation table of monomial values keyed by (shape, basis
 arguments), shared by the terms, identities and varieties it checks, so
 each subproduct such as (e_1 e_2) e_3 is multiplied out once per audit;
 the table is dropped with the audit and never stored on the algebra.
+
+The scan grows at least as dim^3, so from_doc refuses dim above MAX_DIM
+with a ResourceError. At MAX_DIM = 32, on a 2-core x86-64 box with
+CPython 3.11, ``lieadm algebra`` took 0.6 s for the zero algebra and
+13 to 15 s for the slowest case measured: a truncated polynomial algebra
+(commutative, associative, so every identity is scanned in full) written
+in a random basis over F_101, with every product dense. Large rational
+structure constants cost more per product, and the bound does not limit
+that.
 """
 
 from __future__ import annotations
@@ -27,10 +36,13 @@ import json
 from operator import itemgetter
 from typing import Optional
 
-from .errors import FieldError, SchemaError
+from .errors import FieldError, ResourceError, SchemaError
 from .linalg import EchelonBasis, Field, GF, QQ, identity_basis, member, rref, sum_bases
 from .terms import Monomial
 from .variety import VarietySpec, builtin_variety, variety_names
+
+# largest dim from_doc accepts (see the module docstring)
+MAX_DIM = 32
 
 _COVERED = ("assosymmetric", "bicommutative", "novikov")
 _EQUIVALENCE = ("bicommutative", "novikov")
@@ -100,6 +112,8 @@ class FiniteDimAlgebra:
         n = doc["dim"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise SchemaError("dim must be a positive integer")
+        if n > MAX_DIM:
+            raise ResourceError(f"dim {n} is over the limit of {MAX_DIM} for an audit")
 
         rows = doc["products"]
         if not isinstance(rows, list):
@@ -281,10 +295,6 @@ def check_membership(
 # chains in e-coordinates
 
 
-def _span(field: Field, n: int, vectors: list[dict]) -> EchelonBasis:
-    return rref(field, n, vectors)
-
-
 def _basis_dicts(basis: EchelonBasis) -> list[dict]:
     return [dict(row.entries) for row in basis.rows]
 
@@ -304,7 +314,7 @@ def ideal_closure_fd(alg: FiniteDimAlgebra, basis: EchelonBasis) -> EchelonBasis
                 e = _unit(alg.field, r)
                 rows.append(alg.multiply(w, e))
                 rows.append(alg.multiply(e, w))
-        grown = sum_bases(cur, _span(alg.field, alg.dim, rows))
+        grown = sum_bases(cur, rref(alg.field, alg.dim, rows))
         if grown == cur:
             return cur
         cur = grown
@@ -372,7 +382,7 @@ def lie_series_fd(alg: FiniteDimAlgebra) -> FdChainReport:
             e = _unit(alg.field, r)
             for w in _basis_dicts(cur):
                 rows.append(alg.bracket(e, w))
-        return _span(alg.field, alg.dim, rows)
+        return rref(alg.field, alg.dim, rows)
 
     return _iterate_chain(alg, "lie-powers", step)
 
@@ -383,7 +393,7 @@ def lower_central_fd(alg: FiniteDimAlgebra) -> FdChainReport:
         for w in _basis_dicts(cur):
             for r in range(alg.dim):
                 rows.append(alg.bracket(w, _unit(alg.field, r)))
-        return ideal_closure_fd(alg, _span(alg.field, alg.dim, rows))
+        return ideal_closure_fd(alg, rref(alg.field, alg.dim, rows))
 
     return _iterate_chain(alg, "lower-central", step)
 
@@ -394,7 +404,7 @@ def commutator_ideal_nilpotency(alg: FiniteDimAlgebra) -> Optional[int]:
     for r in range(alg.dim):
         for t in range(alg.dim):
             rows.append(alg.bracket(_unit(alg.field, r), _unit(alg.field, t)))
-    c = ideal_closure_fd(alg, _span(alg.field, alg.dim, rows))
+    c = ideal_closure_fd(alg, rref(alg.field, alg.dim, rows))
     powers = [None, c]
     for m in range(1, alg.dim + 2):
         if powers[m].rank == 0:
@@ -404,7 +414,7 @@ def commutator_ideal_nilpotency(alg: FiniteDimAlgebra) -> Optional[int]:
             for u in _basis_dicts(powers[i]):
                 for v in _basis_dicts(powers[m + 1 - i]):
                     rows.append(alg.multiply(u, v))
-        powers.append(_span(alg.field, alg.dim, rows))
+        powers.append(rref(alg.field, alg.dim, rows))
     return None
 
 

@@ -14,7 +14,6 @@ dispatch table of named structural checks with witness reporting.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 from .errors import InputError
@@ -108,7 +107,6 @@ class AlgebraSlice:
         field: Field,
         k: int,
         degree_cap: int,
-        jobs: int = 1,
         max_monomials: Optional[int] = None,
     ):
         if k < 1:
@@ -120,17 +118,10 @@ class AlgebraSlice:
         self.k = k
         self.degree_cap = degree_cap
         self.max_monomials = max_monomials
-        mus = multidegrees((degree_cap,) * k, degree_cap)
-
-        def build(mu):
-            return component_basis(variety, field, k, mu, max_monomials)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                comps = list(pool.map(build, mus))
-        else:
-            comps = [build(mu) for mu in mus]
-        self.components = dict(zip(mus, comps))
+        self.components = {
+            mu: component_basis(variety, field, k, mu, max_monomials)
+            for mu in multidegrees((degree_cap,) * k, degree_cap)
+        }
         self._full: Optional[GradedSubspace] = None
         self._h: list = [None]
         self._a: list = [None]
@@ -221,7 +212,9 @@ class AlgebraSlice:
 
     # -- span operations -------------------------------------------------------
 
-    def product_space(self, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
+    def _pair_space(self, U: GradedSubspace, V: GradedSubspace, op) -> GradedSubspace:
+        """Span of op(u, v) over the basis rows u of U and v of V, where op
+        is a bilinear operation on quotient vectors."""
         self._same(U)
         self._same(V)
         rows: dict[tuple, list] = {}
@@ -233,27 +226,16 @@ class AlgebraSlice:
                 bucket = rows.setdefault(mu, [])
                 for v1 in b1.rows:
                     for v2 in b2.rows:
-                        w = self.multiply_vectors(mu1, v1, mu2, v2)
+                        w = op(mu1, v1, mu2, v2)
                         if w:
                             bucket.append(w)
         return self.span(rows)
 
+    def product_space(self, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
+        return self._pair_space(U, V, self.multiply_vectors)
+
     def bracket_space(self, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
-        self._same(U)
-        self._same(V)
-        rows: dict[tuple, list] = {}
-        for mu1, b1 in U.parts.items():
-            for mu2, b2 in V.parts.items():
-                mu = mdeg_add(mu1, mu2)
-                if mdeg_total(mu) > self.degree_cap:
-                    continue
-                bucket = rows.setdefault(mu, [])
-                for v1 in b1.rows:
-                    for v2 in b2.rows:
-                        w = self.bracket_vectors(mu1, v1, mu2, v2)
-                        if w:
-                            bucket.append(w)
-        return self.span(rows)
+        return self._pair_space(U, V, self.bracket_vectors)
 
     def associator_space(
         self, U: GradedSubspace, V: GradedSubspace, W: GradedSubspace

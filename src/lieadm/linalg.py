@@ -90,9 +90,6 @@ class Field:
             return 1 / Fraction(a)
         return pow(a, self.char - 2, self.char)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     # -- conversions ---------------------------------------------------------
 
     def from_fraction(self, q: Fraction) -> Scalar:
@@ -220,8 +217,7 @@ class EchelonBasis:
     """A subspace held in reduced row-echelon form.
 
     Rows are monic at their pivots, pivot columns vanish in every other
-    row, and pivots increase strictly. Instances are immutable and safe
-    to share across threads.
+    row, and pivots increase strictly. Instances are immutable.
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots")

@@ -2,8 +2,7 @@
 
 Every machine-readable document carries "schema": 1 at top level and is
 serialized with sorted keys and fixed indentation, so identical inputs
-produce byte-identical output regardless of construction order or
-thread schedule.
+produce byte-identical output regardless of construction order.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ immutable once built; lower components come from the same cache.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Iterable, Optional
 
 from .errors import InputError, ResourceError, UnsupportedVarietyError
@@ -348,7 +347,6 @@ class FreeAlgebraComponent:
 
 
 _component_cache: dict[tuple, FreeAlgebraComponent] = {}
-_cache_lock = threading.Lock()
 # bound at import, so a wrapper later set over the module attribute (a
 # profiler or tracer) does not hide the table from clear_caches
 _clear_monomial_table = enumerate_monomials.cache_clear
@@ -369,22 +367,15 @@ def component_basis(
     if comp is not None:
         return comp
     comp = FreeAlgebraComponent(variety, field, k, mu, max_monomials)
-    with _cache_lock:
-        return _component_cache.setdefault(key, comp)
+    _component_cache[key] = comp
+    return comp
 
 
 def clear_caches():
     """Drop memoized components and the monomial enumeration table (used
     by determinism tests and cold-start measurements)."""
-    with _cache_lock:
-        _component_cache.clear()
+    _component_cache.clear()
     _clear_monomial_table()
-
-
-def relation_space(
-    variety: VarietySpec, field: Field, k: int, mu: tuple[int, ...]
-) -> EchelonBasis:
-    return component_basis(variety, field, k, mu).relations
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from lieadm.fdalg import FiniteDimAlgebra, audit, check_membership
 from lieadm.ideals import AlgebraSlice, check_theorem
 from lieadm.linalg import QQ, field_of_char
 from lieadm.reports import canonical_json, with_schema
-from lieadm.terms import Polynomial
+from lieadm.terms import Polynomial, multidegrees
 from lieadm.variety import (
     builtin_variety,
     clear_caches,
@@ -70,15 +70,25 @@ FACTORIALS = {1: 1, 2: 2, 3: 6, 4: 24, 5: 120}
 
 PQ_PAIRS = [(p, q) for p in range(1, 5) for q in range(1, 5) if p + q <= 5]
 
+# every (variety, characteristic, k, cap) slice the pipeline sections use,
+# sorted; criterion 11 checks that the list is complete
+SLICES = [
+    ("assosymmetric", 0, 2, 5),
+    ("bicommutative", 0, 2, 5),
+    ("bicommutative", 0, 3, 4),
+    ("bicommutative", 0, 3, 5),
+    ("bicommutative", 5, 2, 5),
+    ("novikov", 0, 2, 5),
+    ("novikov", 5, 2, 5),
+]
+
 _slices = {}
 
 
-def slice_for(name, char=0, k=2, cap=5, jobs=1):
+def slice_for(name, char=0, k=2, cap=5):
     key = (name, char, k, cap)
     if key not in _slices:
-        _slices[key] = AlgebraSlice(
-            builtin_variety(name), field_of_char(char), k, cap, jobs=jobs
-        )
+        _slices[key] = AlgebraSlice(builtin_variety(name), field_of_char(char), k, cap)
     return _slices[key]
 
 
@@ -120,19 +130,19 @@ def run_dimension_goldens():
     return out
 
 
-def run_ideal_descriptions(jobs=1):
+def run_ideal_descriptions():
     docs = []
     for name in ("novikov", "bicommutative"):
-        s = slice_for(name, jobs=jobs)
+        s = slice_for(name)
         for i in (2, 3):
             docs.append(check_theorem(s, "com_id", {"i": i}).to_doc())
     return docs
 
 
-def run_product_rules(jobs=1):
+def run_product_rules():
     docs = []
     for name in ("novikov", "bicommutative"):
-        s = slice_for(name, jobs=jobs)
+        s = slice_for(name)
         for p, q in PQ_PAIRS:
             docs.append(check_theorem(s, "th_pro", {"p": p, "q": q}).to_doc())
         for m in (1, 2, 3):
@@ -140,37 +150,35 @@ def run_product_rules(jobs=1):
     return docs
 
 
-def run_closed_lie_powers(jobs=1):
+def run_closed_lie_powers():
     docs = []
     for name in ("novikov", "bicommutative"):
         for char in (0, 5):
-            s = slice_for(name, char=char, jobs=jobs)
+            s = slice_for(name, char=char)
             for i in (1, 2, 3, 4):
                 docs.append(check_theorem(s, "prod_com_id", {"i": i}).to_doc())
     return docs
 
 
-def run_assosym_precursors(jobs=1):
-    s = slice_for("assosymmetric", jobs=jobs)
+def run_assosym_precursors():
+    s = slice_for("assosymmetric")
     return [
         check_theorem(s, "lem_ass_ap", {"p": p, "q": q}).to_doc()
         for p, q in PQ_PAIRS
     ]
 
 
-def run_assosym_ideal_products(jobs=1):
-    s = slice_for("assosymmetric", jobs=jobs)
+def run_assosym_ideal_products():
+    s = slice_for("assosymmetric")
     docs = [check_theorem(s, "lem_46", {"j": 3}).to_doc()]
     docs.append(check_theorem(s, "cp_ass", {"i": 2, "j": 3}).to_doc())
     docs.append(check_theorem(s, "cp_ass", {"i": 3, "j": 2}).to_doc())
     return docs
 
 
-def run_bicom_remarks(jobs=1):
-    meta = check_theorem(slice_for("bicommutative", k=3, cap=4, jobs=jobs), "bicom_metabelian")
-    right = check_theorem(
-        slice_for("bicommutative", k=3, cap=5, jobs=jobs), "bicom_not_right_nilpotent"
-    )
+def run_bicom_remarks():
+    meta = check_theorem(slice_for("bicommutative", k=3, cap=4), "bicom_metabelian")
+    right = check_theorem(slice_for("bicommutative", k=3, cap=5), "bicom_not_right_nilpotent")
     return [meta.to_doc(), right.to_doc()]
 
 
@@ -238,23 +246,37 @@ def run_oracle_agreement():
     return results
 
 
-def run_pipeline(jobs):
+PIPELINE = (
+    ("identity_suite", run_identity_suite),
+    ("dimensions", run_dimension_goldens),
+    ("ideal_descriptions", run_ideal_descriptions),
+    ("product_rules", run_product_rules),
+    ("closed_lie_powers", run_closed_lie_powers),
+    ("assosym_precursors", run_assosym_precursors),
+    ("assosym_ideal_products", run_assosym_ideal_products),
+    ("bicom_remarks", run_bicom_remarks),
+    ("fd_audits", run_fd_audits),
+    ("oracle", run_oracle_agreement),
+)
+
+
+def run_pipeline(reverse=False):
+    """Every section's documents, from cold caches.
+
+    With ``reverse``, the components of every slice in SLICES are built
+    first, highest multidegree first, and the sections then run last to
+    first, so nothing depends on the order things were built or checked.
+    """
     clear_caches()
     _slices.clear()
-    return with_schema(
-        {
-            "identity_suite": run_identity_suite(),
-            "dimensions": run_dimension_goldens(),
-            "ideal_descriptions": run_ideal_descriptions(jobs),
-            "product_rules": run_product_rules(jobs),
-            "closed_lie_powers": run_closed_lie_powers(jobs),
-            "assosym_precursors": run_assosym_precursors(jobs),
-            "assosym_ideal_products": run_assosym_ideal_products(jobs),
-            "bicom_remarks": run_bicom_remarks(jobs),
-            "fd_audits": run_fd_audits(),
-            "oracle": run_oracle_agreement(),
-        }
-    )
+    sections = PIPELINE
+    if reverse:
+        for name, char, k, cap in reversed(SLICES):
+            variety, field = builtin_variety(name), field_of_char(char)
+            for mu in reversed(multidegrees((cap,) * k, cap)):
+                component_basis(variety, field, k, mu)
+        sections = PIPELINE[::-1]
+    return with_schema({name: run() for name, run in sections})
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +436,13 @@ def test_criterion_10_oracle_equivalence():
 
 def test_criterion_11_determinism():
     t0 = time.time()
-    first = canonical_json(run_pipeline(jobs=1))
-    second = canonical_json(run_pipeline(jobs=4))
-    ok = first == second
+    first = canonical_json(run_pipeline())
+    second = canonical_json(run_pipeline(reverse=True))
+    ok = first == second and sorted(_slices) == SLICES
     _emit(
         11,
         ok,
-        f"serial and parallel reruns byte-identical ({len(first)} bytes of JSON)",
+        f"cold reruns in forward and reverse order byte-identical ({len(first)} bytes of JSON)",
         time.time() - t0,
         600,
     )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import lieadm
 from lieadm.cli import main
 from lieadm.exprs import expand, parse
+from lieadm.fdalg import MAX_DIM
 from lieadm.linalg import QQ
 
 DATA = Path(lieadm.__file__).parent / "data"
@@ -266,6 +268,16 @@ class TestAlgebra:
         bad.write_text('{"field": "Q", "dim": 2}')
         code, _, err = run(capsys, "algebra", "--file", str(bad))
         assert code == 2
+
+    def test_dim_over_limit_refused_at_once(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text('{"field": "Q", "dim": 1000, "products": []}')
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "algebra", "--file", str(big))
+        assert time.perf_counter() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "1000" in err and f"limit of {MAX_DIM}" in err
 
     def test_table_and_json_agree(self, capsys):
         _, doc, _ = run_json(capsys, "algebra", "--file", str(DATA / "zero2.json"))

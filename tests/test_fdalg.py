@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lieadm
-from lieadm.errors import SchemaError
+from lieadm.errors import ResourceError, SchemaError
 from lieadm.fdalg import (
+    MAX_DIM,
     FiniteDimAlgebra,
     audit,
     check_membership,
@@ -69,6 +70,11 @@ class TestSchema:
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(SchemaError):
             FiniteDimAlgebra.from_doc(doc)
+
+    def test_dim_limit(self):
+        assert make(MAX_DIM, []).dim == MAX_DIM
+        with pytest.raises(ResourceError, match=f"dim {MAX_DIM + 1} .*limit of {MAX_DIM}"):
+            make(MAX_DIM + 1, [])
 
     def test_zero_coefficients_dropped(self):
         a = make(2, [[1, 1, 2, "0"]])

@@ -56,12 +56,6 @@ class TestSliceBasics:
                         checked += 1
         assert checked == 84
 
-    def test_parallel_build_matches_serial(self):
-        a = make_slice("novikov", cap=4, jobs=1)
-        b = make_slice("novikov", cap=4, jobs=4)
-        assert a.full().dims() == b.full().dims()
-        assert a.h_term(2).dims() == b.h_term(2).dims()
-
 
 class TestSubspaceOperations:
     def setup_method(self):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieadm.errors import FieldError, InputError
 from lieadm.linalg import (
@@ -151,6 +152,39 @@ class TestRref:
         b = rref(QQ, n, rows)
         assert b.rank == n
         assert b == identity_basis(QQ, n)
+
+
+@st.composite
+def row_operation_cases(draw):
+    """Random sparse rows over Q or GF(p), plus a permutation, nonzero row
+    scalings, rows to repeat and a count of zero rows to append."""
+    field = field_of_char(draw(st.sampled_from((0, 2, 7))))
+    if field.char:
+        scalars = st.integers(0, field.char - 1)
+        nonzero = st.integers(1, field.char - 1)
+    else:
+        nums, dens = st.integers(-9, 9), st.integers(1, 4)
+        scalars = st.builds(Fraction, nums, dens)
+        nonzero = st.builds(Fraction, nums.filter(bool), dens)
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n - 1), scalars, max_size=3), max_size=7))
+    perm = draw(st.permutations(range(len(rows))))
+    scales = draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)) if rows else []
+    zeros = draw(st.integers(0, 2))
+    return field, n, rows, perm, scales, repeats, zeros
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(row_operation_cases())
+def test_rref_canonical_under_row_operations(case):
+    field, n, rows, perm, scales, repeats, zeros = case
+    want = rref(field, n, rows)
+    moved = [{j: field.mul(s, c) for j, c in rows[i].items()} for i, s in zip(perm, scales)]
+    moved += [rows[i] for i in repeats]
+    moved += [{}, {n - 1: field.zero}][:zeros]
+    assert rref(field, n, moved) == want
+    assert rref(field, n, want.rows) == want
 
 
 class TestMember:
