@@ -7,16 +7,19 @@ their bases compare equal, which makes bases usable as canonical values in
 reports and caches. No floating point anywhere.
 
 Scalars are plain ``fractions.Fraction`` values over the rationals and
-ints in ``[0, p)`` over a prime field; the ``Field`` object owns all
-arithmetic on them, including GCD normalization (``Fraction`` reduces on
-every operation) and modular inverses.
+ints in ``[0, p)`` over a prime field, with arithmetic on them through the
+``Field`` object. Elimination does not go through it: ``rref`` works on
+integer rows for both fields and takes the field step once per row,
+reducing mod p and making the row monic over F_p, or making it primitive
+with a positive lead over Q, where ``Fraction`` entries appear only in the
+finished basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import FieldError, InputError
 
@@ -181,11 +184,6 @@ class SparseVector:
             raise InputError("zero vector has no leading entry")
         return self.entries[0]
 
-    def scaled(self, c: Scalar, field: Field) -> "SparseVector":
-        if not c:
-            return SparseVector(())
-        return SparseVector((i, field.mul(v, c)) for i, v in self.entries)
-
 
 def accumulate(field: Field, acc: dict[int, Scalar], vec: SparseVector, coeff) -> None:
     """acc += coeff * vec, on an index->scalar dict that stores no zeros."""
@@ -264,10 +262,96 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
     Pivots take the first nonzero column; the result is the canonical
     basis of the span, independent of input order. Rows may be
     SparseVector values or plain index->scalar dicts.
+
+    The pivot rows are kept fully reduced after every insertion, so each
+    holds no pivot column but its own (LaMacchia & Odlyzko, CRYPTO '90).
+    An incoming row therefore meets each pivot column present in it
+    exactly once; what remains lies in free columns, and if nonzero its
+    first column becomes a new pivot, cleared from the older pivot rows at
+    once. Rows are integer dicts over both fields: over F_p they are monic
+    with entries in [0, p); over Q each stands for its rational line as a
+    primitive vector with a positive lead, updated fraction-free, and
+    becomes monic ``Fraction`` entries only at the end.
     """
-    if field.char == 0:
-        return _rref_rational(field, ambient_dim, rows)
-    return _rref_mod(field, ambient_dim, rows)
+    p = field.char
+    piv: dict[int, dict[int, int]] = {}
+    for r in rows:
+        row = _row_as_dict(r, ambient_dim)
+        if not p:
+            row = _cleared(row)
+        for j in [j for j in row if j in piv]:
+            _eliminate(p, row, j, piv[j])
+        row = _normalized(p, row)
+        if not row:
+            continue
+        lead = min(row)
+        for prow in piv.values():
+            if lead in prow:
+                _eliminate(p, prow, lead, row)
+                if not p:
+                    _strip_content(prow)
+        piv[lead] = row
+
+    out = []
+    for lead in sorted(piv):
+        row = piv[lead]
+        if not p:
+            pl = row[lead]
+            row = {j: Fraction(v, pl) for j, v in row.items()}
+        out.append(SparseVector(row.items()))
+    return EchelonBasis(field, ambient_dim, tuple(out))
+
+
+def _eliminate(p: int, row: dict[int, int], col: int, prow: dict[int, int]) -> None:
+    """Clear ``col`` from ``row`` with the pivot row ``prow``, in place.
+
+    Over F_p (``p > 0``) ``prow`` is monic and the update is row - c*prow
+    mod p. Over Q it is the cross multiple a*row - b*prow with a/b the
+    lead ratio in lowest terms, which keeps the row integral. Either way
+    ``col`` itself cancels to an exact zero and is dropped in the loop.
+    """
+    c = row[col]
+    if p:
+        for j, v in prow.items():
+            w = (row.get(j, 0) - c * v) % p
+            if w:
+                row[j] = w
+            elif j in row:
+                del row[j]
+        return
+    pl = prow[col]
+    g = gcd(pl, c)
+    a = pl // g
+    b = c // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, v in prow.items():
+        w = row.get(j, 0) - b * v
+        if w:
+            row[j] = w
+        elif j in row:
+            del row[j]
+
+
+def _normalized(p: int, row: dict[int, int]) -> dict[int, int]:
+    """The representative of the line of ``row`` that pivot rows store:
+    monic with entries in [0, p) over F_p, primitive with a positive lead
+    over Q. Empty when the row is zero."""
+    if p:
+        row = {j: r for j, v in row.items() if (r := v % p)}
+        if not row:
+            return row
+        c = row[min(row)]
+        if c != 1:
+            ic = pow(c, p - 2, p)
+            row = {j: v * ic % p for j, v in row.items()}
+        return row
+    if row:
+        _strip_content(row)
+        if row[min(row)] < 0:
+            row = {j: -v for j, v in row.items()}
+    return row
 
 
 def _strip_content(row: dict[int, int]) -> None:
@@ -281,138 +365,14 @@ def _strip_content(row: dict[int, int]) -> None:
             row[j] //= g
 
 
-def _int_row(row: dict[int, Scalar]) -> dict[int, int]:
-    """Clear denominators and divide out the content, keeping the line."""
+def _cleared(row: dict[int, Scalar]) -> dict[int, int]:
+    """Integer multiple of a rational row: denominators cleared."""
     lcm = 1
     for v in row.values():
         d = v.denominator
         if d != 1:
             lcm = lcm // gcd(lcm, d) * d
-    out = {}
-    for j, v in row.items():
-        out[j] = v.numerator * (lcm // v.denominator)
-    _strip_content(out)
-    return out
-
-
-def _rref_rational(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
-    """Fraction-free elimination over the integers, monic only at the end.
-
-    Working rows are primitive integer vectors standing for rational
-    lines. Eliminating a lead against pivot P uses the cross-multiple
-    update a*R - b*P with a = lead(P)/g, b = lead(R)/g, so no Fraction
-    arithmetic happens in the hot loop; content is stripped whenever the
-    multipliers could have introduced any, which keeps entries small.
-    """
-    piv: dict[int, dict[int, int]] = {}
-    for r in rows:
-        row = _int_row(_row_as_dict(r, ambient_dim))
-        while row:
-            lead = min(row)
-            prow = piv.get(lead)
-            if prow is None:
-                if row[lead] < 0:
-                    for j in row:
-                        row[j] = -row[j]
-                piv[lead] = row
-                break
-            rl = row.pop(lead)
-            pl = prow[lead]
-            g = gcd(pl, rl)
-            a = pl // g
-            b = rl // g
-            if a != 1:
-                for j in row:
-                    row[j] *= a
-            for j, v in prow.items():
-                if j == lead:
-                    continue
-                w = row.get(j, 0) - b * v
-                if w:
-                    row[j] = w
-                elif j in row:
-                    del row[j]
-            if a != 1 or b > 1 or b < -1:
-                _strip_content(row)
-
-    # Back substitution, largest pivot first; afterwards every pivot column
-    # is zero outside its own row, which is the reduced echelon invariant.
-    for p in sorted(piv, reverse=True):
-        prow = piv[p]
-        pl = prow[p]
-        for q, qrow in piv.items():
-            if q < p and p in qrow:
-                ql = qrow.pop(p)
-                g = gcd(pl, ql)
-                a = pl // g
-                b = ql // g
-                if a != 1:
-                    for j in qrow:
-                        qrow[j] *= a
-                for j, v in prow.items():
-                    if j == p:
-                        continue
-                    w = qrow.get(j, 0) - b * v
-                    if w:
-                        qrow[j] = w
-                    elif j in qrow:
-                        del qrow[j]
-                _strip_content(qrow)
-
-    out = []
-    for p in sorted(piv):
-        prow = piv[p]
-        pl = prow[p]
-        out.append(SparseVector((j, Fraction(v, pl)) for j, v in prow.items()))
-    return EchelonBasis(field, ambient_dim, tuple(out))
-
-
-def _rref_mod(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
-    mul = field.mul
-    sub = field.sub
-    inv = field.inv
-    one = field.one
-
-    piv: dict[int, dict[int, Scalar]] = {}
-    for r in rows:
-        row = _row_as_dict(r, ambient_dim)
-        while row:
-            lead = min(row)
-            prow = piv.get(lead)
-            if prow is None:
-                c = row.pop(lead)
-                if c != one:
-                    ic = inv(c)
-                    row = {j: mul(v, ic) for j, v in row.items()}
-                row[lead] = one
-                piv[lead] = row
-                break
-            factor = row.pop(lead)
-            for j, v in prow.items():
-                if j == lead:
-                    continue
-                w = sub(row.get(j, 0), mul(factor, v))
-                if w:
-                    row[j] = w
-                elif j in row:
-                    del row[j]
-
-    for p in sorted(piv, reverse=True):
-        prow = piv[p]
-        for q, qrow in piv.items():
-            if q < p and p in qrow:
-                factor = qrow.pop(p)
-                for j, v in prow.items():
-                    if j == p:
-                        continue
-                    w = sub(qrow.get(j, 0), mul(factor, v))
-                    if w:
-                        qrow[j] = w
-                    elif j in qrow:
-                        del qrow[j]
-
-    out = tuple(SparseVector.from_dict(piv[p]) for p in sorted(piv))
-    return EchelonBasis(field, ambient_dim, out)
+    return {j: v.numerator * (lcm // v.denominator) for j, v in row.items()}
 
 
 class MemberResult:
@@ -468,8 +428,3 @@ def sum_bases(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
     if not a.rows:
         return b
     return rref(a.field, a.ambient_dim, a.rows + b.rows)
-
-
-def contains(a: EchelonBasis, b: EchelonBasis) -> bool:
-    """Whether span(a) contains span(b), by rank of the sum."""
-    return sum_bases(a, b).rank == a.rank

@@ -421,8 +421,11 @@ def verify_identity(
     template vanishes in the relatively free algebra iff it lies in the
     relation space at (1,...,1). Anything else is tested by substituting
     every tuple of monomials of degree <= cap, in canonical order, and
-    reducing every homogeneous piece of the result.
+    reducing every homogeneous piece of the result, so ``cap`` must be at
+    least 1: an empty substitution pool would make every identity hold.
     """
+    if cap < 1:
+        raise InputError(f"substitution degree cap must be at least 1, got {cap}")
     template = identity.template(field)
     nvars = len(identity.variables)
     if not template.terms:

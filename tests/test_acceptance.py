@@ -10,6 +10,7 @@ failure even when the mathematics is right. All arithmetic is exact, so
 there is no tolerance anywhere: holds means identically zero.
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -434,15 +435,26 @@ def test_criterion_10_oracle_equivalence():
     )
 
 
+# Length and sha256 prefix of the forward run's canonical JSON: the
+# reference output that every refactor of the engine must reproduce.
+REFERENCE_OUTPUT = (56342, "6f91c3ae99afb18f")
+
+
 def test_criterion_11_determinism():
     t0 = time.time()
     first = canonical_json(run_pipeline())
     second = canonical_json(run_pipeline(reverse=True))
-    ok = first == second and sorted(_slices) == SLICES
+    digest = hashlib.sha256(first.encode("utf-8")).hexdigest()[:16]
+    ok = (
+        first == second
+        and sorted(_slices) == SLICES
+        and (len(first), digest) == REFERENCE_OUTPUT
+    )
     _emit(
         11,
         ok,
-        f"cold reruns in forward and reverse order byte-identical ({len(first)} bytes of JSON)",
+        f"cold reruns in forward and reverse order byte-identical"
+        f" ({len(first)} bytes of JSON, sha256 {digest})",
         time.time() - t0,
         600,
     )

@@ -158,6 +158,16 @@ class TestVerify:
         assert code == 2
         assert "offset" in err or "error" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_refused(self, capsys, cap):
+        # an empty substitution pool must not make x*x "hold"
+        code, out, err = run(
+            capsys, "verify", "--variety", "novikov", "--expr", "x*x", "--cap", cap
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out
+
 
 class TestChain:
     def test_lower_central_json(self, capsys):

@@ -159,6 +159,18 @@ class TestClosedForms:
         comp = component_basis(builtin_variety("bicommutative"), QQ, 6, (1,) * 6)
         assert comp.quotient_dim == 2**6 - 2 == 62
 
+    # the next two cells take tens of seconds each: run with pytest -m slow
+
+    @pytest.mark.slow
+    def test_novikov_degree_six(self):
+        comp = component_basis(builtin_variety("novikov"), QQ, 6, (1,) * 6)
+        assert comp.quotient_dim == math.comb(10, 5) == 252
+
+    @pytest.mark.slow
+    def test_bicommutative_degree_seven(self):
+        comp = component_basis(builtin_variety("bicommutative"), QQ, 7, (1,) * 7)
+        assert comp.quotient_dim == 2**7 - 2 == 126
+
 
 class TestDerivedViews:
     @pytest.mark.parametrize("name", ["novikov", "assosymmetric", "magma"])
@@ -272,6 +284,14 @@ class TestVerifyIdentity:
         r = verify_identity(v, QQ, sq, cap=3)
         assert not r.holds
         assert r.witness["assignment"] == {"x": "x1"}
+
+    def test_cap_below_one_refused(self):
+        v = builtin_variety("novikov")
+        sq = Identity("sq", "x*x")
+        assert not verify_identity(v, QQ, sq, cap=1).holds
+        for cap in (0, -1):
+            with pytest.raises(InputError):
+                verify_identity(v, QQ, sq, cap=cap)
 
     def test_zero_template_trivially_holds(self):
         r = verify_identity(builtin_variety("magma"), QQ, builtin("teichmuller"))
