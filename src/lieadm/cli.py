@@ -36,7 +36,7 @@ def _add_field(sp):
         type=int,
         default=0,
         metavar="P",
-        help="field characteristic: 0 for rationals (default), or a prime",
+        help="field characteristic: 0 for rationals (default), or a prime below 2^64",
     )
 
 

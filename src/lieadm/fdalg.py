@@ -22,27 +22,41 @@ the table is dropped with the audit and never stored on the algebra.
 The scan grows at least as dim^3, so from_doc refuses dim above MAX_DIM
 with a ResourceError. At MAX_DIM = 32, on a 2-core x86-64 box with
 CPython 3.11, ``lieadm algebra`` took 0.6 s for the zero algebra and
-13 to 15 s for the slowest case measured: a truncated polynomial algebra
+13 to 16 s for the slowest case measured: a truncated polynomial algebra
 (commutative, associative, so every identity is scanned in full) written
-in a random basis over F_101, with every product dense. Large rational
-structure constants cost more per product, and the bound does not limit
-that.
+in a random basis over F_101, with every product dense.
+
+Rational constants cost more per product, which dim does not bound, so
+from_doc also refuses an ``audit_cost`` over MAX_AUDIT_COST. The table of
+(e_a e_b) e_c and e_a (e_b e_c) multiplies, for each of dim^3 triples, a
+vector of about nnz/dim^2 entries by products as long: nnz^2/dim scalar
+operations for nnz nonzero constants. An int operation weighs
+1 + (bits - 1)//64 and a ``Fraction`` one 8 + 2*bits//3, bits being the
+widest numerator or denominator. A unit took 0.44 to 0.61 us on dense
+algebras of dim 12 to 32 on the box above: the truncated polynomial
+algebra in a random rational basis (entries -3..3, 10 on the diagonal)
+audits in 5.7 s at dim 12 (46 bits, 9.5e6 units) and 23 s at dim 16
+(56 bits, 4.7e7 units), the F_101 one in 15.5 s at dim 32 (3.3e7 units).
+MAX_AUDIT_COST = MAX_DIM^5 is the estimate of a fully dense algebra of
+dim MAX_DIM with word-size constants, the dearest one MAX_DIM admits.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
 from .errors import FieldError, ResourceError, SchemaError
-from .linalg import EchelonBasis, Field, GF, QQ, identity_basis, member, rref, sum_bases
+from .linalg import EchelonBasis, Field, GF, QQ, identity_basis, member, reduced, rref, sum_bases
 from .terms import Monomial
 from .variety import VarietySpec, builtin_variety, variety_names
 
-# largest dim from_doc accepts (see the module docstring)
+# largest dim and audit cost estimate from_doc accepts (see the module docstring)
 MAX_DIM = 32
+MAX_AUDIT_COST = MAX_DIM**5
 
 _COVERED = ("assosymmetric", "bicommutative", "novikov")
 _EQUIVALENCE = ("bicommutative", "novikov")
@@ -61,17 +75,6 @@ def _render_fd(field: Field, entries) -> str:
         else:
             chunks.append(f" - {body}" if negative else f" + {body}")
     return "".join(chunks) if chunks else "0"
-
-
-def _reduced(p: int, acc: dict) -> dict:
-    """``acc`` without its zeros, scalars reduced mod p when p > 0.
-
-    Arithmetic branches on the characteristic once per vector, not once
-    per scalar: sums accumulate with plain ``+``/``*`` and are reduced here.
-    """
-    if p:
-        return {k: r for k, t in acc.items() if (r := t % p)}
-    return {k: t for k, t in acc.items() if t}
 
 
 class FiniteDimAlgebra:
@@ -132,19 +135,23 @@ class FiniteDimAlgebra:
             if (i, j, k) in seen:
                 raise SchemaError(f"products[{pos}]: duplicate entry for ({i},{j},{k})")
             seen.add((i, j, k))
-            if isinstance(text, int) and not isinstance(text, bool):
-                text = str(text)
-            if not isinstance(text, str):
+            if not isinstance(text, (str, int)) or isinstance(text, bool):
                 raise SchemaError(f"products[{pos}]: coefficient must be text")
             try:
-                c = field.parse(text)
+                c = field.parse(str(text))
             except Exception as err:
-                raise SchemaError(f"products[{pos}]: bad coefficient {text!r}: {err}") from None
+                raise SchemaError(f"products[{pos}]: bad coefficient: {err}") from None
             if c:
                 table.setdefault((i - 1, j - 1), []).append((k - 1, c))
         products = {
             key: tuple(sorted(vals)) for key, vals in table.items()
         }
+        cost, nnz, bits = audit_cost(n, products)
+        if cost > MAX_AUDIT_COST:
+            raise ResourceError(
+                f"audit cost estimate {cost} (dim {n}, {nnz} nonzero constants, "
+                f"{bits}-bit coefficients) is over the limit of {MAX_AUDIT_COST}"
+            )
         return cls(field, n, products)
 
     @classmethod
@@ -154,7 +161,7 @@ class FiniteDimAlgebra:
                 doc = json.load(fh)
         except OSError as err:
             raise SchemaError(f"cannot read {path}: {err}") from None
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, or an int literal over the digit limit
             raise SchemaError(f"{path} is not valid JSON: {err}") from None
         return cls.from_doc(doc)
 
@@ -179,7 +186,7 @@ class FiniteDimAlgebra:
                     ab = a * b
                     for k, c in prod:
                         out[k] = out.get(k, 0) + ab * c
-        return _reduced(self.field.char, out) if out else out
+        return reduced(self.field.char, out) if out else out
 
     def bracket(self, u: dict, v: dict) -> dict:
         out = self.multiply(u, v)
@@ -188,7 +195,7 @@ class FiniteDimAlgebra:
             return out
         for k, c in vu.items():
             out[k] = out.get(k, 0) - c
-        return _reduced(self.field.char, out)
+        return reduced(self.field.char, out)
 
     def relabeled(self, perm: tuple[int, ...]) -> "FiniteDimAlgebra":
         """Same algebra with basis vector i renamed to perm[i] (0-based)."""
@@ -201,6 +208,18 @@ class FiniteDimAlgebra:
 
     def __repr__(self) -> str:
         return f"FiniteDimAlgebra({self.field.name}, dim={self.dim})"
+
+
+def audit_cost(dim: int, products: dict) -> tuple[int, int, int]:
+    """(cost estimate, nonzero constants, coefficient bits) of auditing
+    the algebra with these structure constants; see the module docstring."""
+    consts = [c for vals in products.values() for _, c in vals]
+    bits = max((max(abs(c.numerator), c.denominator).bit_length() for c in consts), default=0)
+    if any(isinstance(c, Fraction) for c in consts):
+        weight = 8 + 2 * bits // 3
+    else:
+        weight = 1 + (bits - 1) // 64
+    return len(consts) ** 2 // dim * weight, len(consts), bits
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +296,7 @@ def check_membership(
                 for k, c in value.items():
                     acc[k] = acc.get(k, 0) + coeff * c
             if acc:
-                acc = _reduced(p, acc)
+                acc = reduced(p, acc)
             if acc:
                 witness = {
                     "identity": ident.name,
@@ -552,7 +571,7 @@ def _random_weighted(rng, weights: tuple[int, ...], top_weight_zero: bool) -> Fi
             continue
         c = rng.choice(_COEFF_POOL)
         if c:
-            table.setdefault((i, j), []).append((k, QQ.from_int(c)))
+            table.setdefault((i, j), []).append((k, c))
     products = {key: tuple(sorted(vals)) for key, vals in table.items()}
     return FiniteDimAlgebra(QQ, len(weights), products)
 

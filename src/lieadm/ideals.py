@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .errors import InputError
-from .linalg import Field, SparseVector, accumulate, identity_basis, member, rref
+from .linalg import Field, SparseVector, identity_basis, member, rref
 from .linalg import sum_bases as _sum_bases
 from .terms import format_multidegree, mdeg_add, mdeg_total, multidegrees
 from .variety import FreeAlgebraComponent, VarietySpec, component_basis
@@ -177,38 +177,32 @@ class AlgebraSlice:
     def multiply_vectors(
         self, mu1, v1: SparseVector, mu2, v2: SparseVector
     ) -> SparseVector:
-        f = self.field
+        mu = mdeg_add(mu1, mu2)
+        if mdeg_total(mu) > self.degree_cap:
+            return SparseVector(())
         acc: dict[int, object] = {}
-        for q1, c1 in v1.entries:
-            for q2, c2 in v2.entries:
-                w = self.multiply_classes(mu1, q1, mu2, q2)
-                if w:
-                    accumulate(f, acc, w, f.mul(c1, c2))
-        return SparseVector.from_dict(acc)
+        self.components[mu].add_product(acc, mu1, v1.entries, v2.entries)
+        return SparseVector.from_dict(acc, self.field.char)
 
     def bracket_vectors(self, mu1, v1, mu2, v2) -> SparseVector:
-        f = self.field
+        mu = mdeg_add(mu1, mu2)
+        if mdeg_total(mu) > self.degree_cap:
+            return SparseVector(())
+        comp = self.components[mu]
         acc: dict[int, object] = {}
-        for q1, c1 in v1.entries:
-            for q2, c2 in v2.entries:
-                c = f.mul(c1, c2)
-                w = self.multiply_classes(mu1, q1, mu2, q2)
-                if w:
-                    accumulate(f, acc, w, c)
-                w = self.multiply_classes(mu2, q2, mu1, q1)
-                if w:
-                    accumulate(f, acc, w, f.neg(c))
-        return SparseVector.from_dict(acc)
+        comp.add_product(acc, mu1, v1.entries, v2.entries)
+        comp.add_product(acc, mu2, v2.entries, v1.entries, -1)
+        return SparseVector.from_dict(acc, self.field.char)
 
     def associator_vectors(self, mu1, v1, mu2, v2, mu3, v3) -> SparseVector:
         mu12 = mdeg_add(mu1, mu2)
         mu23 = mdeg_add(mu2, mu3)
         left = self.multiply_vectors(mu12, self.multiply_vectors(mu1, v1, mu2, v2), mu3, v3)
         right = self.multiply_vectors(mu1, v1, mu23, self.multiply_vectors(mu2, v2, mu3, v3))
-        f = self.field
         acc = dict(left.entries)
-        accumulate(f, acc, right, f.neg(f.one))
-        return SparseVector.from_dict(acc)
+        for j, w in right.entries:
+            acc[j] = acc.get(j, 0) - w
+        return SparseVector.from_dict(acc, self.field.char)
 
     # -- span operations -------------------------------------------------------
 

@@ -6,13 +6,17 @@ form is unique for a given row space: two subspaces are equal exactly when
 their bases compare equal, which makes bases usable as canonical values in
 reports and caches. No floating point anywhere.
 
-Scalars are plain ``fractions.Fraction`` values over the rationals and
-ints in ``[0, p)`` over a prime field, with arithmetic on them through the
-``Field`` object. Elimination does not go through it: ``rref`` works on
-integer rows for both fields and takes the field step once per row,
-reducing mod p and making the row monic over F_p, or making it primitive
-with a positive lead over Q, where ``Fraction`` entries appear only in the
-finished basis.
+Over the rationals a scalar is an ``int`` or a ``fractions.Fraction``:
+``rref`` and the ``Field`` conversions give an int for every integral
+value, so the common integral case runs at int speed, and ``int`` is a
+``numbers.Rational``, so the two compare, hash and mix exactly. Over a
+prime field a scalar is an int in ``[0, p)``. ``Field`` holds the
+constants, inversion, conversions and rendering, but no per-scalar
+arithmetic: callers sum with plain ``+`` and ``*`` and take the field
+step once per finished vector (``reduced``). ``rref`` works the same way
+on integer rows for both fields, reducing mod p and making each row monic
+over F_p, or making it primitive with a positive lead over Q, where a
+non-integral ``Fraction`` appears only in the finished basis.
 """
 
 from __future__ import annotations
@@ -26,36 +30,50 @@ from .errors import FieldError, InputError
 Scalar = Union[Fraction, int]
 
 
+# Miller-Rabin with these bases decides primality exactly below 3.3e24
+# (Sorenson & Webster, Math. Comp. 2017), so below MAX_CHAR it is a proof.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_CHAR = 2**64
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 class Field:
     """The rationals (``char == 0``) or the prime field F_p (``char == p``).
 
-    ``zero`` and ``one`` are set once per field; scalars are immutable, so
-    every caller may share them.
+    ``zero`` and ``one`` are the ints 0 and 1 in every field. Arithmetic on
+    scalars is plain Python arithmetic followed by ``reduced``; the field
+    only inverts, converts and renders.
     """
 
     __slots__ = ("char", "zero", "one")
 
     def __init__(self, char: int):
-        if char != 0 and not _is_prime(char):
-            raise FieldError(f"characteristic must be 0 or a prime, got {char}")
+        if char != 0 and not (0 < char < MAX_CHAR and _is_prime(char)):
+            raise FieldError(f"characteristic must be 0 or a prime below 2^64, got {char}")
         self.char = char
-        self.zero: Scalar = Fraction(0) if char == 0 else 0
-        self.one: Scalar = Fraction(1) if char == 0 else 1
+        self.zero: Scalar = 0
+        self.one: Scalar = 1
 
     # -- identity -----------------------------------------------------------
 
@@ -72,35 +90,23 @@ class Field:
     def name(self) -> str:
         return "Q" if self.char == 0 else f"F{self.char}"
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.char == 0 else (a + b) % self.char
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.char == 0 else (a - b) % self.char
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.char == 0 else (a * b) % self.char
-
-    def neg(self, a: Scalar) -> Scalar:
-        return -a if self.char == 0 else (-a) % self.char
+    # -- inversion -----------------------------------------------------------
 
     def inv(self, a: Scalar) -> Scalar:
         if not a:
             raise FieldError("division by zero")
         if self.char == 0:
-            return 1 / Fraction(a)
+            return self.from_fraction(1 / Fraction(a))
         return pow(a, self.char - 2, self.char)
 
     # -- conversions ---------------------------------------------------------
 
     def from_fraction(self, q: Fraction) -> Scalar:
-        """Image of a rational in this field; FieldError if the denominator
-        vanishes mod p."""
+        """Image of a rational in this field (an int when integral over Q);
+        FieldError if the denominator vanishes mod p."""
         q = Fraction(q)
         if self.char == 0:
-            return q
+            return q.numerator if q.denominator == 1 else q
         if q.denominator % self.char == 0:
             raise FieldError(
                 f"denominator {q.denominator} is not invertible mod {self.char}"
@@ -108,7 +114,7 @@ class Field:
         return (q.numerator % self.char) * self.inv(q.denominator % self.char) % self.char
 
     def from_int(self, n: int) -> Scalar:
-        return Fraction(n) if self.char == 0 else n % self.char
+        return n % self.char if self.char else n
 
     def parse(self, text: str) -> Scalar:
         """Read a scalar from "n" or "n/d" text."""
@@ -123,6 +129,19 @@ class Field:
             q = Fraction(a)
             return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
         return str(a % self.char)
+
+
+def reduced(p: int, acc: dict) -> dict:
+    """``acc`` without its zeros, scalars reduced mod p when p > 0.
+
+    This is the one field step of a vector: sums are formed with plain
+    ``+``/``*``, so the characteristic is consulted once per vector, not
+    once per scalar, and every vector handed on has entries in [0, p)
+    over F_p and stores no zeros.
+    """
+    if p:
+        return {k: r for k, t in acc.items() if (r := t % p)}
+    return {k: t for k, t in acc.items() if t}
 
 
 QQ = Field(0)
@@ -155,8 +174,9 @@ class SparseVector:
         self.entries: tuple[tuple[int, Scalar], ...] = tuple(sorted(entries))
 
     @classmethod
-    def from_dict(cls, d: dict[int, Scalar]) -> "SparseVector":
-        return cls((i, c) for i, c in d.items() if c)
+    def from_dict(cls, d: dict[int, Scalar], p: int = 0) -> "SparseVector":
+        """The vector of an index->scalar dict, through ``reduced(p, d)``."""
+        return cls(reduced(p, d).items())
 
     def to_dict(self) -> dict[int, Scalar]:
         return dict(self.entries)
@@ -183,17 +203,6 @@ class SparseVector:
         if not self.entries:
             raise InputError("zero vector has no leading entry")
         return self.entries[0]
-
-
-def accumulate(field: Field, acc: dict[int, Scalar], vec: SparseVector, coeff) -> None:
-    """acc += coeff * vec, on an index->scalar dict that stores no zeros."""
-    add, mul = field.add, field.mul
-    for i, c in vec.entries:
-        u = add(acc.get(i, 0), mul(coeff, c))
-        if u:
-            acc[i] = u
-        elif i in acc:
-            del acc[i]
 
 
 def _row_as_dict(row, ambient_dim: int) -> dict[int, Scalar]:
@@ -270,8 +279,9 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
     first column becomes a new pivot, cleared from the older pivot rows at
     once. Rows are integer dicts over both fields: over F_p they are monic
     with entries in [0, p); over Q each stands for its rational line as a
-    primitive vector with a positive lead, updated fraction-free, and
-    becomes monic ``Fraction`` entries only at the end.
+    primitive vector with a positive lead, updated fraction-free, and is
+    made monic only at the end, where an entry stays an int when the lead
+    divides it and becomes a ``Fraction`` otherwise.
     """
     p = field.char
     piv: dict[int, dict[int, int]] = {}
@@ -297,7 +307,7 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
         row = piv[lead]
         if not p:
             pl = row[lead]
-            row = {j: Fraction(v, pl) for j, v in row.items()}
+            row = {j: v // pl if not v % pl else Fraction(v, pl) for j, v in row.items()}
         out.append(SparseVector(row.items()))
     return EchelonBasis(field, ambient_dim, tuple(out))
 
@@ -394,28 +404,23 @@ class MemberResult:
 
 def member(basis: EchelonBasis, v) -> MemberResult:
     """Reduce ``v`` against the basis rows."""
-    field = basis.field
-    mul = field.mul
-    sub = field.sub
+    p = basis.field.char
     row = _row_as_dict(v, basis.ambient_dim)
     coords = []
-    for p, brow in zip(basis.pivots, basis.rows):
-        c = row.get(p)
-        if c is None:
-            coords.append(field.zero)
-            continue
+    for piv, brow in zip(basis.pivots, basis.rows):
+        c = row.get(piv, 0)
+        if p:
+            c %= p
         coords.append(c)
-        for j, w in brow.entries:
-            u = sub(row.get(j, 0), mul(c, w))
-            if u:
-                row[j] = u
-            elif j in row:
-                del row[j]
+        if c:
+            for j, w in brow.entries:
+                row[j] = row.get(j, 0) - c * w
+            del row[piv]
+    row = reduced(p, row)
     if not row:
         return MemberResult(True, tuple(coords), SparseVector(()))
-    lead = min(row)
-    ic = field.inv(row[lead])
-    residual = SparseVector((j, mul(c, ic)) for j, c in row.items())
+    ic = basis.field.inv(row[min(row)])
+    residual = SparseVector.from_dict({j: c * ic for j, c in row.items()}, p)
     return MemberResult(False, tuple(coords), residual)
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import InputError
-from .linalg import Field, Scalar
+from .linalg import Field, Scalar, reduced
 
 
 class Monomial:
@@ -173,19 +173,17 @@ def enumerate_monomials(k: int, mu: tuple[int, ...]) -> tuple[Monomial, ...]:
 class Polynomial:
     """Finite linear combination of monomials with exact coefficients.
 
-    The term map never stores zeros. Instances are treated as immutable;
-    all arithmetic returns fresh objects.
+    The term map never stores zeros, and over F_p its scalars lie in
+    [0, p): the constructor takes the field step (``reduced``), so the
+    arithmetic below sums with plain ``+``/``*``. Instances are treated
+    as immutable; all arithmetic returns fresh objects.
     """
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field: Field, terms: dict[Monomial, Scalar] = None):
         self.field = field
-        self.terms: dict[Monomial, Scalar] = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    self.terms[m] = c
+        self.terms: dict[Monomial, Scalar] = reduced(field.char, terms) if terms else {}
 
     @classmethod
     def zero(cls, field: Field) -> "Polynomial":
@@ -217,26 +215,16 @@ class Polynomial:
 
     def add(self, other: "Polynomial") -> "Polynomial":
         self._require_same_field(other)
-        f = self.field
         out = dict(self.terms)
         for m, c in other.terms.items():
-            w = f.add(out.get(m, 0), c)
-            if w:
-                out[m] = w
-            elif m in out:
-                del out[m]
-        p = Polynomial(f)
-        p.terms = out
-        return p
+            out[m] = out.get(m, 0) + c
+        return Polynomial(self.field, out)
 
     def sub(self, other: "Polynomial") -> "Polynomial":
-        return self.add(other.scaled(self.field.neg(self.field.one)))
+        return self.add(other.scaled(-1))
 
     def scaled(self, c: Scalar) -> "Polynomial":
-        f = self.field
-        if not c:
-            return Polynomial(f)
-        return Polynomial(f, {m: f.mul(v, c) for m, v in self.terms.items()})
+        return Polynomial(self.field, {m: v * c for m, v in self.terms.items()})
 
     def monomials(self) -> list[Monomial]:
         return list(self.terms)
@@ -250,21 +238,14 @@ def multiply(p: Polynomial, q: Polynomial, cap: Optional[int] = None) -> Polynom
     cap is itself an ideal.
     """
     p._require_same_field(q)
-    f = p.field
     out: dict[Monomial, Scalar] = {}
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
             if cap is not None and m1.degree + m2.degree > cap:
                 continue
             m = node(m1, m2)
-            w = f.add(out.get(m, 0), f.mul(c1, c2))
-            if w:
-                out[m] = w
-            elif m in out:
-                del out[m]
-    r = Polynomial(f)
-    r.terms = out
-    return r
+            out[m] = out.get(m, 0) + c1 * c2
+    return Polynomial(p.field, out)
 
 
 def commutator(p: Polynomial, q: Polynomial, cap: Optional[int] = None) -> Polynomial:
@@ -290,18 +271,11 @@ def substitute(template: Polynomial, assignment: dict[int, Monomial]) -> Polynom
     must be assigned. Homomorphic: images of products are products of
     images.
     """
-    f = template.field
     out: dict[Monomial, Scalar] = {}
     for m, c in template.terms.items():
         img = _substitute_mono(m, assignment)
-        w = f.add(out.get(img, 0), c)
-        if w:
-            out[img] = w
-        elif img in out:
-            del out[img]
-    p = Polynomial(f)
-    p.terms = out
-    return p
+        out[img] = out.get(img, 0) + c
+    return Polynomial(template.field, out)
 
 
 def _substitute_mono(m: Monomial, assignment: dict[int, Monomial]) -> Monomial:

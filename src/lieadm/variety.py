@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError, ResourceError, UnsupportedVarietyError
 from .exprs import Identity, builtin
-from .linalg import EchelonBasis, Field, SparseVector, accumulate, rref
+from .linalg import EchelonBasis, Field, SparseVector, reduced, rref
 from .terms import (
     Monomial,
     Polynomial,
@@ -133,22 +133,20 @@ def _compositions(mu: tuple[int, ...], m: int) -> list[tuple[tuple[int, ...], ..
     ]
 
 
-def _evaluate(tree: Monomial, parts, picks, lower, field: Field):
+def _evaluate(tree: Monomial, parts, picks, lower, p: int):
     """(multidegree, quotient entries) of a template subtree whose variable
     i stands for normal monomial ``picks[i]`` of degree ``parts[i]``."""
     if tree.is_leaf:
-        return parts[tree.gen], ((picks[tree.gen], field.one),)
-    a, x = _evaluate(tree.left, parts, picks, lower, field)
-    b, y = _evaluate(tree.right, parts, picks, lower, field)
+        return parts[tree.gen], ((picks[tree.gen], 1),)
+    a, x = _evaluate(tree.left, parts, picks, lower, p)
+    b, y = _evaluate(tree.right, parts, picks, lower, p)
     nu = mdeg_add(a, b)
-    products = lower[nu].products
-    if len(x) == len(y) == 1 and x[0][1] is y[0][1] is field.one:
-        return nu, products[(a, x[0][0], y[0][0])].entries
+    comp = lower[nu]
+    if len(x) == len(y) == 1 and x[0][1] == y[0][1] == 1:
+        return nu, comp.products[(a, x[0][0], y[0][0])].entries
     acc: dict[int, object] = {}
-    for p, xp in x:
-        for q, yq in y:
-            accumulate(field, acc, products[(a, p, q)], field.mul(xp, yq))
-    return nu, tuple(sorted(acc.items()))
+    comp.add_product(acc, a, x, y)
+    return nu, SparseVector.from_dict(acc, p).entries
 
 
 def relation_rows(
@@ -159,7 +157,7 @@ def relation_rows(
     each monic at its first column."""
     lower, cols = space or _product_space(variety, field, k, mu)
     columns = {key: j for j, (key, _) in enumerate(cols)}
-    add, mul, one = field.add, field.mul, field.one
+    p = field.char
     seen = set()
     rows: list[dict[int, object]] = []
     for ident in variety.identities:
@@ -174,28 +172,25 @@ def relation_rows(
         m = len(ident.variables)
         if m == 1:
             # c*x = 0 kills every element, so every column is a relation
-            rows += [{j: one} for j in range(len(cols))]
+            rows += [{j: 1} for j in range(len(cols))]
             continue
-        # unit coefficients are the shared ``one``, so ``is`` skips the product
-        terms = [(t.left, t.right, one if c == one else c) for t, c in template.terms.items()]
+        terms = [(t.left, t.right, c) for t, c in template.terms.items()]
         for parts in _compositions(mu, m):
             pools = [range(lower[part].quotient_dim) for part in parts]
             for picks in itertools.product(*pools):
                 row: dict[int, object] = {}
                 for left, right, c in terms:
-                    a, x = _evaluate(left, parts, picks, lower, field)
-                    _, y = _evaluate(right, parts, picks, lower, field)
-                    for p, xp in x:
-                        cx = c if xp is one else mul(c, xp)
-                        for q, yq in y:
-                            j = columns[(a, p, q)]
-                            v = yq if cx is one else mul(cx, yq)
-                            row[j] = v if j not in row else add(row[j], v)
-                row = {j: c for j, c in row.items() if c}
+                    a, x = _evaluate(left, parts, picks, lower, p)
+                    _, y = _evaluate(right, parts, picks, lower, p)
+                    for q1, xq in x:
+                        cx = c * xq
+                        for q2, yq in y:
+                            j = columns[(a, q1, q2)]
+                            row[j] = row.get(j, 0) + cx * yq
+                row = reduced(p, row)
                 if row:
                     ic = field.inv(row[min(row)])
-                    if ic != one:
-                        row = {j: mul(c, ic) for j, c in row.items()}
+                    row = reduced(p, {j: c * ic for j, c in row.items()})
                     fingerprint = tuple(sorted(row.items()))
                     if fingerprint not in seen:
                         seen.add(fingerprint)
@@ -247,25 +242,36 @@ class FreeAlgebraComponent:
         self.lower, cols = _product_space(variety, field, k, mu, max_monomials)
         self.column_count = len(cols)
         rows = relation_rows(variety, field, k, mu, (self.lower, cols))
-        reduced = rref(field, self.column_count, rows)
+        basis = rref(field, self.column_count, rows)
 
-        pivots = set(reduced.pivots)
+        pivots = set(basis.pivots)
         quotient_ids = [j for j in range(self.column_count) if j not in pivots]
         self.quotient_monomials = tuple(cols[j][1] for j in quotient_ids)
         self.quotient_dim = len(quotient_ids)
         qpos = {j: q for q, j in enumerate(quotient_ids)}
 
+        p = field.char
         nf: list[SparseVector] = [None] * self.column_count
         for j in quotient_ids:
-            nf[j] = SparseVector(((qpos[j], field.one),))
-        neg = field.neg
-        for pivot, row in zip(reduced.pivots, reduced.rows):
-            nf[pivot] = SparseVector((qpos[j], neg(c)) for j, c in row.entries if j != pivot)
+            nf[j] = SparseVector(((qpos[j], 1),))
+        for pivot, row in zip(basis.pivots, basis.rows):
+            nf[pivot] = SparseVector.from_dict({qpos[j]: -c for j, c in row.entries[1:]}, p)
         self.products = {key: nf[j] for j, (key, _) in enumerate(cols)}
         self._index = None
         self._relations = None
 
     # -- quotient arithmetic -------------------------------------------------
+
+    def add_product(self, acc: dict, a: tuple[int, ...], x, y, scale=1) -> None:
+        """acc += scale * (x times y) for quotient entries x of degree a and
+        y of degree mu - a, with plain ``+``/``*``: the caller reduces the
+        finished sum once (``reduced``)."""
+        products = self.products
+        for p, xp in x:
+            for q, yq in y:
+                c = scale * xp * yq
+                for j, w in products[(a, p, q)].entries:
+                    acc[j] = acc.get(j, 0) + c * w
 
     def _monomial_coords(self, m: Monomial) -> SparseVector:
         """Normal form of a monomial of this multidegree, through the normal
@@ -275,19 +281,15 @@ class FreeAlgebraComponent:
         a = multidegree(m.left, self.k)
         x = self.lower[a]._monomial_coords(m.left)
         y = self.lower[mdeg_sub(self.mu, a)]._monomial_coords(m.right)
-        f = self.field
         acc: dict[int, object] = {}
-        for p, xp in x.entries:
-            for q, yq in y.entries:
-                accumulate(f, acc, self.products[(a, p, q)], f.mul(xp, yq))
-        return SparseVector.from_dict(acc)
+        self.add_product(acc, a, x.entries, y.entries)
+        return SparseVector.from_dict(acc, self.field.char)
 
     def normal_form(self, p: Polynomial) -> SparseVector:
         """Quotient coordinates of p; the zero vector iff p lies in the
         relation space."""
         if p.field != self.field:
             raise InputError("polynomial field does not match component field")
-        f = self.field
         acc: dict[int, object] = {}
         for mono, c in p.terms.items():
             try:
@@ -298,8 +300,9 @@ class FreeAlgebraComponent:
                 raise InputError(
                     f"monomial of multidegree {nu} does not belong to component {self.mu}"
                 )
-            accumulate(f, acc, self._monomial_coords(mono), c)
-        return SparseVector.from_dict(acc)
+            for j, w in self._monomial_coords(mono).entries:
+                acc[j] = acc.get(j, 0) + c * w
+        return SparseVector.from_dict(acc, self.field.char)
 
     def coords_to_polynomial(self, vec: SparseVector) -> Polynomial:
         """The canonical representative with the given quotient coordinates."""
@@ -326,17 +329,17 @@ class FreeAlgebraComponent:
     def relations(self) -> EchelonBasis:
         """Reduced relation basis over the free magma monomials."""
         if self._relations is None:
-            f = self.field
+            p = self.field.char
             index = self.index
             normal = set(self.quotient_monomials)
             qcol = [index[m] for m in self.quotient_monomials]
             rows = []
             for i, m in enumerate(self.monomials):
                 if m not in normal:
-                    entries = [(i, f.one)]
-                    entries += [(qcol[q], f.neg(c)) for q, c in self._monomial_coords(m).entries]
-                    rows.append(SparseVector(entries))
-            self._relations = EchelonBasis(f, len(index), tuple(rows))
+                    entries = {qcol[q]: -c for q, c in self._monomial_coords(m).entries}
+                    entries[i] = 1
+                    rows.append(SparseVector.from_dict(entries, p))
+            self._relations = EchelonBasis(self.field, len(index), tuple(rows))
         return self._relations
 
     def __repr__(self) -> str:

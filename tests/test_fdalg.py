@@ -1,17 +1,25 @@
 """Structure-constant algebras: schema, membership, chains, audits."""
 
+import importlib.util
+import itertools
 import json
+import random
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lieadm
+from lieadm.cli import main
 from lieadm.errors import ResourceError, SchemaError
 from lieadm.fdalg import (
+    MAX_AUDIT_COST,
     MAX_DIM,
     FiniteDimAlgebra,
     audit,
+    audit_cost,
     check_membership,
     commutator_ideal_nilpotency,
     generate_nilpotent_corpus,
@@ -22,6 +30,7 @@ from lieadm.reports import canonical_json
 from lieadm.variety import builtin_variety, custom_variety, variety_names
 
 DATA = Path(lieadm.__file__).parent / "data"
+BENCH_CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
 
 
 def load(name):
@@ -95,6 +104,129 @@ class TestSchema:
         bad.write_text("{not json")
         with pytest.raises(SchemaError):
             FiniteDimAlgebra.load(bad)
+
+    def test_integer_over_digit_limit_rejected(self, tmp_path):
+        # Python refuses int<->str conversion beyond 4300 digits, in the
+        # JSON reader and in str(); both are schema errors, not tracebacks
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"field": "Q", "dim": 1, "products": [[1, 1, 1, 1' + "0" * 5000 + "]]}")
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            FiniteDimAlgebra.load(huge)
+        with pytest.raises(SchemaError, match=r"products\[0\]: bad coefficient"):
+            make(1, [[1, 1, 1, 10**5000]])
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=4,
+)
+_fields = (
+    st.sampled_from(["Q", "R", {"p": 5}, {"p": 4}, {"p": 2**61 - 1}, {"p": 2**64 + 13}])
+    | st.integers().map(lambda p: {"p": p})
+    | _json_values
+)
+_coefficients = (
+    st.sampled_from(["1", "-2", "3/4", "1/0", "1/5", "x", "", " 5 ", "1e3", "0/5", 7, -1, 10**5000])
+    | st.text(max_size=8)
+    | _json_values
+)
+_index = st.integers(-1, 5) | _json_values
+_entries = st.tuples(_index, _index, _index, _coefficients).map(list) | _json_values
+_documents = st.fixed_dictionaries(
+    {
+        "field": _fields,
+        "dim": st.integers(-2, MAX_DIM + 2) | _json_values,
+        "products": st.lists(_entries, max_size=6) | _json_values,
+    },
+    optional={"extra": _json_values},
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_documents | _documents.map(lambda d: {k: v for k, v in d.items() if k != "dim"}) | _json_values)
+def test_from_doc_raises_only_schema_or_resource_errors(doc):
+    try:
+        alg = FiniteDimAlgebra.from_doc(doc)
+    except (SchemaError, ResourceError):
+        return
+    assert alg.dim == doc["dim"] and alg.to_doc()["dim"] == alg.dim
+
+
+def truncated_in_rational_basis(n, seed=1):
+    """span(x, ..., x^n) in Q[x]/(x^(n+1)) in the basis f_a = sum_i
+    M[a][i] x^(i+1), M random in -3..3 plus 10 on the diagonal: commutative,
+    associative, dense, with large rational structure constants."""
+    rng = random.Random(seed)
+    m = [[rng.randint(-3, 3) + 10 * (i == j) for j in range(n)] for i in range(n)]
+    # rows of M^-1 by Gauss-Jordan on [M | I]
+    a = [[Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if a[r][c])
+        a[c], a[r] = a[r], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [v - a[r][c] * w for v, w in zip(a[r], a[c])]
+    inv = [row[n:] for row in a]
+    products = []
+    for x, y in itertools.product(range(n), repeat=2):
+        # f_x f_y in the monomial basis e_k = x^(k+1), then in the f basis
+        e = [0] * n
+        for i, j in itertools.product(range(n), repeat=2):
+            if i + j + 1 < n:
+                e[i + j + 1] += m[x][i] * m[y][j]
+        for k in range(n):
+            c = sum(e[i] * inv[i][k] for i in range(n) if e[i])
+            if c:
+                products.append([x + 1, y + 1, k + 1, str(c)])
+    return {"field": "Q", "dim": n, "products": products}
+
+
+def bench_pool():
+    """Every audit-pool document of the benchmark corpus (read, not changed)."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", BENCH_CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return [corpus.pool_entry(i)["doc"] for i in range(corpus.POOL_SIZE)]
+
+
+class TestAuditCost:
+    def test_bundled_data_and_bench_pool_within_limit(self):
+        docs = []
+        for path in sorted(DATA.glob("*.json")):
+            doc = json.loads(path.read_text())
+            docs += [e["algebra"] for e in doc["algebras"]] if "algebras" in doc else [doc]
+        pool = bench_pool()
+        assert len(docs) == 55 and len(pool) == 1000
+        algebras = [FiniteDimAlgebra.from_doc(doc) for doc in docs + pool]
+        worst = max(audit_cost(a.dim, a.products)[0] for a in algebras)
+        assert 0 < worst < MAX_AUDIT_COST // 1000
+
+    def test_word_size_constants_never_refused_within_dim_limit(self):
+        # every constant nonzero and 64 bits wide: the largest estimate
+        # MAX_DIM admits over any prime field below 2^64
+        ones = tuple((k, 2**64 - 1) for k in range(MAX_DIM))
+        dense = {(i, j): ones for i in range(MAX_DIM) for j in range(MAX_DIM)}
+        assert audit_cost(MAX_DIM, dense) == (MAX_AUDIT_COST, MAX_DIM**3, 64)
+        dense[0, 0] = ((0, 2**64),) + ones[1:]
+        assert audit_cost(MAX_DIM, dense)[0] > MAX_AUDIT_COST
+
+    def test_rational_basis_dim12_admitted(self):
+        alg = FiniteDimAlgebra.from_doc(truncated_in_rational_basis(12))
+        cost, nnz, bits = audit_cost(alg.dim, alg.products)
+        assert nnz == 12**3 and bits == 46 and cost < MAX_AUDIT_COST
+
+    def test_rational_basis_dim16_refused_at_once(self, tmp_path, capsys):
+        path = tmp_path / "tp16.json"
+        path.write_text(json.dumps(truncated_in_rational_basis(16)))
+        t0 = time.perf_counter()
+        code = main(["algebra", "--file", str(path)])
+        assert time.perf_counter() - t0 < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: audit cost estimate ")
+        assert "dim 16, 4096 nonzero constants" in err and f"limit of {MAX_AUDIT_COST}" in err
 
 
 class TestArithmetic:

@@ -49,9 +49,10 @@ def dense_rref(p, n, rows):
 
 class TestField:
     def test_constants_are_shared(self):
-        assert QQ.one is QQ.one and QQ.zero is QQ.zero
-        assert QQ.one == Fraction(1) and isinstance(QQ.one, Fraction)
-        assert GF(5).one == 1 and GF(5).zero == 0
+        # plain ints in every field, equal to Fraction(1) and Fraction(0)
+        for f in (QQ, GF(5)):
+            assert type(f.one) is int and f.one == 1 == Fraction(1)
+            assert type(f.zero) is int and f.zero == 0 == Fraction(0)
 
     def test_char_must_be_prime_or_zero(self):
         with pytest.raises(FieldError):
@@ -61,13 +62,33 @@ class TestField:
         assert field_of_char(0) is QQ
         assert field_of_char(7) is GF(7)
 
+    def test_large_characteristics_decided_at_once(self):
+        assert GF(2**61 - 1).char == 2**61 - 1
+        assert GF(2**64 - 59).char == 2**64 - 59  # the largest prime below 2^64
+        # 3215031751 = 151*751*28351 is a strong pseudoprime to bases 2, 3, 5, 7
+        for n in (3215031751, (2**31 - 1) * (2**31 + 11), 2**64 + 13, 2**89 - 1):
+            with pytest.raises(FieldError):
+                field_of_char(n)
+
+    def test_primality_agrees_with_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        for n in range(1, 3000):
+            try:
+                field_of_char(n)
+                accepted = True
+            except FieldError:
+                accepted = False
+            assert accepted == trial(n), n
+
     def test_gf_is_cached(self):
         assert GF(5) is GF(5)
 
     def test_modular_inverse(self):
         f = GF(7)
         for a in range(1, 7):
-            assert f.mul(a, f.inv(a)) == 1
+            assert a * f.inv(a) % 7 == 1
         with pytest.raises(FieldError):
             f.inv(0)
         with pytest.raises(FieldError):
@@ -88,6 +109,15 @@ class TestField:
                 assert f.render(f.parse(text)) == text if f.char == 0 else True
         assert QQ.render(Fraction(6, 4)) == "3/2"
         assert GF(5).render(7) == "2"
+
+    def test_integral_rationals_are_ints(self):
+        for text, want in (("4/2", 2), ("-3", -3), ("0/7", 0), (" -6/3 ", -2)):
+            got = QQ.parse(text)
+            assert type(got) is int and got == want
+        assert type(QQ.from_fraction(Fraction(10, 5))) is int
+        assert type(QQ.from_int(-4)) is int
+        assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(-1) == -1
+        assert QQ.parse("3/6") == Fraction(1, 2)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(FieldError):
@@ -162,6 +192,24 @@ class TestRref:
                 got = [r.entries for r in rref(field, n, rows).rows]
                 assert got == dense_rref(field.char, n, rows), (field, trial)
 
+    def test_int_and_fraction_rows_agree(self):
+        # the same integer rows as ints and as Fraction(n): equal bases that
+        # render alike, every integral entry an int either way
+        rng = random.Random(77)
+        for trial in range(30):
+            n = rng.randrange(1, 8)
+            rows = [
+                {j: rng.randrange(-5, 6) for j in rng.sample(range(n), rng.randrange(0, n + 1))}
+                for _ in range(rng.randrange(1, 8))
+            ]
+            as_ints = rref(QQ, n, rows)
+            as_fracs = rref(QQ, n, frac_rows(rows))
+            assert as_ints == as_fracs, trial
+            for a, b in zip(as_ints.rows, as_fracs.rows):
+                assert [(j, QQ.render(c)) for j, c in a] == [(j, QQ.render(c)) for j, c in b]
+                for _, c in a.entries + b.entries:
+                    assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
     def test_large_coefficient_growth_stays_exact(self):
         # Hilbert-like rows force heavy intermediate growth; the content
         # stripping must not change the row space.
@@ -200,11 +248,32 @@ def row_operation_cases(draw):
 def test_rref_canonical_under_row_operations(case):
     field, n, rows, perm, scales, repeats, zeros = case
     want = rref(field, n, rows)
-    moved = [{j: field.mul(s, c) for j, c in rows[i].items()} for i, s in zip(perm, scales)]
+    p = field.char
+    moved = [
+        {j: s * c % p if p else s * c for j, c in rows[i].items()} for i, s in zip(perm, scales)
+    ]
     moved += [rows[i] for i in repeats]
     moved += [{}, {n - 1: field.zero}][:zeros]
     assert rref(field, n, moved) == want
     assert rref(field, n, want.rows) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**9))
+def test_parse_render_round_trip_over_q(q):
+    text = QQ.render(q)
+    got = QQ.parse(text)
+    assert got == q and QQ.render(got) == text
+    assert type(got) is (int if q.denominator == 1 else Fraction)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 5, 7, 101, 2**61 - 1)).flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p - 1))))
+def test_parse_render_round_trip_over_fp(case):
+    p, a = case
+    f = GF(p)
+    assert f.parse(f.render(a)) == a
+    assert f.render(f.parse(f.render(a))) == str(a)
 
 
 class TestMember:

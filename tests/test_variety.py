@@ -1,12 +1,14 @@
 """Relatively free algebra components: relation spans, normal forms, verify."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieadm.errors import InputError, ResourceError, UnsupportedVarietyError
 from lieadm.exprs import Identity, builtin
-from lieadm.linalg import GF, QQ
+from lieadm.linalg import GF, QQ, SparseVector
 from lieadm.terms import Polynomial, enumerate_monomials, expected_count, leaf, multiply, node, substitute
 from lieadm.variety import (
     builtin_variety,
@@ -229,6 +231,21 @@ class TestNormalForm:
             rhs_d[j] = rhs_d.get(j, QQ.zero) + c * 2
         assert dict(lhs.entries) == {j: c for j, c in rhs_d.items() if c}
 
+    def test_integral_products_are_ints(self):
+        # the fast path over Q: an integral scalar is a plain int, never a
+        # Fraction; the custom variety has non-integral normal forms too
+        custom = custom_variety(["2*x*(y*z) + 3*(y*x)*z - (z*y)*x"], name="frac")
+        seen = set()
+        for v in (builtin_variety("novikov"), builtin_variety("assosymmetric"), custom):
+            for mu in ((1, 1, 1), (1, 1, 1, 1)):
+                comp = component_basis(v, QQ, len(mu), mu)
+                for vec in comp.products.values():
+                    for _, c in vec.entries:
+                        want = int if Fraction(c).denominator == 1 else Fraction
+                        assert type(c) is want
+                        seen.add(want)
+        assert seen == {int, Fraction}
+
     def test_wrong_multidegree_rejected(self):
         comp = component_basis(builtin_variety("novikov"), QQ, 2, (2, 1))
         with pytest.raises(InputError):
@@ -237,6 +254,45 @@ class TestNormalForm:
     def test_relation_rows_multidegree_guard(self):
         with pytest.raises(InputError):
             relation_rows(builtin_variety("novikov"), QQ, 2, (0, 0))
+
+
+@st.composite
+def normal_form_cases(draw):
+    """A small component over Q or F5, two polynomials in it, two scalars
+    and a quotient coordinate vector."""
+    field = draw(st.sampled_from((QQ, GF(5))))
+    name = draw(st.sampled_from(("novikov", "assosymmetric", "bicommutative", "associative")))
+    mu = draw(st.sampled_from(((2, 1), (1, 1, 1), (2, 2))))
+    comp = component_basis(builtin_variety(name), field, len(mu), mu)
+    if field.char:
+        scalar = st.integers(0, field.char - 1)
+    else:
+        scalar = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+    monos = enumerate_monomials(len(mu), mu)
+
+    def poly():
+        terms = draw(st.dictionaries(st.sampled_from(monos), scalar, max_size=6))
+        return Polynomial(field, terms)
+
+    coords = draw(st.dictionaries(st.integers(0, comp.quotient_dim - 1), scalar, max_size=4))
+    return comp, poly(), poly(), draw(scalar), draw(scalar), coords
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(normal_form_cases())
+def test_normal_form_is_linear_projection(case):
+    comp, p, q, a, b, coords = case
+    char = comp.field.char
+
+    def vector(d):
+        return {j: c % char if char else c for j, c in d.items() if (c % char if char else c)}
+
+    nf_p, nf_q = dict(comp.normal_form(p).entries), dict(comp.normal_form(q).entries)
+    combo = {j: a * nf_p.get(j, 0) + b * nf_q.get(j, 0) for j in set(nf_p) | set(nf_q)}
+    got = comp.normal_form(p.scaled(a).add(q.scaled(b)))
+    assert dict(got.entries) == vector(combo)
+    for v in (comp.normal_form(p), SparseVector(vector(coords).items())):
+        assert comp.normal_form(comp.coords_to_polynomial(v)) == v
 
 
 class TestVerifyIdentity:
