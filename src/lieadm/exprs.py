@@ -187,13 +187,13 @@ class _Parser:
         if tok[0] != "num":
             return None
         self.take()
-        num = int(tok[1])
+        num = _integer(tok)
         den = 1
         nxt = self.peek()
         if nxt is not None and nxt[0] == "/":
             self.take()
             dtok = self.expect("num")
-            den = int(dtok[1])
+            den = _integer(dtok)
             if den == 0:
                 raise ExprSyntaxError("zero denominator", dtok[2])
         q = Fraction(num, den)
@@ -236,6 +236,15 @@ class _Parser:
             self.expect("}")
             return Jordan(a, b)
         raise ExprSyntaxError(f"expected a factor, found {value!r}", off)
+
+
+def _integer(tok: tuple[str, str, int]) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:  # past Python's digit limit, or a Unicode digit int() refuses
+        raise ExprSyntaxError(
+            f"number literal of {len(tok[1])} characters is not a readable integer", tok[2]
+        ) from None
 
 
 def parse(text: str) -> Node:

@@ -197,15 +197,6 @@ class FiniteDimAlgebra:
             out[k] = out.get(k, 0) - c
         return reduced(self.field.char, out)
 
-    def relabeled(self, perm: tuple[int, ...]) -> "FiniteDimAlgebra":
-        """Same algebra with basis vector i renamed to perm[i] (0-based)."""
-        products = {}
-        for (i, j), vals in self.products.items():
-            products[(perm[i], perm[j])] = tuple(
-                sorted((perm[k], c) for k, c in vals)
-            )
-        return FiniteDimAlgebra(self.field, self.dim, products)
-
     def __repr__(self) -> str:
         return f"FiniteDimAlgebra({self.field.name}, dim={self.dim})"
 
@@ -249,7 +240,7 @@ def _evaluate(alg: FiniteDimAlgebra, table: dict, m: Monomial, args: tuple) -> d
     value = by_args.get(args)
     if value is None:
         if m.gen is not None:
-            value = {args[0]: alg.field.one}
+            value = {args[0]: 1}
         else:
             d = m.left.degree
             value = alg.multiply(
@@ -318,10 +309,6 @@ def _basis_dicts(basis: EchelonBasis) -> list[dict]:
     return [dict(row.entries) for row in basis.rows]
 
 
-def _unit(field: Field, r: int) -> dict:
-    return {r: field.one}
-
-
 def ideal_closure_fd(alg: FiniteDimAlgebra, basis: EchelonBasis) -> EchelonBasis:
     """Least subspace containing basis and closed under multiplication by
     the whole algebra on both sides."""
@@ -330,7 +317,7 @@ def ideal_closure_fd(alg: FiniteDimAlgebra, basis: EchelonBasis) -> EchelonBasis
         rows = []
         for w in _basis_dicts(cur):
             for r in range(alg.dim):
-                e = _unit(alg.field, r)
+                e = {r: 1}
                 rows.append(alg.multiply(w, e))
                 rows.append(alg.multiply(e, w))
         grown = sum_bases(cur, rref(alg.field, alg.dim, rows))
@@ -398,7 +385,7 @@ def lie_series_fd(alg: FiniteDimAlgebra) -> FdChainReport:
     def step(cur: EchelonBasis) -> EchelonBasis:
         rows = []
         for r in range(alg.dim):
-            e = _unit(alg.field, r)
+            e = {r: 1}
             for w in _basis_dicts(cur):
                 rows.append(alg.bracket(e, w))
         return rref(alg.field, alg.dim, rows)
@@ -411,7 +398,7 @@ def lower_central_fd(alg: FiniteDimAlgebra) -> FdChainReport:
         rows = []
         for w in _basis_dicts(cur):
             for r in range(alg.dim):
-                rows.append(alg.bracket(w, _unit(alg.field, r)))
+                rows.append(alg.bracket(w, {r: 1}))
         return ideal_closure_fd(alg, rref(alg.field, alg.dim, rows))
 
     return _iterate_chain(alg, "lower-central", step)
@@ -422,7 +409,7 @@ def commutator_ideal_nilpotency(alg: FiniteDimAlgebra) -> Optional[int]:
     rows = []
     for r in range(alg.dim):
         for t in range(alg.dim):
-            rows.append(alg.bracket(_unit(alg.field, r), _unit(alg.field, t)))
+            rows.append(alg.bracket({r: 1}, {t: 1}))
     c = ideal_closure_fd(alg, rref(alg.field, alg.dim, rows))
     powers = [None, c]
     for m in range(1, alg.dim + 2):

@@ -164,16 +164,6 @@ class AlgebraSlice:
 
     # -- multiplication through normal forms ----------------------------------
 
-    def multiply_classes(
-        self, mu1: tuple[int, ...], q1: int, mu2: tuple[int, ...], q2: int
-    ) -> Optional[SparseVector]:
-        """Product of two quotient basis classes, or None beyond the cap:
-        a column of the target component's product space."""
-        mu = mdeg_add(mu1, mu2)
-        if mdeg_total(mu) > self.degree_cap:
-            return None
-        return self.components[mu].products[(mu1, q1, q2)]
-
     def multiply_vectors(
         self, mu1, v1: SparseVector, mu2, v2: SparseVector
     ) -> SparseVector:
@@ -407,23 +397,6 @@ class ChainReport:
             if self.terms[i - 1] == self.terms[i]:
                 return i
         return None
-
-    def raw_descent(self) -> list[InclusionVerdict]:
-        s = self.slice
-        return [
-            s.check_inclusion(self.terms[i], self.terms[i - 1], f"term_{i + 1} <= term_{i}")
-            for i in range(1, len(self.terms))
-        ]
-
-    def closed_descent(self) -> list[InclusionVerdict]:
-        s = self.slice
-        closed = [s.ideal_closure(t) for t in self.terms]
-        return [
-            s.check_inclusion(
-                closed[i], closed[i - 1], f"<term_{i + 1}> <= <term_{i}>"
-            )
-            for i in range(1, len(closed))
-        ]
 
     def to_doc(self) -> dict:
         s = self.slice

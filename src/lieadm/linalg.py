@@ -10,10 +10,10 @@ Over the rationals a scalar is an ``int`` or a ``fractions.Fraction``:
 ``rref`` and the ``Field`` conversions give an int for every integral
 value, so the common integral case runs at int speed, and ``int`` is a
 ``numbers.Rational``, so the two compare, hash and mix exactly. Over a
-prime field a scalar is an int in ``[0, p)``. ``Field`` holds the
-constants, inversion, conversions and rendering, but no per-scalar
-arithmetic: callers sum with plain ``+`` and ``*`` and take the field
-step once per finished vector (``reduced``). ``rref`` works the same way
+prime field a scalar is an int in ``[0, p)``. ``Field`` holds
+inversion, conversions and rendering, but no per-scalar arithmetic:
+callers sum with plain ``+`` and ``*`` and take the field step once per
+finished vector (``reduced``). ``rref`` works the same way
 on integer rows for both fields, reducing mod p and making each row monic
 over F_p, or making it primitive with a positive lead over Q, where a
 non-integral ``Fraction`` appears only in the finished basis.
@@ -61,19 +61,16 @@ def _is_prime(p: int) -> bool:
 class Field:
     """The rationals (``char == 0``) or the prime field F_p (``char == p``).
 
-    ``zero`` and ``one`` are the ints 0 and 1 in every field. Arithmetic on
-    scalars is plain Python arithmetic followed by ``reduced``; the field
-    only inverts, converts and renders.
+    Arithmetic on scalars is plain Python arithmetic followed by
+    ``reduced``; the field only inverts, converts and renders.
     """
 
-    __slots__ = ("char", "zero", "one")
+    __slots__ = ("char",)
 
     def __init__(self, char: int):
         if char != 0 and not (0 < char < MAX_CHAR and _is_prime(char)):
             raise FieldError(f"characteristic must be 0 or a prime below 2^64, got {char}")
         self.char = char
-        self.zero: Scalar = 0
-        self.one: Scalar = 1
 
     # -- identity -----------------------------------------------------------
 
@@ -113,9 +110,6 @@ class Field:
             )
         return (q.numerator % self.char) * self.inv(q.denominator % self.char) % self.char
 
-    def from_int(self, n: int) -> Scalar:
-        return n % self.char if self.char else n
-
     def parse(self, text: str) -> Scalar:
         """Read a scalar from "n" or "n/d" text."""
         try:
@@ -127,8 +121,21 @@ class Field:
     def render(self, a: Scalar) -> str:
         if self.char == 0:
             q = Fraction(a)
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+            num = _decimal(q.numerator)
+            return num if q.denominator == 1 else f"{num}/{_decimal(q.denominator)}"
         return str(a % self.char)
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any size. Python's ``str`` refuses ints past
+    its digit limit (4300 digits by default), so such an int is split with
+    ``divmod`` into a high and a low half, each converted the same way."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half of its digits
+        hi, lo = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
 
 
 def reduced(p: int, acc: dict) -> dict:
@@ -177,9 +184,6 @@ class SparseVector:
     def from_dict(cls, d: dict[int, Scalar], p: int = 0) -> "SparseVector":
         """The vector of an index->scalar dict, through ``reduced(p, d)``."""
         return cls(reduced(p, d).items())
-
-    def to_dict(self) -> dict[int, Scalar]:
-        return dict(self.entries)
 
     def __iter__(self) -> Iterator[tuple[int, Scalar]]:
         return iter(self.entries)
@@ -254,14 +258,9 @@ class EchelonBasis:
         return f"EchelonBasis(field={self.field.name}, ambient={self.ambient_dim}, rank={self.rank})"
 
 
-def zero_basis(field: Field, ambient_dim: int) -> EchelonBasis:
-    return EchelonBasis(field, ambient_dim, ())
-
-
 def identity_basis(field: Field, ambient_dim: int) -> EchelonBasis:
     """The full space: unit rows, already in echelon form."""
-    one = field.one
-    rows = tuple(SparseVector(((i, one),)) for i in range(ambient_dim))
+    rows = tuple(SparseVector(((i, 1),)) for i in range(ambient_dim))
     return EchelonBasis(field, ambient_dim, rows)
 
 

@@ -15,7 +15,7 @@ of generator indices, and ``substitute`` replaces them by monomials.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -97,18 +97,14 @@ def mdeg_total(mu: tuple[int, ...]) -> int:
 
 
 def mdeg_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mdeg_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in out):
+    out = tuple(map(operator.sub, a, b))
+    if min(out) < 0:
         raise InputError(f"multidegree {b} does not fit inside {a}")
     return out
-
-
-def mdeg_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def format_multidegree(mu: tuple[int, ...]) -> str:
@@ -133,16 +129,6 @@ def multidegrees(bound: tuple[int, ...], max_total: Optional[int] = None) -> lis
     ]
     out.sort(key=lambda nu: (mdeg_total(nu), nu))
     return out
-
-
-def expected_count(mu: tuple[int, ...]) -> int:
-    """Catalan(n-1) * n! / prod(counts!) for total degree n."""
-    n = mdeg_total(mu)
-    catalan = math.comb(2 * (n - 1), n - 1) // n
-    multinomial = math.factorial(n)
-    for c in mu:
-        multinomial //= math.factorial(c)
-    return catalan * multinomial
 
 
 @lru_cache(maxsize=None)
@@ -186,12 +172,8 @@ class Polynomial:
         self.terms: dict[Monomial, Scalar] = reduced(field.char, terms) if terms else {}
 
     @classmethod
-    def zero(cls, field: Field) -> "Polynomial":
-        return cls(field)
-
-    @classmethod
-    def of(cls, field: Field, m: Monomial, c: Scalar = None) -> "Polynomial":
-        return cls(field, {m: field.one if c is None else c})
+    def of(cls, field: Field, m: Monomial, c: Scalar = 1) -> "Polynomial":
+        return cls(field, {m: c})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -225,9 +207,6 @@ class Polynomial:
 
     def scaled(self, c: Scalar) -> "Polynomial":
         return Polynomial(self.field, {m: v * c for m, v in self.terms.items()})
-
-    def monomials(self) -> list[Monomial]:
-        return list(self.terms)
 
 
 def multiply(p: Polynomial, q: Polynomial, cap: Optional[int] = None) -> Polynomial:

@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError, ResourceError, UnsupportedVarietyError
 from .exprs import Identity, builtin
-from .linalg import EchelonBasis, Field, SparseVector, reduced, rref
+from .linalg import Field, SparseVector, reduced, rref
 from .terms import (
     Monomial,
     Polynomial,
@@ -207,10 +207,7 @@ class FreeAlgebraComponent:
 
     ``products`` maps each product-space column key to the normal form of
     that column, in quotient coordinates; ``quotient_monomials`` are the
-    normal monomials. ``monomials``, ``index`` and ``relations`` describe
-    the component inside the free magma component and are derived on
-    first use: the relation basis has one row e_m - nf(m) per monomial m
-    that is not normal.
+    normal monomials.
     """
 
     __slots__ = (
@@ -223,8 +220,6 @@ class FreeAlgebraComponent:
         "products",
         "quotient_monomials",
         "quotient_dim",
-        "_index",
-        "_relations",
     )
 
     def __init__(
@@ -257,8 +252,6 @@ class FreeAlgebraComponent:
         for pivot, row in zip(basis.pivots, basis.rows):
             nf[pivot] = SparseVector.from_dict({qpos[j]: -c for j, c in row.entries[1:]}, p)
         self.products = {key: nf[j] for j, (key, _) in enumerate(cols)}
-        self._index = None
-        self._relations = None
 
     # -- quotient arithmetic -------------------------------------------------
 
@@ -312,35 +305,6 @@ class FreeAlgebraComponent:
 
     def render_coords(self, vec: SparseVector) -> str:
         return render_polynomial(self.coords_to_polynomial(vec), key_gens=self.k)
-
-    # -- the component inside the free magma component -----------------------
-
-    @property
-    def monomials(self) -> tuple[Monomial, ...]:
-        return enumerate_monomials(self.k, self.mu)
-
-    @property
-    def index(self) -> dict[Monomial, int]:
-        if self._index is None:
-            self._index = {m: i for i, m in enumerate(self.monomials)}
-        return self._index
-
-    @property
-    def relations(self) -> EchelonBasis:
-        """Reduced relation basis over the free magma monomials."""
-        if self._relations is None:
-            p = self.field.char
-            index = self.index
-            normal = set(self.quotient_monomials)
-            qcol = [index[m] for m in self.quotient_monomials]
-            rows = []
-            for i, m in enumerate(self.monomials):
-                if m not in normal:
-                    entries = {qcol[q]: -c for q, c in self._monomial_coords(m).entries}
-                    entries[i] = 1
-                    rows.append(SparseVector.from_dict(entries, p))
-            self._relations = EchelonBasis(self.field, len(index), tuple(rows))
-        return self._relations
 
     def __repr__(self) -> str:
         return (

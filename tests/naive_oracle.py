@@ -8,7 +8,9 @@ degree-by-degree product spaces of lower normal forms, rows are kept
 dense, unsorted and with duplicates, and the eliminator is plain Gaussian
 reduction over Fraction lists. Agreement
 between this module and the engine is therefore meaningful evidence, not
-the same code computing the same thing twice.
+the same code computing the same thing twice. The one engine-side helper,
+``relation_element``, states the engine's relations for the oracle to
+check.
 """
 
 from fractions import Fraction
@@ -16,6 +18,7 @@ from itertools import permutations, product
 
 from lieadm.exprs import builtin
 from lieadm.linalg import QQ
+from lieadm.terms import Polynomial
 
 # tuple-tree monomials: a leaf is an int generator, a product is a pair
 
@@ -202,3 +205,10 @@ def naive_is_zero(reducer_and_index, poly):
     for m, c in poly.terms.items():
         row[index[convert_monomial(m)]] = Fraction(c)
     return not any(red.reduce(row))
+
+
+def relation_element(comp, m):
+    """The engine's relation m - nf(m) for a monomial m of the component
+    ``comp``, as a polynomial: zero exactly when m is normal."""
+    p = Polynomial.of(comp.field, m)
+    return p.sub(comp.coords_to_polynomial(comp.normal_form(p)))

@@ -25,7 +25,7 @@ from lieadm.fdalg import FiniteDimAlgebra, audit, check_membership
 from lieadm.ideals import AlgebraSlice, check_theorem
 from lieadm.linalg import QQ, field_of_char
 from lieadm.reports import canonical_json, with_schema
-from lieadm.terms import Polynomial, multidegrees
+from lieadm.terms import Polynomial, enumerate_monomials, multidegrees
 from lieadm.variety import (
     builtin_variety,
     clear_caches,
@@ -207,7 +207,7 @@ def run_fd_audits():
 
 
 def run_oracle_agreement():
-    from naive_oracle import naive_is_zero, naive_reducer
+    from naive_oracle import naive_is_zero, naive_reducer, relation_element
 
     rng = random.Random(1423)
     results = []
@@ -220,26 +220,17 @@ def run_oracle_agreement():
             mu = mus[t % len(mus)]
             comp = component_basis(v, QQ, 2, mu)
             oracle = naive_reducer(srcs, 2, mu)
-            if t % 2 and comp.relations.rank:
+            monos = enumerate_monomials(2, mu)
+            normal = set(comp.quotient_monomials)
+            leads = [m for m in monos if m not in normal]
+            p = Polynomial(QQ)
+            if t % 2 and leads:
                 # a random element of the relation span: zero in the quotient
-                terms = {}
-                for row in rng.sample(
-                    list(comp.relations.rows), min(3, comp.relations.rank)
-                ):
-                    c = QQ.from_int(rng.choice((-2, -1, 1, 2)))
-                    for j, w in row.entries:
-                        t2 = terms.get(j, QQ.zero) + c * w
-                        if t2:
-                            terms[j] = t2
-                        elif j in terms:
-                            del terms[j]
-                p = Polynomial(QQ, {comp.monomials[j]: c for j, c in terms.items()})
+                for m in rng.sample(leads, min(3, len(leads))):
+                    p = p.add(relation_element(comp, m).scaled(rng.choice((-2, -1, 1, 2))))
             else:
-                p = Polynomial.zero(QQ)
-                for m in rng.sample(comp.monomials, min(4, len(comp.monomials))):
-                    p = p.add(
-                        Polynomial.of(QQ, m, QQ.from_int(rng.choice((-2, -1, 1, 2, 3))))
-                    )
+                for m in rng.sample(monos, min(4, len(monos))):
+                    p = p.add(Polynomial.of(QQ, m, rng.choice((-2, -1, 1, 2, 3))))
             engine = not comp.normal_form(p)
             naive = naive_is_zero(oracle, p)
             agreements += engine == naive

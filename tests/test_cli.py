@@ -158,6 +158,18 @@ class TestVerify:
         assert code == 2
         assert "offset" in err or "error" in err
 
+    @pytest.mark.parametrize("flag", ["--expr", "--identity"])
+    def test_literal_over_digit_limit_refused(self, capsys, flag):
+        expr = "9" * 4400 + "*x*(y*z)"
+        if flag == "--expr":
+            argv = ["verify", "--variety", "novikov", "--expr", expr]
+        else:
+            argv = ["verify", "--identity", expr, "--builtin", "jacobi"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "(at offset 0)" in err
+        assert not out
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_refused(self, capsys, cap):
         # an empty substitution pool must not make x*x "hold"
@@ -288,6 +300,18 @@ class TestAlgebra:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "1000" in err and f"limit of {MAX_DIM}" in err
+
+    def test_witness_past_digit_limit_rendered(self, capsys, tmp_path):
+        # e1*e1 = c*e2 and e2*e1 = c*e1 with c = 10^4000, so the associator
+        # (e1 e1) e1 - e1 (e1 e1) is c^2*e1: 8001 digits, past the 4300
+        # that str() converts
+        c = "1" + "0" * 4000
+        path = tmp_path / "wide.json"
+        doc = {"field": "Q", "dim": 2, "products": [[1, 1, 2, c], [2, 1, 1, c]]}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "algebra", "--file", str(path))
+        assert code == 0 and not err
+        assert "    residual: 1" + "0" * 8000 + "*e1\n" in out
 
     def test_table_and_json_agree(self, capsys):
         _, doc, _ = run_json(capsys, "algebra", "--file", str(DATA / "zero2.json"))

@@ -43,6 +43,14 @@ def make(dim, products, field="Q"):
     )
 
 
+def relabeled(doc, perm):
+    """The algebra of ``doc`` with basis vector i renamed to perm[i] (0-based)."""
+    products = [
+        [perm[i - 1] + 1, perm[j - 1] + 1, perm[k - 1] + 1, c] for i, j, k, c in doc["products"]
+    ]
+    return FiniteDimAlgebra.from_doc(dict(doc, products=products))
+
+
 class TestSchema:
     def test_minimal_document(self):
         a = make(2, [[1, 1, 2, "1"]])
@@ -232,16 +240,14 @@ class TestAuditCost:
 class TestArithmetic:
     def test_multiply_heisenberg(self):
         a = load("heis3.json")
-        f = a.field
-        prod = a.multiply({0: f.one}, {1: f.one})
-        assert prod == {2: f.one}
-        assert a.multiply({1: f.one}, {0: f.one}) == {2: f.from_int(-1)}
+        prod = a.multiply({0: 1}, {1: 1})
+        assert prod == {2: 1}
+        assert a.multiply({1: 1}, {0: 1}) == {2: -1}
 
     def test_bracket(self):
         a = load("heis3.json")
-        f = a.field
-        br = a.bracket({0: f.one}, {1: f.one})
-        assert br == {2: f.from_int(2)}
+        br = a.bracket({0: 1}, {1: 1})
+        assert br == {2: 2}
 
 
 class TestMembership:
@@ -338,7 +344,7 @@ class TestAudit:
 
     def test_audit_relabeling_invariant(self):
         a = load("heis3.json")
-        b = a.relabeled((2, 0, 1))
+        b = relabeled(a.to_doc(), (2, 0, 1))
         da, db = audit(a).to_doc(), audit(b).to_doc()
         assert da["status"] == db["status"]
         assert da["lower_central"]["dims"] == db["lower_central"]["dims"]
@@ -374,14 +380,14 @@ def relabelled_algebras(draw):
     products = [[i, j, k, c] for (i, j, k), c in sorted(entries.items())]
     doc = {"field": {"p": p} if p else "Q", "dim": n, "products": products}
     perm = tuple(draw(st.permutations(range(n))))
-    return FiniteDimAlgebra.from_doc(doc), perm
+    return doc, perm
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(relabelled_algebras())
 def test_audit_invariant_under_relabelling(case):
-    alg, perm = case
-    a, b = audit(alg), audit(alg.relabeled(perm))
+    doc, perm = case
+    a, b = audit(FiniteDimAlgebra.from_doc(doc)), audit(relabeled(doc, perm))
     assert {n: v.member for n, v in a.memberships.items()} == {
         n: v.member for n, v in b.memberships.items()
     }

@@ -17,7 +17,6 @@ from lieadm.linalg import (
     member,
     rref,
     sum_bases,
-    zero_basis,
 )
 
 
@@ -48,12 +47,6 @@ def dense_rref(p, n, rows):
 
 
 class TestField:
-    def test_constants_are_shared(self):
-        # plain ints in every field, equal to Fraction(1) and Fraction(0)
-        for f in (QQ, GF(5)):
-            assert type(f.one) is int and f.one == 1 == Fraction(1)
-            assert type(f.zero) is int and f.zero == 0 == Fraction(0)
-
     def test_char_must_be_prime_or_zero(self):
         with pytest.raises(FieldError):
             field_of_char(4)
@@ -110,12 +103,24 @@ class TestField:
         assert QQ.render(Fraction(6, 4)) == "3/2"
         assert GF(5).render(7) == "2"
 
+    @pytest.mark.parametrize("ndigits", [2, 4300, 4301, 8001, 20000])
+    def test_render_past_digit_limit(self, ndigits):
+        # str() refuses ints over 4300 digits; render must not
+        rng = random.Random(ndigits)
+        digits = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=ndigits - 1))
+        n = 0
+        for i in range(0, ndigits, 1000):
+            chunk = digits[i : i + 1000]
+            n = n * 10 ** len(chunk) + int(chunk)
+        assert QQ.render(n) == digits
+        assert QQ.render(-n) == "-" + digits
+        assert QQ.render(Fraction(-1, n)) == "-1/" + digits
+
     def test_integral_rationals_are_ints(self):
         for text, want in (("4/2", 2), ("-3", -3), ("0/7", 0), (" -6/3 ", -2)):
             got = QQ.parse(text)
             assert type(got) is int and got == want
         assert type(QQ.from_fraction(Fraction(10, 5))) is int
-        assert type(QQ.from_int(-4)) is int
         assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(-1) == -1
         assert QQ.parse("3/6") == Fraction(1, 2)
 
@@ -152,16 +157,16 @@ class TestRref:
         rows = frac_rows([{0: 2, 1: 4, 2: 2}, {0: 1, 1: 1, 2: 3}])
         b = rref(QQ, 3, rows)
         for p, row in zip(b.pivots, b.rows):
-            d = row.to_dict()
+            d = dict(row.entries)
             assert d[p] == 1
             for other in b.rows:
                 if other is not row:
-                    assert p not in other.to_dict()
+                    assert p not in dict(other.entries)
 
     def test_denominators_cleared(self):
         rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}]
         b = rref(QQ, 2, rows)
-        assert b.rows[0].to_dict() == {0: Fraction(1), 1: Fraction(2, 3)}
+        assert dict(b.rows[0].entries) == {0: Fraction(1), 1: Fraction(2, 3)}
 
     def test_zero_rows_ignored(self):
         b = rref(QQ, 3, [{}, {1: Fraction(0)}, {2: Fraction(1)}])
@@ -253,7 +258,7 @@ def test_rref_canonical_under_row_operations(case):
         {j: s * c % p if p else s * c for j, c in rows[i].items()} for i, s in zip(perm, scales)
     ]
     moved += [rows[i] for i in repeats]
-    moved += [{}, {n - 1: field.zero}][:zeros]
+    moved += [{}, {n - 1: 0}][:zeros]
     assert rref(field, n, moved) == want
     assert rref(field, n, want.rows) == want
 
@@ -317,15 +322,15 @@ class TestSubspaceOps:
 
     def test_sum_with_zero(self):
         a = rref(QQ, 3, frac_rows([{0: 1, 1: 1}]))
-        z = zero_basis(QQ, 3)
+        z = EchelonBasis(QQ, 3, ())
         assert sum_bases(a, z) == a
         assert sum_bases(z, a) == a
 
     def test_mismatched_spaces_rejected(self):
         with pytest.raises(InputError):
-            sum_bases(zero_basis(QQ, 2), zero_basis(QQ, 3))
+            sum_bases(EchelonBasis(QQ, 2, ()), EchelonBasis(QQ, 3, ()))
         with pytest.raises(InputError):
-            sum_bases(zero_basis(QQ, 2), zero_basis(GF(5), 2))
+            sum_bases(EchelonBasis(QQ, 2, ()), EchelonBasis(GF(5), 2, ()))
 
     def test_identity_basis_full(self):
         e = identity_basis(QQ, 4)

@@ -66,9 +66,7 @@ class TestParsing:
 
     def test_scalar_coefficients(self):
         x, y = Polynomial.of(QQ, leaf(0)), Polynomial.of(QQ, leaf(1))
-        assert poly("2*x*y", variables=("x", "y")) == multiply(x, y).scaled(
-            QQ.from_int(2)
-        )
+        assert poly("2*x*y", variables=("x", "y")) == multiply(x, y).scaled(2)
         assert poly("-3/2*x*y", variables=("x", "y")) == multiply(x, y).scaled(
             QQ.from_fraction(Fraction(-3, 2))
         )
@@ -92,6 +90,17 @@ class TestParsing:
         ],
     )
     def test_syntax_errors_carry_offsets(self, source, offset):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(source)
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "source,offset",
+        [("9" * 4400 + "*x", 0), ("x - 2/" + "9" * 4400 + "*y", 6), ("\u00b2*x", 0)],
+        ids=["numerator-4400-digits", "denominator-4400-digits", "superscript-two"],
+    )
+    def test_unreadable_number_literals_are_syntax_errors(self, source, offset):
+        # past Python's 4300-digit limit for int(), or a digit int() refuses
         with pytest.raises(ExprSyntaxError) as exc:
             parse(source)
         assert exc.value.offset == offset
@@ -124,7 +133,7 @@ class TestExpansion:
         x, y = Polynomial.of(QQ, leaf(0)), Polynomial.of(QQ, leaf(1))
         p = (
             commutator(x, y)
-            .scaled(QQ.from_int(2))
+            .scaled(2)
             .add(multiply(x, x).scaled(QQ.parse("-1/3")))
         )
         text = render_polynomial(p, key_gens=2)

@@ -11,12 +11,10 @@ from lieadm.terms import (
     associator,
     commutator,
     enumerate_monomials,
-    expected_count,
     format_multidegree,
     jordan,
     leaf,
     mdeg_add,
-    mdeg_leq,
     mdeg_sub,
     mdeg_total,
     multidegree,
@@ -57,7 +55,6 @@ class TestMonomialEnumeration:
     def test_count_is_catalan_times_multinomial(self, k, mu):
         n = sum(mu)
         want = catalan(n - 1) * multinomial(mu)
-        assert expected_count(mu) == want
         assert len(enumerate_monomials(k, mu)) == want
 
     def test_enumeration_matches_sort_order(self):
@@ -94,8 +91,6 @@ class TestMultidegreeHelpers:
         assert mdeg_add((1, 2), (0, 1)) == (1, 3)
         assert mdeg_sub((2, 2), (1, 0)) == (1, 2)
         assert mdeg_total((2, 3)) == 5
-        assert mdeg_leq((1, 1), (2, 1))
-        assert not mdeg_leq((3, 0), (2, 1))
 
     def test_sub_refuses_negative(self):
         with pytest.raises(InputError):
@@ -120,13 +115,13 @@ class TestPolynomialArithmetic:
     def test_add_cancels(self):
         m = leaf(0)
         p = Polynomial.of(QQ, m)
-        q = p.scaled(QQ.from_int(-1))
+        q = p.scaled(-1)
         assert not p.add(q)
 
     def test_multiply_degrees_add(self):
         x, y = Polynomial.of(QQ, leaf(0)), Polynomial.of(QQ, leaf(1))
         xy = multiply(x, y)
-        (m,) = xy.monomials()
+        (m,) = xy.terms
         assert multidegree(m, 2) == (1, 1)
 
     def test_multiply_cap_truncates(self):
@@ -165,7 +160,7 @@ class TestSubstitution:
     def test_multidegree_composes(self):
         template = Polynomial.of(QQ, node(leaf(0), leaf(1)))
         image = substitute(template, {0: node(leaf(0), leaf(0)), 1: leaf(1)})
-        (m,) = image.monomials()
+        (m,) = image.terms
         assert multidegree(m, 2) == (2, 1)
 
     def test_missing_variable_rejected(self):
@@ -191,8 +186,8 @@ class TestRendering:
         x, y = Polynomial.of(QQ, leaf(0)), Polynomial.of(QQ, leaf(1))
         c = commutator(x, y)
         assert render_polynomial(c, key_gens=2) == "(x1*x2) - (x2*x1)"
-        assert render_polynomial(Polynomial.zero(QQ)) == "0"
+        assert render_polynomial(Polynomial(QQ)) == "0"
 
     def test_scalar_coefficients_shown(self):
-        x = Polynomial.of(QQ, leaf(0)).scaled(QQ.from_int(-3))
+        x = Polynomial.of(QQ, leaf(0)).scaled(-3)
         assert render_polynomial(x, key_gens=1) == "-3*x1"

@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 from lieadm.errors import InputError, ResourceError, UnsupportedVarietyError
 from lieadm.exprs import Identity, builtin
 from lieadm.linalg import GF, QQ, SparseVector
-from lieadm.terms import Polynomial, enumerate_monomials, expected_count, leaf, multiply, node, substitute
+from lieadm.terms import (
+    Polynomial,
+    enumerate_monomials,
+    leaf,
+    multidegrees,
+    node,
+    substitute,
+)
 from lieadm.variety import (
     builtin_variety,
     clear_caches,
@@ -19,6 +26,8 @@ from lieadm.variety import (
     variety_names,
     verify_identity,
 )
+
+from naive_oracle import relation_element
 
 
 def P(field, m):
@@ -85,13 +94,22 @@ class TestComponentDimensions:
 
     def test_magma_has_no_relations(self):
         comp = component_basis(builtin_variety("magma"), QQ, 3, (1, 1, 1))
-        assert comp.quotient_dim == expected_count((1, 1, 1)) == 12
-        assert not comp.relations.rank
+        monos = enumerate_monomials(3, (1, 1, 1))
+        assert comp.quotient_monomials == monos and len(monos) == 12
+        assert not any(relation_element(comp, m) for m in monos)
 
     def test_rank_plus_quotient_is_monomial_count(self):
+        # the relations m - nf(m) of the monomials that are not normal are
+        # nonzero and lead at m, so they are independent: rank + quotient
+        # dimension is the monomial count
+        monos = enumerate_monomials(2, (2, 1))
         for name in variety_names():
             comp = component_basis(builtin_variety(name), QQ, 2, (2, 1))
-            assert comp.relations.rank + comp.quotient_dim == expected_count((2, 1))
+            normal = set(comp.quotient_monomials)
+            assert normal <= set(monos)
+            relations = [m for m in monos if relation_element(comp, m)]
+            assert len(relations) + comp.quotient_dim == len(monos)
+            assert not normal & set(relations)
 
     def test_bicommutative_mixed_multidegrees(self):
         # the free bicommutative component at mu is counted by ordered pairs
@@ -145,7 +163,7 @@ class TestComponentDimensions:
         v = builtin_variety("bicommutative")
         comp = component_basis(v, QQ, 5, (1,) * 5, max_monomials=400)
         assert comp.column_count == 380
-        assert expected_count((1,) * 5) == 1680
+        assert len(enumerate_monomials(5, (1,) * 5)) == 1680
 
 
 class TestClosedForms:
@@ -177,15 +195,18 @@ class TestClosedForms:
 class TestDerivedViews:
     @pytest.mark.parametrize("name", ["novikov", "assosymmetric", "magma"])
     def test_relations_are_monomial_minus_normal_form(self, name):
+        # m - nf(m) is zero for a normal monomial m; otherwise it is a
+        # relation led by m (pivots take the first column, so nf(m) lies
+        # on normal monomials after m in canonical order)
         comp = component_basis(builtin_variety(name), GF(5), 2, (2, 1))
         normal = set(comp.quotient_monomials)
-        assert comp.relations.rank + comp.quotient_dim == len(comp.monomials)
-        for pivot, row in zip(comp.relations.pivots, comp.relations.rows):
-            m = comp.monomials[pivot]
-            assert m not in normal
-            assert comp.index[m] == pivot
-            relation = Polynomial(GF(5), {comp.monomials[j]: c for j, c in row.entries})
-            assert not comp.normal_form(relation)
+        for m in enumerate_monomials(2, (2, 1)):
+            relation = relation_element(comp, m)
+            assert bool(relation) == (m not in normal)
+            if relation:
+                assert relation.terms[m] == 1
+                assert min(relation.terms, key=lambda t: t.sort_key(2)) == m
+                assert not comp.normal_form(relation)
 
     def test_rows_are_product_space_rows(self):
         v = builtin_variety("novikov")
@@ -225,10 +246,10 @@ class TestNormalForm:
         comp = component_basis(v, QQ, 2, (2, 1))
         ms = enumerate_monomials(2, (2, 1))
         p, q = P(QQ, ms[0]), P(QQ, ms[3])
-        lhs = comp.normal_form(p.add(q.scaled(QQ.from_int(2))))
+        lhs = comp.normal_form(p.add(q.scaled(2)))
         rhs_d = dict(comp.normal_form(p).entries)
         for j, c in comp.normal_form(q).entries:
-            rhs_d[j] = rhs_d.get(j, QQ.zero) + c * 2
+            rhs_d[j] = rhs_d.get(j, 0) + c * 2
         assert dict(lhs.entries) == {j: c for j, c in rhs_d.items() if c}
 
     def test_integral_products_are_ints(self):
@@ -293,6 +314,35 @@ def test_normal_form_is_linear_projection(case):
     assert dict(got.entries) == vector(combo)
     for v in (comp.normal_form(p), SparseVector(vector(coords).items())):
         assert comp.normal_form(comp.coords_to_polynomial(v)) == v
+
+
+@st.composite
+def relabelled_multidegrees(draw):
+    """A variety, Q or F5, a multidegree over three generators of total
+    degree at most 5, and the same multidegree with its generators
+    permuted."""
+    variety = draw(st.sampled_from(PERMUTATION_VARIETIES))
+    field = draw(st.sampled_from((QQ, GF(5))))
+    mu = draw(st.sampled_from(multidegrees((5, 5, 5), 5)))
+    sigma = draw(st.permutations(range(3)))
+    return variety, field, mu, tuple(mu[i] for i in sigma)
+
+
+PERMUTATION_VARIETIES = tuple(builtin_variety(n) for n in variety_names()) + (
+    custom_variety(["2*x*(y*z) + 3*(y*x)*z - (z*y)*x"], name="frac"),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(relabelled_multidegrees())
+def test_dimension_invariant_under_generator_permutation(case):
+    # the defining identities are multilinear, so renaming generators is an
+    # isomorphism A_mu -> A_sigma(mu); the canonical order of monomials is
+    # not invariant under it, so the two builds eliminate different rows
+    variety, field, mu, nu = case
+    a = component_basis(variety, field, 3, mu)
+    b = component_basis(variety, field, 3, nu)
+    assert a.quotient_dim == b.quotient_dim
 
 
 class TestVerifyIdentity:
