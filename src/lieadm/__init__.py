@@ -26,7 +26,6 @@ from .fdalg import (
     check_membership,
     commutator_ideal_nilpotency,
     generate_nilpotent_corpus,
-    ideal_closure_fd,
     lie_series_fd,
     lower_central_fd,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "field_of_char",
     "format_multidegree",
     "generate_nilpotent_corpus",
-    "ideal_closure_fd",
     "leaf",
     "lie_power_series",
     "lie_series_fd",

@@ -84,6 +84,14 @@ Node = object
 # ---------------------------------------------------------------------------
 # tokenizer
 
+# Deepest parse tree the parser builds. Each bracket level and each chained
+# binary operator counts one level. Parsing, expansion and rendering recurse
+# per level, up to three frames (parsing) and four (rendering) per bracket
+# level: a tree at the bound takes about 600 and 800 frames, inside Python's
+# default recursion limit of 1000 with a caller's frames on top. A deeper
+# tree is an ExprSyntaxError at the token that crosses the bound.
+MAX_DEPTH = 200
+
 _SYMBOLS = set("+-*/()[]<>{},")
 
 
@@ -125,6 +133,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -135,6 +144,12 @@ class _Parser:
             raise ExprSyntaxError("unexpected end of input", len(self.text))
         self.pos += 1
         return tok
+
+    def deeper(self, tok: tuple[str, str, int]) -> None:
+        """One level down, at token ``tok``; see MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", tok[2])
 
     def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.peek()
@@ -148,12 +163,14 @@ class _Parser:
     # grammar rules ---------------------------------------------------------
 
     def expr(self) -> Node:
+        depth = self.depth
         out = self.term()
         while True:
             tok = self.peek()
             if tok is None or tok[0] not in "+-":
+                self.depth = depth
                 return out
-            self.take()
+            self.deeper(self.take())
             rhs = self.term()
             out = Add(out, rhs) if tok[0] == "+" else Sub(out, rhs)
 
@@ -163,13 +180,15 @@ class _Parser:
             tok = self.peek()
             if tok is not None and tok[0] == "*":
                 self.take()
+        depth = self.depth
         out = self.factor()
         while True:
             tok = self.peek()
             if tok is None or tok[0] != "*":
                 break
-            self.take()
+            self.deeper(self.take())
             out = Mul(out, self.factor())
+        self.depth = depth
         return out if coeff is None else Scale(coeff, out)
 
     def _rational(self) -> Optional[Fraction]:
@@ -207,35 +226,22 @@ class _Parser:
         if kind == "var":
             self.take()
             return Var(value)
-        if kind == "(":
+        if kind in _BRACKETS:
+            close, arity, make = _BRACKETS[kind]
+            self.deeper(tok)
             self.take()
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        if kind == "[":
-            self.take()
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect("]")
-            return Comm(a, b)
-        if kind == "<":
-            self.take()
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect(",")
-            c = self.expr()
-            self.expect(">")
-            return Assoc(a, b, c)
-        if kind == "{":
-            self.take()
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect("}")
-            return Jordan(a, b)
+            args = [self.expr()]
+            for _ in range(arity - 1):
+                self.expect(",")
+                args.append(self.expr())
+            self.expect(close)
+            self.depth -= 1
+            return make(*args) if make else args[0]
         raise ExprSyntaxError(f"expected a factor, found {value!r}", off)
+
+
+# opening bracket -> (closing bracket, arguments, node type; None for grouping)
+_BRACKETS = {"(": (")", 1, None), "[": ("]", 2, Comm), "<": (">", 3, Assoc), "{": ("}", 2, Jordan)}
 
 
 def _integer(tok: tuple[str, str, int]) -> int:

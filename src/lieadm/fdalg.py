@@ -13,6 +13,11 @@ witnesses, both canonical chains, and the nilpotency index of the
 commutator ideal, then cross-checks the structural facts the chains are
 expected to satisfy for members of the covered varieties.
 
+The chains and the powers of the commutator ideal use the span calculus
+of ``ideals.AlgebraSlice``; one span calculus serves both kinds of
+algebra. A structure-constant algebra is the one component of a slice,
+under the empty multidegree with degree cap 0, so nothing is truncated.
+
 Membership evaluates each identity on every tuple of basis vectors. One
 audit keeps an evaluation table of monomial values keyed by (shape, basis
 arguments), shared by the terms, identities and varieties it checks, so
@@ -50,7 +55,8 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import FieldError, ResourceError, SchemaError
-from .linalg import EchelonBasis, Field, GF, QQ, identity_basis, member, reduced, rref, sum_bases
+from .ideals import AlgebraSlice, GradedSubspace
+from .linalg import Field, GF, QQ, reduced
 from .terms import Monomial
 from .variety import VarietySpec, builtin_variety, variety_names
 
@@ -174,28 +180,30 @@ class FiniteDimAlgebra:
         rows.sort(key=lambda r: (r[0], r[1], r[2]))
         return {"field": fspec, "dim": self.dim, "products": rows}
 
-    # -- arithmetic on sparse e-coordinate dicts ---------------------------------
+    # -- arithmetic in e-coordinates ----------------------------------------------
 
-    def multiply(self, u: dict, v: dict) -> dict:
+    @property
+    def quotient_dim(self) -> int:
+        """``dim``: the algebra is the one component of its span slice."""
+        return self.dim
+
+    def add_product(self, acc: dict, a: tuple, x, y, scale=1) -> None:
+        """acc += scale * (x times y) for (index, scalar) pairs x and y, with
+        plain ``+``/``*``: the caller reduces the finished sum once. ``a``
+        is the degree of x in a slice, always ``()`` here."""
         products = self.products
-        out: dict = {}
-        for i, a in u.items():
-            for j, b in v.items():
+        for i, xi in x:
+            for j, yj in y:
                 prod = products.get((i, j))
                 if prod:
-                    ab = a * b
-                    for k, c in prod:
-                        out[k] = out.get(k, 0) + ab * c
-        return reduced(self.field.char, out) if out else out
+                    c = scale * xi * yj
+                    for k, w in prod:
+                        acc[k] = acc.get(k, 0) + c * w
 
-    def bracket(self, u: dict, v: dict) -> dict:
-        out = self.multiply(u, v)
-        vu = self.multiply(v, u)
-        if not vu:
-            return out
-        for k, c in vu.items():
-            out[k] = out.get(k, 0) - c
-        return reduced(self.field.char, out)
+    def multiply(self, u: dict, v: dict) -> dict:
+        out: dict = {}
+        self.add_product(out, (), u.items(), v.items())
+        return reduced(self.field.char, out) if out else out
 
     def __repr__(self) -> str:
         return f"FiniteDimAlgebra({self.field.name}, dim={self.dim})"
@@ -302,44 +310,32 @@ def check_membership(
 
 
 # ---------------------------------------------------------------------------
-# chains in e-coordinates
+# chains, through the span calculus of ideals.AlgebraSlice
 
 
-def _basis_dicts(basis: EchelonBasis) -> list[dict]:
-    return [dict(row.entries) for row in basis.rows]
+class _FdSlice(AlgebraSlice):
+    """The algebra as the one component of a slice, under the empty
+    multidegree with degree cap 0; no product is ever truncated."""
 
+    __slots__ = ()
 
-def ideal_closure_fd(alg: FiniteDimAlgebra, basis: EchelonBasis) -> EchelonBasis:
-    """Least subspace containing basis and closed under multiplication by
-    the whole algebra on both sides."""
-    cur = basis
-    while True:
-        rows = []
-        for w in _basis_dicts(cur):
-            for r in range(alg.dim):
-                e = {r: 1}
-                rows.append(alg.multiply(w, e))
-                rows.append(alg.multiply(e, w))
-        grown = sum_bases(cur, rref(alg.field, alg.dim, rows))
-        if grown == cur:
-            return cur
-        cur = grown
+    def __init__(self, alg: FiniteDimAlgebra):
+        self._init_spans(alg.field, 0, {(): alg})
 
 
 class FdChainReport:
-    __slots__ = ("kind", "terms", "truncated")
+    __slots__ = ("kind", "terms")
 
-    def __init__(self, kind: str, terms: list[EchelonBasis], truncated: bool):
+    def __init__(self, kind: str, terms: list[GradedSubspace]):
         self.kind = kind
         self.terms = terms
-        self.truncated = truncated
 
     def dims(self) -> list[int]:
-        return [t.rank for t in self.terms]
+        return [t.total_dim() for t in self.terms]
 
     def vanishing_index(self) -> Optional[int]:
         for i, t in enumerate(self.terms, start=1):
-            if t.rank == 0:
+            if t.is_zero():
                 return i
         return None
 
@@ -356,71 +352,46 @@ class FdChainReport:
             "dims": self.dims(),
             "vanishing_index": self.vanishing_index(),
             "class": self.class_index(),
-            "truncated": self.truncated,
+            "truncated": False,
         }
 
 
-def _iterate_chain(alg: FiniteDimAlgebra, kind: str, step) -> FdChainReport:
-    """Shared driver: descend until zero, stabilization, or dim+1 terms.
+def _iterate_chain(kind: str, term) -> FdChainReport:
+    """Terms term(1), term(2), ... up to the first zero or repeated one.
 
-    Each term is a function of the one before, so stabilization is
-    permanent and both stopping rules give determinate answers.
+    Both chains descend: H_{i+1} <= H_i and A_{i+1} <= A_i, by induction
+    on i. So every term before the stop has a smaller dimension than the
+    one before, the chain stops within dim + 1 terms, and its document
+    says ``"truncated": false`` always.
     """
-    terms = [identity_basis(alg.field, alg.dim)]
-    truncated = False
-    while True:
-        if terms[-1].rank == 0:
-            break
-        if len(terms) >= alg.dim + 1:
-            truncated = True
-            break
-        nxt = step(terms[-1])
+    terms = [term(1)]
+    while not terms[-1].is_zero():
+        nxt = term(len(terms) + 1)
         if nxt == terms[-1]:
             break
         terms.append(nxt)
-    return FdChainReport(kind, terms, truncated)
+    return FdChainReport(kind, terms)
 
 
 def lie_series_fd(alg: FiniteDimAlgebra) -> FdChainReport:
-    def step(cur: EchelonBasis) -> EchelonBasis:
-        rows = []
-        for r in range(alg.dim):
-            e = {r: 1}
-            for w in _basis_dicts(cur):
-                rows.append(alg.bracket(e, w))
-        return rref(alg.field, alg.dim, rows)
-
-    return _iterate_chain(alg, "lie-powers", step)
+    return _iterate_chain("lie-powers", _FdSlice(alg).a_term)
 
 
 def lower_central_fd(alg: FiniteDimAlgebra) -> FdChainReport:
-    def step(cur: EchelonBasis) -> EchelonBasis:
-        rows = []
-        for w in _basis_dicts(cur):
-            for r in range(alg.dim):
-                rows.append(alg.bracket(w, {r: 1}))
-        return ideal_closure_fd(alg, rref(alg.field, alg.dim, rows))
-
-    return _iterate_chain(alg, "lower-central", step)
+    return _iterate_chain("lower-central", _FdSlice(alg).h_term)
 
 
 def commutator_ideal_nilpotency(alg: FiniteDimAlgebra) -> Optional[int]:
     """Smallest m with (A o A)^m = 0, or None within dim+1 powers."""
-    rows = []
-    for r in range(alg.dim):
-        for t in range(alg.dim):
-            rows.append(alg.bracket({r: 1}, {t: 1}))
-    c = ideal_closure_fd(alg, rref(alg.field, alg.dim, rows))
-    powers = [None, c]
+    s = _FdSlice(alg)
+    powers = [None, s.commutator_ideal(s.full(), s.full())]
     for m in range(1, alg.dim + 2):
-        if powers[m].rank == 0:
+        if powers[m].is_zero():
             return m
-        rows = []
+        acc = s.zero()
         for i in range(1, m + 1):
-            for u in _basis_dicts(powers[i]):
-                for v in _basis_dicts(powers[m + 1 - i]):
-                    rows.append(alg.multiply(u, v))
-        powers.append(rref(alg.field, alg.dim, rows))
+            acc = s.sum(acc, s.product_space(powers[i], powers[m + 1 - i]))
+        powers.append(acc)
     return None
 
 

@@ -10,6 +10,12 @@ On top of the slice sit graded subspaces (one echelon basis per
 multidegree), the usual span operations (brackets, products,
 associators, powers, ideal closure), the two canonical chains, and a
 dispatch table of named structural checks with witness reporting.
+
+One span calculus serves both kinds of algebra. The span operations read
+a component only through ``quotient_dim`` and ``add_product``, so
+``fdalg`` runs its chains on a slice whose one component is a
+structure-constant algebra, under the empty multidegree with cap 0: its
+products have total degree 0, and nothing is ever truncated.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .errors import InputError
-from .linalg import Field, SparseVector, identity_basis, member, rref
+from .linalg import Field, SparseVector, identity_basis, member, reduced, rref
 from .linalg import sum_bases as _sum_bases
 from .terms import format_multidegree, mdeg_add, mdeg_total, multidegrees
 from .variety import FreeAlgebraComponent, VarietySpec, component_basis
@@ -60,9 +66,6 @@ class GradedSubspace:
             return NotImplemented
         return self.slice is other.slice and self.parts == other.parts
 
-    def __hash__(self):
-        raise TypeError("graded subspaces are not hashable")
-
     def __repr__(self) -> str:
         return f"GradedSubspace(dim={self.total_dim()}, parts={len(self.parts)})"
 
@@ -93,7 +96,6 @@ class AlgebraSlice:
         "field",
         "k",
         "degree_cap",
-        "max_monomials",
         "components",
         "_full",
         "_h",
@@ -114,14 +116,20 @@ class AlgebraSlice:
         if degree_cap < 1:
             raise InputError("degree cap must be at least 1")
         self.variety = variety
-        self.field = field
         self.k = k
-        self.degree_cap = degree_cap
-        self.max_monomials = max_monomials
-        self.components = {
+        components = {
             mu: component_basis(variety, field, k, mu, max_monomials)
             for mu in multidegrees((degree_cap,) * k, degree_cap)
         }
+        self._init_spans(field, degree_cap, components)
+
+    def _init_spans(self, field: Field, degree_cap: int, components: dict) -> None:
+        """The state every span operation reads: the field, the degree cap,
+        the components by multidegree (each with ``quotient_dim`` and
+        ``add_product``) and the memoized chain terms."""
+        self.field = field
+        self.degree_cap = degree_cap
+        self.components = components
         self._full: Optional[GradedSubspace] = None
         self._h: list = [None]
         self._a: list = [None]
@@ -174,16 +182,6 @@ class AlgebraSlice:
         self.components[mu].add_product(acc, mu1, v1.entries, v2.entries)
         return SparseVector.from_dict(acc, self.field.char)
 
-    def bracket_vectors(self, mu1, v1, mu2, v2) -> SparseVector:
-        mu = mdeg_add(mu1, mu2)
-        if mdeg_total(mu) > self.degree_cap:
-            return SparseVector(())
-        comp = self.components[mu]
-        acc: dict[int, object] = {}
-        comp.add_product(acc, mu1, v1.entries, v2.entries)
-        comp.add_product(acc, mu2, v2.entries, v1.entries, -1)
-        return SparseVector.from_dict(acc, self.field.char)
-
     def associator_vectors(self, mu1, v1, mu2, v2, mu3, v3) -> SparseVector:
         mu12 = mdeg_add(mu1, mu2)
         mu23 = mdeg_add(mu2, mu3)
@@ -196,30 +194,36 @@ class AlgebraSlice:
 
     # -- span operations -------------------------------------------------------
 
-    def _pair_space(self, U: GradedSubspace, V: GradedSubspace, op) -> GradedSubspace:
-        """Span of op(u, v) over the basis rows u of U and v of V, where op
-        is a bilinear operation on quotient vectors."""
+    def _pair_space(self, U: GradedSubspace, V: GradedSubspace, bracket: bool) -> GradedSubspace:
+        """Span of the products u*v, or of the brackets [u, v] when
+        ``bracket``, over the basis rows u of U and v of V."""
         self._same(U)
         self._same(V)
+        p = self.field.char
         rows: dict[tuple, list] = {}
         for mu1, b1 in U.parts.items():
             for mu2, b2 in V.parts.items():
                 mu = mdeg_add(mu1, mu2)
                 if mdeg_total(mu) > self.degree_cap:
                     continue
+                add = self.components[mu].add_product
                 bucket = rows.setdefault(mu, [])
                 for v1 in b1.rows:
                     for v2 in b2.rows:
-                        w = op(mu1, v1, mu2, v2)
-                        if w:
-                            bucket.append(w)
+                        acc: dict = {}
+                        add(acc, mu1, v1.entries, v2.entries)
+                        if bracket:
+                            add(acc, mu2, v2.entries, v1.entries, -1)
+                        acc = reduced(p, acc)
+                        if acc:
+                            bucket.append(acc)
         return self.span(rows)
 
     def product_space(self, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
-        return self._pair_space(U, V, self.multiply_vectors)
+        return self._pair_space(U, V, False)
 
     def bracket_space(self, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
-        return self._pair_space(U, V, self.bracket_vectors)
+        return self._pair_space(U, V, True)
 
     def associator_space(
         self, U: GradedSubspace, V: GradedSubspace, W: GradedSubspace

@@ -387,17 +387,15 @@ def _cleared(row: dict[int, Scalar]) -> dict[int, int]:
 class MemberResult:
     """Outcome of reducing a vector against a basis.
 
-    ``inside`` tells whether the residual vanished; ``coordinates`` gives
-    the coefficient of each basis row in pivot order (meaningful when
-    inside); ``residual`` is the leftover, scaled monic at its leading
-    entry so that equal residual lines compare equal.
+    ``inside`` tells whether the residual vanished; ``residual`` is the
+    leftover, scaled monic at its leading entry so that equal residual
+    lines compare equal.
     """
 
-    __slots__ = ("inside", "coordinates", "residual")
+    __slots__ = ("inside", "residual")
 
-    def __init__(self, inside: bool, coordinates: tuple[Scalar, ...], residual: SparseVector):
+    def __init__(self, inside: bool, residual: SparseVector):
         self.inside = inside
-        self.coordinates = coordinates
         self.residual = residual
 
 
@@ -405,22 +403,20 @@ def member(basis: EchelonBasis, v) -> MemberResult:
     """Reduce ``v`` against the basis rows."""
     p = basis.field.char
     row = _row_as_dict(v, basis.ambient_dim)
-    coords = []
     for piv, brow in zip(basis.pivots, basis.rows):
         c = row.get(piv, 0)
         if p:
             c %= p
-        coords.append(c)
         if c:
             for j, w in brow.entries:
                 row[j] = row.get(j, 0) - c * w
             del row[piv]
     row = reduced(p, row)
     if not row:
-        return MemberResult(True, tuple(coords), SparseVector(()))
+        return MemberResult(True, SparseVector(()))
     ic = basis.field.inv(row[min(row)])
     residual = SparseVector.from_dict({j: c * ic for j, c in row.items()}, p)
-    return MemberResult(False, tuple(coords), residual)
+    return MemberResult(False, residual)
 
 
 def sum_bases(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:

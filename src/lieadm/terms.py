@@ -14,7 +14,6 @@ of generator indices, and ``substitute`` replaces them by monomials.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from functools import lru_cache
 from typing import Callable, Optional
@@ -122,11 +121,11 @@ def multidegrees(bound: tuple[int, ...], max_total: Optional[int] = None) -> lis
     lists the proper nonzero parts of mu.
     """
     top = mdeg_total(bound) if max_total is None else max_total
-    out = [
-        nu
-        for nu in itertools.product(*(range(c + 1) for c in bound))
-        if 0 < mdeg_total(nu) <= top
-    ]
+    # prefixes in lexicographic order, each extended only within the total
+    out = [()]
+    for c in bound:
+        out = [nu + (e,) for nu in out for e in range(min(c, top - mdeg_total(nu)) + 1)]
+    out = [nu for nu in out if any(nu)]
     out.sort(key=lambda nu: (mdeg_total(nu), nu))
     return out
 

@@ -170,6 +170,21 @@ class TestVerify:
         assert err.startswith("error:") and "(at offset 0)" in err
         assert not out
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "(" * 400 + "x" + ")" * 400 + "*y*z",
+            " + ".join(["x*y*z"] * 1200),
+            "*".join(["x"] * 1200),
+        ],
+        ids=["nested-400", "terms-1200", "factors-1200"],
+    )
+    def test_expression_too_deep_refused(self, capsys, expr):
+        code, out, err = run(capsys, "verify", "--variety", "novikov", "--expr", expr)
+        assert code == 2
+        assert err.startswith("error: expression nested deeper than") and "(at offset" in err
+        assert not out
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_refused(self, capsys, cap):
         # an empty substitution pool must not make x*x "hold"

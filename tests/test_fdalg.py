@@ -18,6 +18,7 @@ from lieadm.fdalg import (
     MAX_AUDIT_COST,
     MAX_DIM,
     FiniteDimAlgebra,
+    _FdSlice,
     audit,
     audit_cost,
     check_membership,
@@ -26,6 +27,7 @@ from lieadm.fdalg import (
     lie_series_fd,
     lower_central_fd,
 )
+from lieadm.linalg import SparseVector
 from lieadm.reports import canonical_json
 from lieadm.variety import builtin_variety, custom_variety, variety_names
 
@@ -245,9 +247,14 @@ class TestArithmetic:
         assert a.multiply({1: 1}, {0: 1}) == {2: -1}
 
     def test_bracket(self):
-        a = load("heis3.json")
-        br = a.bracket({0: 1}, {1: 1})
-        assert br == {2: 2}
+        # [e1, e2] = e1e2 - e2e1 = 2e3, through the span calculus the chains use
+        s = _FdSlice(load("heis3.json"))
+        e1, e2 = SparseVector(((0, 1),)), SparseVector(((1, 1),))
+        e1e2 = s.multiply_vectors((), e1, (), e2)
+        e2e1 = s.multiply_vectors((), e2, (), e1)
+        assert dict(e1e2.entries) == {2: 1} and dict(e2e1.entries) == {2: -1}
+        span = s.bracket_space(s.span({(): [e1]}), s.span({(): [e2]}))
+        assert span.parts[()].rows == (SparseVector(((2, 1),)),)
 
 
 class TestMembership:

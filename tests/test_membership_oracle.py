@@ -1,4 +1,4 @@
-"""Variety membership against a dense reference evaluator.
+"""Variety membership and the audit's chains against a dense reference.
 
 The evaluator here shares no code with ``lieadm.fdalg``: the defining
 identities are expanded by hand into polynomials over tuple-tree
@@ -9,6 +9,12 @@ rational lifts and reduced mod p only when a residual is tested, which is
 sound because reduction mod p is a ring map. Both sides scan identities
 in the variety's order and basis tuples in ``itertools.product`` order,
 so they must agree on the flag and on the whole first-failure witness.
+
+The chains and the commutator-ideal index are recomputed here by dense
+Gauss-Jordan elimination on lists of scalars (Fractions over Q, ints mod
+p over F_p), with ideal closure by two-sided products with every basis
+vector; ``lieadm.fdalg`` computes them through the span calculus of
+``lieadm.ideals``, which this file does not use.
 """
 
 import itertools
@@ -20,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import lieadm
-from lieadm.fdalg import FiniteDimAlgebra, check_membership
+from lieadm.fdalg import FiniteDimAlgebra, _FdSlice, audit, check_membership
 from lieadm.variety import builtin_variety, variety_names
 
 DATA = Path(lieadm.__file__).parent / "data"
@@ -67,13 +73,16 @@ class DenseAlgebra:
 
     def value(self, tree, args):
         """Dense coordinates of a tuple-tree monomial, leaf g set to e_{args[g]}."""
+        if isinstance(tree, int):
+            return self.unit(args[tree])
+        return self.mul(self.value(tree[0], args), self.value(tree[1], args))
+
+    def unit(self, i):
+        return [Fraction(int(k == i)) for k in range(self.n)]
+
+    def mul(self, u, w):
         n = self.n
         out = [Fraction(0)] * n
-        if isinstance(tree, int):
-            out[args[tree]] = Fraction(1)
-            return out
-        u = self.value(tree[0], args)
-        w = self.value(tree[1], args)
         for i in range(n):
             for j in range(n):
                 if u[i] and w[j]:
@@ -83,11 +92,84 @@ class DenseAlgebra:
                             out[k] += uw * c
         return out
 
+    def bracket(self, u, w):
+        return [a - b for a, b in zip(self.mul(u, w), self.mul(w, u))]
+
     def scalar(self, x):
         """The field element a rational lift stands for."""
         if not self.p:
             return x
         return x.numerator * pow(x.denominator, -1, self.p) % self.p
+
+    # -- dense subspaces: reduced row-echelon lists of rows ----------------------
+
+    def span(self, vectors):
+        """Gauss-Jordan: the reduced row-echelon rows spanning the vectors."""
+        rows = []
+        for v in vectors:
+            v = [self.scalar(Fraction(x)) for x in v]
+            for r in rows:
+                lead = next(k for k, x in enumerate(r) if x)
+                if v[lead]:
+                    v = self.combine(v, -v[lead], r)
+            if not any(v):
+                continue
+            lead = next(k for k, x in enumerate(v) if x)
+            inv = 1 / v[lead] if not self.p else pow(v[lead], -1, self.p)
+            v = self.combine([0] * self.n, inv, v)
+            rows = [self.combine(r, -r[lead], v) if r[lead] else r for r in rows]
+            rows.append(v)
+        return sorted(rows, reverse=True)
+
+    def combine(self, u, c, w):
+        """u + c*w, reduced mod p over F_p."""
+        out = [a + c * b for a, b in zip(u, w)]
+        return [x % self.p for x in out] if self.p else out
+
+    def closure(self, rows):
+        """Least two-sided ideal containing the rows."""
+        units = [self.unit(i) for i in range(self.n)]
+        while True:
+            grown = self.span(
+                rows + [self.mul(w, e) for w in rows for e in units]
+                + [self.mul(e, w) for w in rows for e in units]
+            )
+            if grown == rows:
+                return rows
+            rows = grown
+
+
+def reference_chain(dense, step):
+    """dims of full, step(full), ... to the first zero or repeated term."""
+    terms = [dense.span(dense.unit(i) for i in range(dense.n))]
+    while terms[-1]:
+        nxt = step(terms[-1])
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return [len(t) for t in terms]
+
+
+def reference_chains(dense):
+    """(lower central dims, Lie power dims, commutator-ideal index)."""
+    units = [dense.unit(i) for i in range(dense.n)]
+    lower = reference_chain(
+        dense, lambda h: dense.closure(dense.span(dense.bracket(w, e) for w in h for e in units))
+    )
+    lie = reference_chain(dense, lambda a: dense.span(dense.bracket(e, w) for e in units for w in a))
+    powers = [None, dense.closure(dense.span(dense.bracket(e, f) for e in units for f in units))]
+    for m in range(1, dense.n + 2):
+        if not powers[m]:
+            return lower, lie, m
+        powers.append(
+            dense.span(
+                dense.mul(u, w)
+                for i in range(1, m + 1)
+                for u in powers[i]
+                for w in powers[m + 1 - i]
+            )
+        )
+    return lower, lie, None
 
 
 def render(entries):
@@ -150,11 +232,37 @@ def random_graded_document(seed, p):
     return {"field": field, "dim": len(weights), "products": products}
 
 
-CASES = list(bundled_documents()) + [
-    (f"graded-{'Q' if p == 0 else f'F{p}'}-{seed}", random_graded_document(seed, p))
-    for p in (0, 2, 5, 7)
-    for seed in range(10)
-]
+def random_dense_document(seed, p, nilpotent):
+    """Random constants on every slot (rarely nilpotent), or on the slots
+    with k > max(i, j) (nilpotent, but not graded)."""
+    rng = random.Random(f"chain-oracle-{p}-{seed}-{nilpotent}")
+    n = 5 if nilpotent else rng.choice((3, 4))
+    products = [
+        [i + 1, j + 1, k + 1, str(rng.randrange(1, p) if p else rng.choice(_Q_COEFFS[2:]))]
+        for i, j, k in itertools.product(range(n), repeat=3)
+        if (k > max(i, j) and rng.random() < 0.5) or (not nilpotent and rng.random() < 0.3)
+    ]
+    return {"field": {"p": p} if p else "Q", "dim": n, "products": products}
+
+
+def field_label(p):
+    return "Q" if p == 0 else f"F{p}"
+
+
+CASES = (
+    list(bundled_documents())
+    + [
+        (f"graded-{field_label(p)}-{seed}", random_graded_document(seed, p))
+        for p in (0, 2, 5, 7)
+        for seed in range(10)
+    ]
+    + [
+        (f"{kind}-{field_label(p)}-{seed}", random_dense_document(seed, p, kind == "upper"))
+        for kind in ("dense", "upper")
+        for p in (0, 3)
+        for seed in range(5)
+    ]
+)
 
 
 def test_identity_tables_match_the_varieties():
@@ -178,3 +286,33 @@ def test_membership_matches_dense_reference(label, doc):
         verdict = check_membership(alg, builtin_variety(variety))
         member, witness = reference_membership(dense, variety)
         assert (verdict.member, verdict.witness) == (member, witness), variety
+
+
+@pytest.mark.parametrize("label,doc", CASES, ids=[label for label, _ in CASES])
+def test_chains_match_dense_reference(label, doc):
+    got = audit(FiniteDimAlgebra.from_doc(doc)).to_doc()
+    lower, lie, index = reference_chains(DenseAlgebra(doc))
+    assert got["lower_central"]["dims"] == lower
+    assert got["lie_powers"]["dims"] == lie
+    assert got["commutator_ideal_index"] == index
+
+
+@pytest.mark.parametrize("label,doc", CASES, ids=[label for label, _ in CASES])
+def test_principal_ideals_match_dense_reference(label, doc):
+    """<e_i>, the least two-sided ideal holding e_i. The audit only closes
+    spans of commutators, where a one-sided closure is already two-sided
+    (w*z = z*w + [w,z]); here a one-sided closure shows."""
+    s = _FdSlice(FiniteDimAlgebra.from_doc(doc))
+    dense = DenseAlgebra(doc)
+    for i in range(dense.n):
+        closed = s.ideal_closure(s.span({(): [{i: 1}]}))
+        rows = [[dict(r.entries).get(k, 0) for k in range(dense.n)] for r in closed.parts[()].rows]
+        assert rows == dense.closure(dense.span([dense.unit(i)])), i
+
+
+def test_chain_cases_include_every_outcome():
+    outcomes = [reference_chains(DenseAlgebra(doc)) for _, doc in CASES]
+    assert {lower[-1] == 0 for lower, _, _ in outcomes} == {True, False}
+    assert {index is None for _, _, index in outcomes} == {True, False}
+    assert any(lower != lie for lower, lie, _ in outcomes)
+    assert any(len(lower) > 3 for lower, _, _ in outcomes)

@@ -7,6 +7,7 @@ import pytest
 from lieadm.errors import ExprSyntaxError, FieldError, InputError
 from lieadm.exprs import (
     BUILTIN_SOURCES,
+    MAX_DEPTH,
     Identity,
     builtin,
     builtin_names,
@@ -26,6 +27,16 @@ from lieadm.terms import (
     multiply,
     render_polynomial,
 )
+
+
+# (source, offset of the token that crosses MAX_DEPTH): 400 brackets around
+# x; 1200 terms x*y*z, where term 200 sits 199 levels down and its second
+# '*' crosses; 1200 factors x, where the 201st '*' crosses
+TOO_DEEP = [
+    ("(" * 400 + "x" + ")" * 400 + "*y*z", MAX_DEPTH),
+    (" + ".join(["x*y*z"] * 1200), 8 * (MAX_DEPTH - 1) + 3),
+    ("*".join(["x"] * 1200), 2 * MAX_DEPTH + 1),
+]
 
 
 def poly(source, field=QQ, variables=None):
@@ -104,6 +115,27 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError) as exc:
             parse(source)
         assert exc.value.offset == offset
+
+    def test_too_deep_is_a_syntax_error_at_the_crossing_token(self):
+        for source, offset in TOO_DEEP:
+            with pytest.raises(ExprSyntaxError) as exc:
+                parse(source)
+            assert exc.value.offset == offset
+            assert f"deeper than {MAX_DEPTH} levels" in str(exc.value)
+
+    def test_trees_at_the_depth_bound_parse_expand_and_render(self):
+        n = MAX_DEPTH
+        nested = "(" * n + "x" + ")" * n
+        total = " + ".join(["x"] * (n + 1))
+        chain = "*".join(["x"] * (n + 1))
+        for source in (nested, total, chain):
+            ast = parse(source)
+            expand(ast, QQ)
+            assert parse(render(ast)) == ast
+        # a bracket level costs the most frames; its expansion is 2^n terms
+        ast = parse("[" * n + "x" + ",y]" * n)
+        assert variables_of(ast) == ("x", "y")
+        assert render(ast) == "[" * n + "x" + ",y]" * n
 
     def test_empty_input_rejected(self):
         with pytest.raises(ExprSyntaxError):

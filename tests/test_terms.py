@@ -1,6 +1,8 @@
 """Planar monomials, multidegrees, graded polynomials, substitution."""
 
+import itertools
 import math
+import time
 
 import pytest
 
@@ -100,6 +102,24 @@ class TestMultidegreeHelpers:
         # by total degree, then lexicographically
         assert multidegrees((2, 2), 2) == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
         assert len(multidegrees((3,) * 3, 3)) == 3 + 6 + 10
+
+    def test_same_as_filtering_every_tuple_under_the_bound(self):
+        for bound in [(), (0,), (3,), (2, 3), (3, 0, 2), (2, 2, 2, 2)]:
+            for top in [None, -1, 0, 1, 2, 3, 5, 10]:
+                cut = sum(bound) if top is None else top
+                brute = [
+                    nu
+                    for nu in itertools.product(*(range(c + 1) for c in bound))
+                    if 0 < sum(nu) <= cut
+                ]
+                brute.sort(key=lambda nu: (sum(nu), nu))
+                assert multidegrees(bound, top) == brute, (bound, top)
+
+    def test_enumerates_only_within_the_total(self):
+        # 24309 of the 10^8 tuples under the bound; filtering them all took 30 s
+        t0 = time.perf_counter()
+        assert len(multidegrees((9,) * 8, 9)) == math.comb(17, 8) - 1
+        assert time.perf_counter() - t0 < 2
 
     def test_parts_of_a_multidegree(self):
         assert multidegrees((1, 1)) == [(0, 1), (1, 0), (1, 1)]
