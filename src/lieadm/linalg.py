@@ -209,15 +209,33 @@ class SparseVector:
         return self.entries[0]
 
 
-def _row_as_dict(row, ambient_dim: int) -> dict[int, Scalar]:
+def _row_as_dict(row, ambient_dim: int, p: int) -> dict[int, int]:
+    """The integer row that ``rref`` and ``member`` work on, read in one pass
+    that checks every index and drops zeros.
+
+    A ``Fraction`` entry may be integral, and becomes its ``int``; when some
+    are not, the row is scaled by the lcm of their denominators. That
+    multiple spans the same line over Q, and over F_p as long as p divides
+    no denominator (FieldError otherwise).
+    """
     items = row.entries if isinstance(row, SparseVector) else row.items()
     out = {}
+    lcm = 1
     for i, c in items:
         if not isinstance(i, int) or i < 0 or i >= ambient_dim:
             raise InputError(f"coordinate index {i} outside ambient dimension {ambient_dim}")
         if c:
-            out[i] = c
-    return out
+            d = c.denominator
+            if d == 1:
+                out[i] = c.numerator
+            else:
+                out[i] = c
+                lcm = lcm // gcd(lcm, d) * d
+    if lcm == 1:
+        return out
+    if p and lcm % p == 0:
+        raise FieldError(f"denominator {lcm} is not invertible mod {p}")
+    return {j: v.numerator * (lcm // v.denominator) for j, v in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +294,12 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
     An incoming row therefore meets each pivot column present in it
     exactly once; what remains lies in free columns, and if nonzero its
     first column becomes a new pivot, cleared from the older pivot rows at
-    once. Rows are integer dicts over both fields: over F_p they are monic
+    once. Only the work depends on the order of ``rows``. A pivot row
+    holds no column left of its lead, so a new pivot left of every older
+    pivot touches no older row: ``variety.relation_rows`` feeds its rows
+    in descending lead order for that reason.
+
+    Rows are integer dicts over both fields: over F_p they are monic
     with entries in [0, p); over Q each stands for its rational line as a
     primitive vector with a positive lead, updated fraction-free, and is
     made monic only at the end, where an entry stays an int when the lead
@@ -285,9 +308,7 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
     p = field.char
     piv: dict[int, dict[int, int]] = {}
     for r in rows:
-        row = _row_as_dict(r, ambient_dim)
-        if not p:
-            row = _cleared(row)
+        row = _row_as_dict(r, ambient_dim, p)
         for j in [j for j in row if j in piv]:
             _eliminate(p, row, j, piv[j])
         row = _normalized(p, row)
@@ -374,16 +395,6 @@ def _strip_content(row: dict[int, int]) -> None:
             row[j] //= g
 
 
-def _cleared(row: dict[int, Scalar]) -> dict[int, int]:
-    """Integer multiple of a rational row: denominators cleared."""
-    lcm = 1
-    for v in row.values():
-        d = v.denominator
-        if d != 1:
-            lcm = lcm // gcd(lcm, d) * d
-    return {j: v.numerator * (lcm // v.denominator) for j, v in row.items()}
-
-
 class MemberResult:
     """Outcome of reducing a vector against a basis.
 
@@ -402,7 +413,7 @@ class MemberResult:
 def member(basis: EchelonBasis, v) -> MemberResult:
     """Reduce ``v`` against the basis rows."""
     p = basis.field.char
-    row = _row_as_dict(v, basis.ambient_dim)
+    row = _row_as_dict(v, basis.ambient_dim, p)
     for piv, brow in zip(basis.pivots, basis.rows):
         c = row.get(piv, 0)
         if p:

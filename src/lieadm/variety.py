@@ -18,6 +18,9 @@ of the reduced relation basis are exactly the free-magma monomials that
 lead no element of I_mu: the quotient basis and every normal form are the
 canonical ones, whichever way the component is built. A product of two
 normal monomials is a column, so its normal form is a table look-up.
+The relation rows reach the elimination one identity at a time, each
+block in descending lead order, which cuts the work of keeping the pivot
+rows reduced; the order changes only the work, never the basis.
 
 Components are memoized per (variety, field, generators, multidegree) and
 immutable once built; lower components come from the same cache.
@@ -154,7 +157,16 @@ def relation_rows(
 ) -> list[dict[int, object]]:
     """Deduplicated top-level relation rows at mu, as column->coefficient
     dicts over the product space (``space``, from ``_product_space``),
-    each monic at its first column."""
+    each monic at its first column.
+
+    The rows come in one block per identity, in the variety's identity
+    order. Within a block they are stably sorted by descending lead
+    column, the sparsest first on ties. A pivot row holds no column left
+    of its lead, so ``rref`` then makes fewer pivots that older pivot
+    rows hold and has fewer of them to clear: on assosymmetric
+    (1,1,1,1,1) that nearly halves its work. One sort across all
+    identities is faster still on assosymmetric but slower on Novikov.
+    """
     lower, cols = space or _product_space(variety, field, k, mu)
     columns = {key: j for j, (key, _) in enumerate(cols)}
     p = field.char
@@ -172,8 +184,9 @@ def relation_rows(
         m = len(ident.variables)
         if m == 1:
             # c*x = 0 kills every element, so every column is a relation
-            rows += [{j: 1} for j in range(len(cols))]
+            rows += [{j: 1} for j in reversed(range(len(cols)))]
             continue
+        block: list[dict[int, object]] = []
         terms = [(t.left, t.right, c) for t, c in template.terms.items()]
         for parts in _compositions(mu, m):
             pools = [range(lower[part].quotient_dim) for part in parts]
@@ -194,7 +207,9 @@ def relation_rows(
                     fingerprint = tuple(sorted(row.items()))
                     if fingerprint not in seen:
                         seen.add(fingerprint)
-                        rows.append(row)
+                        block.append(row)
+        block.sort(key=lambda row: (-min(row), len(row)))
+        rows += block
     return rows
 
 

@@ -227,6 +227,67 @@ class TestRref:
         assert b == identity_basis(QQ, n)
 
 
+class TestRowIntake:
+    """rref and member read a row in one pass: SparseVector or dict rows,
+    ints and Fractions mixed, each index checked."""
+
+    ROWS = [
+        {0: Fraction(4, 2), 1: 3, 3: Fraction(-6, 3)},
+        {1: Fraction(1, 2), 2: 1, 3: Fraction(2, 3)},
+        {0: 1, 2: Fraction(5, 4)},
+    ]
+
+    @staticmethod
+    def images(field, rows):
+        return [{j: field.from_fraction(c) for j, c in r.items()} for r in rows]
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+    def test_rref_reads_fractions_as_field_elements(self, field):
+        want = [r.entries for r in rref(field, 4, self.images(field, self.ROWS)).rows]
+        assert want == dense_rref(field.char, 4, self.images(field, self.ROWS))
+        as_vectors = [SparseVector(r.items()) for r in self.ROWS]
+        for rows in (self.ROWS, as_vectors):
+            assert [r.entries for r in rref(field, 4, rows).rows] == want
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_integral_fractions_read_as_ints(self, field):
+        b = rref(field, 2, [{0: Fraction(4, 2), 1: Fraction(6, 2)}, {0: Fraction(3), 1: 1}])
+        assert b == identity_basis(field, 2)
+        assert all(type(c) is int for r in b.rows for _, c in r.entries)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+    def test_member_reads_fractions_as_field_elements(self, field):
+        basis = rref(field, 4, self.ROWS[:2])
+        row_sum = {0: Fraction(4, 2), 1: Fraction(7, 2), 2: 1, 3: Fraction(-4, 3)}
+        assert member(basis, row_sum).inside
+        for probe in (row_sum, {0: 1, 2: Fraction(5, 4)}, {3: Fraction(9, 3)}):
+            got = member(basis, probe)
+            want = member(basis, self.images(field, [probe])[0])
+            assert (got.inside, got.residual) == (want.inside, want.residual)
+            assert member(basis, SparseVector(probe.items())).residual == want.residual
+
+    def test_denominator_divisible_by_p_rejected(self):
+        with pytest.raises(FieldError):
+            rref(GF(5), 2, [{0: 1, 1: Fraction(1, 10)}])
+        with pytest.raises(FieldError):
+            member(rref(GF(5), 2, [{0: 1}]), {1: Fraction(2, 5)})
+
+    @pytest.mark.parametrize("index", [-1, 3, 1.0, "1", None])
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_bad_index_rejected(self, field, index):
+        with pytest.raises(InputError):
+            rref(field, 3, [{0: 1}, {index: Fraction(1, 2)}])
+        with pytest.raises(InputError):
+            member(identity_basis(field, 3), {index: 1})
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_bad_index_in_sparse_vector_rejected(self, field):
+        with pytest.raises(InputError):
+            rref(field, 3, [SparseVector([(0, 1), (3, Fraction(1, 2))])])
+        with pytest.raises(InputError):
+            member(identity_basis(field, 3), SparseVector([(-1, 2)]))
+
+
 @st.composite
 def row_operation_cases(draw):
     """Random sparse rows over Q or GF(p), plus a permutation, nonzero row
