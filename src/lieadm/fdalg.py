@@ -18,8 +18,9 @@ of ``ideals.AlgebraSlice``; one span calculus serves both kinds of
 algebra. A structure-constant algebra is the one component of a slice,
 under the empty multidegree with degree cap 0, so nothing is truncated.
 
-Membership evaluates each identity on every tuple of basis vectors. One
-audit keeps an evaluation table of monomial values keyed by (shape, basis
+Membership evaluates each identity on every tuple of basis vectors,
+through ``terms.evaluate`` with the basis vectors as leaves. One audit
+keeps that evaluation table of monomial values keyed by (shape, basis
 arguments), shared by the terms, identities and varieties it checks, so
 each subproduct such as (e_1 e_2) e_3 is multiplied out once per audit;
 the table is dropped with the audit and never stored on the algebra.
@@ -57,7 +58,7 @@ from typing import Optional
 from .errors import FieldError, ResourceError, SchemaError
 from .ideals import AlgebraSlice, GradedSubspace
 from .linalg import Field, GF, QQ, reduced
-from .terms import Monomial
+from .terms import evaluate
 from .variety import VarietySpec, builtin_variety, variety_names
 
 # largest dim and audit cost estimate from_doc accepts (see the module docstring)
@@ -200,11 +201,6 @@ class FiniteDimAlgebra:
                     for k, w in prod:
                         acc[k] = acc.get(k, 0) + c * w
 
-    def multiply(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        self.add_product(out, (), u.items(), v.items())
-        return reduced(self.field.char, out) if out else out
-
     def __repr__(self) -> str:
         return f"FiniteDimAlgebra({self.field.name}, dim={self.dim})"
 
@@ -237,42 +233,23 @@ class MembershipVerdict:
         return {"member": self.member, "witness": self.witness}
 
 
-def _evaluate(alg: FiniteDimAlgebra, table: dict, m: Monomial, args: tuple) -> dict:
-    """e-coordinates of monomial m with leaf i set to basis vector args[i].
-
-    ``table`` maps a shape to {leaf arguments: value}; every subproduct is
-    looked up there and multiplied out only the first time it is needed.
-    Values are shared by every later look-up, so callers must not modify them.
-    """
-    by_args = table.setdefault(m.shape, {})
-    value = by_args.get(args)
-    if value is None:
-        if m.gen is not None:
-            value = {args[0]: 1}
-        else:
-            d = m.left.degree
-            value = alg.multiply(
-                _evaluate(alg, table, m.left, args[:d]),
-                _evaluate(alg, table, m.right, args[d:]),
-            )
-        by_args[args] = value
-    return value
-
-
 def check_membership(
     alg: FiniteDimAlgebra, variety: VarietySpec, table: Optional[dict] = None
 ) -> MembershipVerdict:
     """Evaluate every defining identity on every basis tuple.
 
     Multilinearity makes basis tuples sufficient; the first failing
-    (identity, tuple) in order is the witness. ``table`` holds monomial
-    values on basis arguments (see ``_evaluate``); pass the same dict to
-    several calls on one algebra to share them, as ``audit`` does.
+    (identity, tuple) in order is the witness. ``table`` is the
+    ``terms.evaluate`` table of monomial values on basis arguments; pass
+    the same dict to several calls on one algebra to share them, as
+    ``audit`` does.
     """
     f = alg.field
     p = f.char
     if table is None:
         table = {}
+    table.setdefault((1,), {(i,): ((), ((i, 1),)) for i in range(alg.dim)})
+    components = {(): alg}
     for ident in variety.identities:
         # (values of the monomial's shape, its leaf arguments, monomial, coefficient)
         terms = [
@@ -291,8 +268,8 @@ def check_membership(
                 args = leaves_of(combo)
                 value = by_args.get(args)
                 if value is None:
-                    value = _evaluate(alg, table, m, args)
-                for k, c in value.items():
+                    value = evaluate(m, args, table, components, p)
+                for k, c in value[1]:
                     acc[k] = acc.get(k, 0) + coeff * c
             if acc:
                 acc = reduced(p, acc)

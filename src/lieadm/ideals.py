@@ -20,12 +20,15 @@ products have total degree 0, and nothing is ever truncated.
 
 from __future__ import annotations
 
+import itertools
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import InputError
-from .linalg import Field, SparseVector, identity_basis, member, reduced, rref
+from .exprs import builtin
+from .linalg import Field, identity_basis, member, reduced, rref
 from .linalg import sum_bases as _sum_bases
-from .terms import format_multidegree, mdeg_add, mdeg_total, multidegrees
+from .terms import evaluate, format_multidegree, mdeg_add, mdeg_total, multidegrees
 from .variety import FreeAlgebraComponent, VarietySpec, component_basis
 
 
@@ -170,28 +173,6 @@ class AlgebraSlice:
                 parts[mu] = basis
         return GradedSubspace(self, parts)
 
-    # -- multiplication through normal forms ----------------------------------
-
-    def multiply_vectors(
-        self, mu1, v1: SparseVector, mu2, v2: SparseVector
-    ) -> SparseVector:
-        mu = mdeg_add(mu1, mu2)
-        if mdeg_total(mu) > self.degree_cap:
-            return SparseVector(())
-        acc: dict[int, object] = {}
-        self.components[mu].add_product(acc, mu1, v1.entries, v2.entries)
-        return SparseVector.from_dict(acc, self.field.char)
-
-    def associator_vectors(self, mu1, v1, mu2, v2, mu3, v3) -> SparseVector:
-        mu12 = mdeg_add(mu1, mu2)
-        mu23 = mdeg_add(mu2, mu3)
-        left = self.multiply_vectors(mu12, self.multiply_vectors(mu1, v1, mu2, v2), mu3, v3)
-        right = self.multiply_vectors(mu1, v1, mu23, self.multiply_vectors(mu2, v2, mu3, v3))
-        acc = dict(left.entries)
-        for j, w in right.entries:
-            acc[j] = acc.get(j, 0) - w
-        return SparseVector.from_dict(acc, self.field.char)
-
     # -- span operations -------------------------------------------------------
 
     def _pair_space(self, U: GradedSubspace, V: GradedSubspace, bracket: bool) -> GradedSubspace:
@@ -228,25 +209,43 @@ class AlgebraSlice:
     def associator_space(
         self, U: GradedSubspace, V: GradedSubspace, W: GradedSubspace
     ) -> GradedSubspace:
-        self._same(U)
-        self._same(V)
-        self._same(W)
+        """Span of the associators (uv)w - u(vw) over the basis rows u of U,
+        v of V and w of W: the catalog ``assoc`` template evaluated by
+        ``terms.evaluate`` on rows keyed (operand, multidegree, row index),
+        so each u*v and v*w is formed once per call, not once per triple."""
+        operands = (U, V, W)
+        for X in operands:
+            self._same(X)
+        p = self.field.char
+        parts = [(o, mu, b.rows) for o, X in enumerate(operands) for mu, b in X.parts.items()]
+        units = {((o, mu, i),): (mu, r.entries) for o, mu, rs in parts for i, r in enumerate(rs)}
+        table = {(1,): units}
+        template = builtin("assoc").template(self.field)
+        terms = [(m, itemgetter(*m.leaves), c) for m, c in template.terms.items()]
+        cap = self.degree_cap
         rows: dict[tuple, list] = {}
         for mu1, b1 in U.parts.items():
             for mu2, b2 in V.parts.items():
-                if mdeg_total(mu1) + mdeg_total(mu2) >= self.degree_cap:
+                room = cap - mdeg_total(mu1) - mdeg_total(mu2)
+                if room < 0:
                     continue
                 for mu3, b3 in W.parts.items():
-                    mu = mdeg_add(mdeg_add(mu1, mu2), mu3)
-                    if mdeg_total(mu) > self.degree_cap:
+                    if mdeg_total(mu3) > room:
                         continue
+                    mu = mdeg_add(mdeg_add(mu1, mu2), mu3)
                     bucket = rows.setdefault(mu, [])
-                    for v1 in b1.rows:
-                        for v2 in b2.rows:
-                            for v3 in b3.rows:
-                                w = self.associator_vectors(mu1, v1, mu2, v2, mu3, v3)
-                                if w:
-                                    bucket.append(w)
+                    for keys in itertools.product(
+                        [(0, mu1, i) for i in range(b1.rank)],
+                        [(1, mu2, j) for j in range(b2.rank)],
+                        [(2, mu3, l) for l in range(b3.rank)],
+                    ):
+                        acc: dict = {}
+                        for m, leaves_of, c in terms:
+                            for j, w in evaluate(m, leaves_of(keys), table, self.components, p)[1]:
+                                acc[j] = acc.get(j, 0) + c * w
+                        acc = reduced(p, acc)
+                        if acc:
+                            bucket.append(acc)
         return self.span(rows)
 
     def sum(self, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:

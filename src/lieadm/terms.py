@@ -10,6 +10,9 @@ m < m' then m*n < m'*n and n*m < n*m'.
 
 Identity templates reuse the same trees with variable indices in place
 of generator indices, and ``substitute`` replaces them by monomials.
+
+``evaluate`` is the one evaluator of a monomial in an algebra, shared by
+relation rows, normal forms, membership scans and associator spans.
 """
 
 from __future__ import annotations
@@ -208,34 +211,55 @@ class Polynomial:
         return Polynomial(self.field, {m: v * c for m, v in self.terms.items()})
 
 
-def multiply(p: Polynomial, q: Polynomial, cap: Optional[int] = None) -> Polynomial:
-    """Bilinear extension of the tree join.
-
-    Products whose total degree exceeds ``cap`` are dropped; that is sound
-    for all ideal computations because the span of components above the
-    cap is itself an ideal.
-    """
+def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Bilinear extension of the tree join."""
     p._require_same_field(q)
     out: dict[Monomial, Scalar] = {}
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
-            if cap is not None and m1.degree + m2.degree > cap:
-                continue
             m = node(m1, m2)
             out[m] = out.get(m, 0) + c1 * c2
     return Polynomial(p.field, out)
 
 
-def commutator(p: Polynomial, q: Polynomial, cap: Optional[int] = None) -> Polynomial:
-    return multiply(p, q, cap).sub(multiply(q, p, cap))
+def commutator(p: Polynomial, q: Polynomial) -> Polynomial:
+    return multiply(p, q).sub(multiply(q, p))
 
 
-def associator(p: Polynomial, q: Polynomial, r: Polynomial, cap: Optional[int] = None) -> Polynomial:
-    return multiply(multiply(p, q, cap), r, cap).sub(multiply(p, multiply(q, r, cap), cap))
+def associator(p: Polynomial, q: Polynomial, r: Polynomial) -> Polynomial:
+    return multiply(multiply(p, q), r).sub(multiply(p, multiply(q, r)))
 
 
-def jordan(p: Polynomial, q: Polynomial, cap: Optional[int] = None) -> Polynomial:
-    return multiply(p, q, cap).add(multiply(q, p, cap))
+def jordan(p: Polynomial, q: Polynomial) -> Polynomial:
+    return multiply(p, q).add(multiply(q, p))
+
+
+# ---------------------------------------------------------------------------
+# evaluation in an algebra
+
+
+def evaluate(m: Monomial, args: tuple, table: dict, components, p: int) -> tuple:
+    """(degree, entries) of monomial m with leaf i set to the element keyed
+    ``args[i]``; entries are (index, scalar) pairs, reduced mod p.
+
+    ``table`` maps a shape to {leaf keys: value}, and the caller seeds the
+    leaf shape ``(1,)`` with ``{(key,): (degree, entries)}``. Each internal
+    node is multiplied once per table, through ``components[degree]``'s
+    ``add_product`` (``FreeAlgebraComponent`` and ``FiniteDimAlgebra``
+    share it), and kept there; callers must not modify the shared values.
+    """
+    by_args = table.setdefault(m.shape, {})
+    value = by_args.get(args)
+    if value is None:
+        d = m.left.degree
+        a, x = evaluate(m.left, args[:d], table, components, p)
+        b, y = evaluate(m.right, args[d:], table, components, p)
+        nu = mdeg_add(a, b)
+        acc: dict = {}
+        if x and y:
+            components[nu].add_product(acc, a, x, y)
+        value = by_args[args] = (nu, tuple(reduced(p, acc).items()) if acc else ())
+    return value
 
 
 # ---------------------------------------------------------------------------

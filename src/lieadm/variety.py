@@ -18,6 +18,8 @@ of the reduced relation basis are exactly the free-magma monomials that
 lead no element of I_mu: the quotient basis and every normal form are the
 canonical ones, whichever way the component is built. A product of two
 normal monomials is a column, so its normal form is a table look-up.
+Substitutions and normal forms are evaluated by ``terms.evaluate``, as
+an audit evaluates identities on basis vectors.
 The relation rows reach the elimination one identity at a time, each
 block in descending lead order, which cuts the work of keeping the pivot
 rows reduced; the order changes only the work, never the basis.
@@ -29,6 +31,7 @@ immutable once built; lower components come from the same cache.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import InputError, ResourceError, UnsupportedVarietyError
@@ -38,9 +41,9 @@ from .terms import (
     Monomial,
     Polynomial,
     enumerate_monomials,
+    evaluate,
     format_multidegree,
     leaf,
-    mdeg_add,
     mdeg_sub,
     mdeg_total,
     multidegree,
@@ -136,28 +139,16 @@ def _compositions(mu: tuple[int, ...], m: int) -> list[tuple[tuple[int, ...], ..
     ]
 
 
-def _evaluate(tree: Monomial, parts, picks, lower, p: int):
-    """(multidegree, quotient entries) of a template subtree whose variable
-    i stands for normal monomial ``picks[i]`` of degree ``parts[i]``."""
-    if tree.is_leaf:
-        return parts[tree.gen], ((picks[tree.gen], 1),)
-    a, x = _evaluate(tree.left, parts, picks, lower, p)
-    b, y = _evaluate(tree.right, parts, picks, lower, p)
-    nu = mdeg_add(a, b)
-    comp = lower[nu]
-    if len(x) == len(y) == 1 and x[0][1] == y[0][1] == 1:
-        return nu, comp.products[(a, x[0][0], y[0][0])].entries
-    acc: dict[int, object] = {}
-    comp.add_product(acc, a, x, y)
-    return nu, SparseVector.from_dict(acc, p).entries
-
-
 def relation_rows(
     variety: VarietySpec, field: Field, k: int, mu: tuple[int, ...], space=None
 ) -> list[dict[int, object]]:
     """Deduplicated top-level relation rows at mu, as column->coefficient
     dicts over the product space (``space``, from ``_product_space``),
     each monic at its first column.
+
+    For each identity term g*h, g and h are evaluated on the lower normal
+    monomials, keyed (part, pick), through ``terms.evaluate`` with one table
+    per call, and their classes are placed into the product-space columns.
 
     The rows come in one block per identity, in the variety's identity
     order. Within a block they are stably sorted by descending lead
@@ -170,6 +161,8 @@ def relation_rows(
     lower, cols = space or _product_space(variety, field, k, mu)
     columns = {key: j for j, (key, _) in enumerate(cols)}
     p = field.char
+    units = {((a, q),): (a, ((q, 1),)) for a, c in lower.items() for q in range(c.quotient_dim)}
+    table = {(1,): units}
     seen = set()
     rows: list[dict[int, object]] = []
     for ident in variety.identities:
@@ -187,14 +180,19 @@ def relation_rows(
             rows += [{j: 1} for j in reversed(range(len(cols)))]
             continue
         block: list[dict[int, object]] = []
-        terms = [(t.left, t.right, c) for t, c in template.terms.items()]
+        # a term has m >= 2 leaves, so itemgetter gives a tuple
+        terms = [
+            (t.left, t.right, t.left.degree, itemgetter(*t.leaves), c)
+            for t, c in template.terms.items()
+        ]
         for parts in _compositions(mu, m):
-            pools = [range(lower[part].quotient_dim) for part in parts]
-            for picks in itertools.product(*pools):
+            pools = [[(part, pick) for pick in range(lower[part].quotient_dim)] for part in parts]
+            for keys in itertools.product(*pools):
                 row: dict[int, object] = {}
-                for left, right, c in terms:
-                    a, x = _evaluate(left, parts, picks, lower, p)
-                    _, y = _evaluate(right, parts, picks, lower, p)
+                for left, right, d, leaves_of, c in terms:
+                    args = leaves_of(keys)
+                    a, x = evaluate(left, args[:d], table, lower, p)
+                    _, y = evaluate(right, args[d:], table, lower, p)
                     for q1, xq in x:
                         cx = c * xq
                         for q2, yq in y:
@@ -281,23 +279,15 @@ class FreeAlgebraComponent:
                 for j, w in products[(a, p, q)].entries:
                     acc[j] = acc.get(j, 0) + c * w
 
-    def _monomial_coords(self, m: Monomial) -> SparseVector:
-        """Normal form of a monomial of this multidegree, through the normal
-        forms of its factors."""
-        if m.is_leaf:
-            return self.products[()]
-        a = multidegree(m.left, self.k)
-        x = self.lower[a]._monomial_coords(m.left)
-        y = self.lower[mdeg_sub(self.mu, a)]._monomial_coords(m.right)
-        acc: dict[int, object] = {}
-        self.add_product(acc, a, x.entries, y.entries)
-        return SparseVector.from_dict(acc, self.field.char)
-
     def normal_form(self, p: Polynomial) -> SparseVector:
         """Quotient coordinates of p; the zero vector iff p lies in the
-        relation space."""
+        relation space. Each monomial is evaluated (``terms.evaluate``) on
+        the classes of its generators."""
         if p.field != self.field:
             raise InputError("polynomial field does not match component field")
+        components = {**self.lower, self.mu: self}
+        units = [(e, c) for e, c in components.items() if sum(e) == 1]
+        table = {(1,): {(e.index(1),): (e, c.products[()].entries) for e, c in units}}
         acc: dict[int, object] = {}
         for mono, c in p.terms.items():
             try:
@@ -308,7 +298,8 @@ class FreeAlgebraComponent:
                 raise InputError(
                     f"monomial of multidegree {nu} does not belong to component {self.mu}"
                 )
-            for j, w in self._monomial_coords(mono).entries:
+            _, entries = evaluate(mono, mono.leaves, table, components, self.field.char)
+            for j, w in entries:
                 acc[j] = acc.get(j, 0) + c * w
         return SparseVector.from_dict(acc, self.field.char)
 
@@ -389,58 +380,47 @@ class VerifyVerdict:
         return doc
 
 
+# the most substitution tuples verify_identity tries for a non-multilinear identity
+MAX_SUBSTITUTIONS = 20000
+
+
 def verify_identity(
     variety: VarietySpec,
     field: Field,
     identity: Identity,
     cap: int = 3,
     max_monomials: Optional[int] = None,
-    max_substitutions: int = 20000,
 ) -> VerifyVerdict:
     """Check whether the identity holds in the variety.
 
-    Multilinear identities are decided at their own multidegree: the
-    template vanishes in the relatively free algebra iff it lies in the
-    relation space at (1,...,1). Anything else is tested by substituting
-    every tuple of monomials of degree <= cap, in canonical order, and
-    reducing every homogeneous piece of the result, so ``cap`` must be at
-    least 1: an empty substitution pool would make every identity hold.
+    A multilinear identity is decided by the one assignment of variable i
+    to generator i: the template vanishes in the relatively free algebra
+    iff it lies in the relation space at (1,...,1). Anything else is
+    tested by substituting every tuple of monomials of degree <= cap, in
+    canonical order, and reducing every homogeneous piece of the result,
+    so ``cap`` must be at least 1: an empty substitution pool would make
+    every identity hold.
     """
     if cap < 1:
         raise InputError(f"substitution degree cap must be at least 1, got {cap}")
     template = identity.template(field)
     nvars = len(identity.variables)
-    if not template.terms:
-        return VerifyVerdict(True, identity.name, variety.name, field.name, True)
-
-    if identity.multilinear(field):
-        mu = (1,) * nvars
-        comp = component_basis(variety, field, nvars, mu, max_monomials)
-        residual = comp.normal_form(template)
-        if not residual:
-            return VerifyVerdict(True, identity.name, variety.name, field.name, True)
-        witness = {
-            "assignment": {
-                name: f"x{i + 1}" for i, name in enumerate(identity.variables)
-            },
-            "multidegree": format_multidegree(mu),
-            "residual": comp.render_coords(residual),
-        }
-        return VerifyVerdict(False, identity.name, variety.name, field.name, True, witness)
-
-    # Substitution search for non-multilinear input.
-    pool: list[Monomial] = []
-    for mu in multidegrees((cap,) * nvars, cap):
-        pool.extend(enumerate_monomials(nvars, mu))
-    pool.sort(key=lambda m: m.sort_key(nvars))
-    if len(pool) ** nvars > max_substitutions:
-        raise ResourceError(
-            f"substitution search needs {len(pool) ** nvars} tuples, "
-            f"over the guard of {max_substitutions}; lower the cap"
-        )
-    for ts in itertools.product(pool, repeat=nvars):
-        assignment = dict(enumerate(ts))
-        value = substitute(template, assignment)
+    multilinear = identity.multilinear(field)
+    if multilinear:
+        tuples = [tuple(leaf(i) for i in range(nvars))]
+    else:
+        pool: list[Monomial] = []
+        for mu in multidegrees((cap,) * nvars, cap):
+            pool.extend(enumerate_monomials(nvars, mu))
+        pool.sort(key=lambda m: m.sort_key(nvars))
+        if len(pool) ** nvars > MAX_SUBSTITUTIONS:
+            raise ResourceError(
+                f"substitution search needs {len(pool) ** nvars} tuples, "
+                f"over the guard of {MAX_SUBSTITUTIONS}; lower the cap"
+            )
+        tuples = itertools.product(pool, repeat=nvars)
+    for ts in tuples:
+        value = substitute(template, dict(enumerate(ts)))
         by_mu: dict[tuple[int, ...], Polynomial] = {}
         for mono, c in value.terms.items():
             mu = multidegree(mono, nvars)
@@ -461,6 +441,6 @@ def verify_identity(
                     "residual": comp.render_coords(residual),
                 }
                 return VerifyVerdict(
-                    False, identity.name, variety.name, field.name, False, witness
+                    False, identity.name, variety.name, field.name, multilinear, witness
                 )
-    return VerifyVerdict(True, identity.name, variety.name, field.name, False)
+    return VerifyVerdict(True, identity.name, variety.name, field.name, multilinear)

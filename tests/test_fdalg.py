@@ -27,8 +27,9 @@ from lieadm.fdalg import (
     lie_series_fd,
     lower_central_fd,
 )
-from lieadm.linalg import SparseVector
+from lieadm.linalg import QQ, SparseVector
 from lieadm.reports import canonical_json
+from lieadm.terms import Polynomial, commutator, evaluate, leaf, multiply
 from lieadm.variety import builtin_variety, custom_variety, variety_names
 
 DATA = Path(lieadm.__file__).parent / "data"
@@ -239,22 +240,43 @@ class TestAuditCost:
         assert "dim 16, 4096 nonzero constants" in err and f"limit of {MAX_AUDIT_COST}" in err
 
 
+def fd_value(alg, template, args):
+    """Entries of the template at basis vectors e_(args[i] + 1), summed over
+    its terms through terms.evaluate, the evaluator membership uses."""
+    table = {(1,): {(i,): ((), ((i, 1),)) for i in range(alg.dim)}}
+    acc = {}
+    for m, c in template.terms.items():
+        _, entries = evaluate(m, tuple(args[g] for g in m.leaves), table, {(): alg}, 0)
+        for k, w in entries:
+            acc[k] = acc.get(k, 0) + c * w
+    return {k: c for k, c in acc.items() if c}
+
+
+X, Y = Polynomial.of(QQ, leaf(0)), Polynomial.of(QQ, leaf(1))
+
+
 class TestArithmetic:
     def test_multiply_heisenberg(self):
         a = load("heis3.json")
-        prod = a.multiply({0: 1}, {1: 1})
-        assert prod == {2: 1}
-        assert a.multiply({1: 1}, {0: 1}) == {2: -1}
+        assert fd_value(a, multiply(X, Y), (0, 1)) == {2: 1}
+        assert fd_value(a, multiply(X, Y), (1, 0)) == {2: -1}
 
     def test_bracket(self):
-        # [e1, e2] = e1e2 - e2e1 = 2e3, through the span calculus the chains use
-        s = _FdSlice(load("heis3.json"))
+        # [e1, e2] = e1e2 - e2e1 = 2e3, through terms.evaluate and through
+        # the span calculus the chains use
+        a = load("heis3.json")
+        assert fd_value(a, commutator(X, Y), (0, 1)) == {2: 2}
+        s = _FdSlice(a)
         e1, e2 = SparseVector(((0, 1),)), SparseVector(((1, 1),))
-        e1e2 = s.multiply_vectors((), e1, (), e2)
-        e2e1 = s.multiply_vectors((), e2, (), e1)
-        assert dict(e1e2.entries) == {2: 1} and dict(e2e1.entries) == {2: -1}
         span = s.bracket_space(s.span({(): [e1]}), s.span({(): [e2]}))
         assert span.parts[()].rows == (SparseVector(((2, 1),)),)
+
+    def test_associator_span(self):
+        # e1e1 = e2, e2e1 = e1: (e1,e1,e1) = e2e1 - e1e2 = e1 and
+        # (e2,e1,e1) = e1e1 - e2e2 = e2, so the associators span the algebra;
+        # the slice's degree cap 0 truncates nothing
+        s = _FdSlice(FiniteDimAlgebra(QQ, 2, {(0, 0): ((1, 1),), (1, 0): ((0, 1),)}))
+        assert s.associator_space(s.full(), s.full(), s.full()) == s.full()
 
 
 class TestMembership:

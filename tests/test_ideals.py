@@ -10,9 +10,11 @@ from lieadm.ideals import (
     lower_central_chain,
     theorem_names,
 )
-from lieadm.linalg import GF, QQ, SparseVector
-from lieadm.terms import Polynomial, node
-from lieadm.variety import builtin_variety
+from lieadm.linalg import GF, QQ, SparseVector, rref
+from lieadm.terms import Polynomial, associator, evaluate, leaf, node
+from lieadm.variety import FreeAlgebraComponent, builtin_variety
+
+from naive_oracle import naive_is_zero, naive_reducer
 
 
 def make_slice(name="novikov", field=QQ, k=2, cap=4, **kw):
@@ -39,22 +41,37 @@ class TestSliceBasics:
 
     def test_class_products_are_normal_forms_of_products(self):
         # the product table read by the span products, on basis classes,
-        # against the normal form of the free-magma product, computed
-        # through the factors; past the cap a product is zero
+        # through terms.evaluate of x*y with the classes as leaves, against
+        # the naive oracle: the free-magma product minus the class found is
+        # a relation consequence. Past the cap a product is zero.
         s = make_slice("assosymmetric", k=2, cap=4)
+        sources = [i.name for i in s.variety.identities]
+        xy = node(leaf(0), leaf(1))
+        table = {
+            (1,): {
+                ((mu, q),): (mu, ((q, 1),))
+                for mu, comp in s.components.items()
+                for q in range(comp.quotient_dim)
+            }
+        }
+        oracles = {}
         checked = 0
         for mu1, c1 in s.components.items():
             for mu2, c2 in s.components.items():
                 mu = tuple(x + y for x, y in zip(mu1, mu2))
                 for q1, m1 in enumerate(c1.quotient_monomials):
                     for q2, m2 in enumerate(c2.quotient_monomials):
-                        u1, u2 = SparseVector(((q1, 1),)), SparseVector(((q2, 1),))
-                        got = s.multiply_vectors(mu1, u1, mu2, u2)
                         if sum(mu) > 4:
-                            assert got == SparseVector(())
+                            u1, u2 = (s.span({nu: [{q: 1}]}) for nu, q in ((mu1, q1), (mu2, q2)))
+                            assert s.product_space(u1, u2).is_zero()
                             continue
-                        want = s.component(mu).normal_form(Polynomial.of(QQ, node(m1, m2)))
-                        assert got == want
+                        nu, got = evaluate(xy, ((mu1, q1), (mu2, q2)), table, s.components, 0)
+                        assert nu == mu
+                        if mu not in oracles:
+                            oracles[mu] = naive_reducer(sources, 2, mu)
+                        found = s.component(mu).coords_to_polynomial(SparseVector(got))
+                        product = Polynomial.of(QQ, node(m1, m2))
+                        assert naive_is_zero(oracles[mu], product.sub(found))
                         checked += 1
         assert checked == 84
 
@@ -135,6 +152,71 @@ class TestSubspaceOperations:
         assert [c.holds for c in checks] == [True, True]
         assert checks[0].label == "lhs <= rhs"
         assert checks[1].label == "rhs <= lhs"
+
+
+class TestAssociatorSpace:
+    @pytest.mark.parametrize("middle", ["full", "H_2"])
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    @pytest.mark.parametrize("name", ["assosymmetric", "novikov"])
+    def test_matches_polynomial_arithmetic(self, name, field, middle):
+        # (full, middle, full) against the span of the free-magma
+        # associators of the class representatives, reduced to normal forms
+        s = make_slice(name, field=field, k=2, cap=4)
+        full = s.full()
+        mid = full if middle == "full" else s.h_term(2)
+        rows = {}
+        for mu1, b1 in full.parts.items():
+            for mu2, b2 in mid.parts.items():
+                for mu3, b3 in full.parts.items():
+                    mu = tuple(a + b + c for a, b, c in zip(mu1, mu2, mu3))
+                    if sum(mu) > 4:
+                        continue
+                    comp = s.component(mu)
+                    for u in b1.rows:
+                        for v in b2.rows:
+                            for w in b3.rows:
+                                value = associator(
+                                    s.component(mu1).coords_to_polynomial(u),
+                                    s.component(mu2).coords_to_polynomial(v),
+                                    s.component(mu3).coords_to_polynomial(w),
+                                )
+                                rows.setdefault(mu, []).append(comp.normal_form(value))
+        want = {}
+        for mu, vecs in rows.items():
+            basis = rref(field, s.component(mu).quotient_dim, vecs)
+            if basis.rank:
+                want[mu] = basis
+        assert s.associator_space(full, mid, full).parts == want
+        # (A, [A, A], A) vanishes in an assosymmetric algebra
+        assert bool(want) == ((name, middle) != ("assosymmetric", "H_2"))
+
+    def test_each_pair_product_formed_once(self, monkeypatch):
+        # every u*v and v*w is multiplied once per call, so the products
+        # number at most two per row triple, (uv)w and u(vw), plus one per
+        # (u, v) and per (v, w) pair of rows; forming all four per triple
+        # makes 4 per triple
+        s = make_slice("novikov", k=2, cap=4)
+        full = s.full()
+        dims = {mu: b.rank for mu, b in full.parts.items()}
+        triples = sum(
+            dims[a] * dims[b] * dims[c]
+            for a in dims
+            for b in dims
+            for c in dims
+            if sum(a) + sum(b) + sum(c) <= 4
+        )
+        pairs = sum(dims[a] * dims[b] for a in dims for b in dims if sum(a) + sum(b) <= 3)
+        calls = 0
+        add_product = FreeAlgebraComponent.add_product
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return add_product(self, *args)
+
+        monkeypatch.setattr(FreeAlgebraComponent, "add_product", counted)
+        s.associator_space(full, full, full)
+        assert calls <= 2 * triples + 2 * pairs < 4 * triples
 
 
 class TestChains:

@@ -144,12 +144,6 @@ class TestPolynomialArithmetic:
         (m,) = xy.terms
         assert multidegree(m, 2) == (1, 1)
 
-    def test_multiply_cap_truncates(self):
-        x = Polynomial.of(QQ, leaf(0))
-        xx = multiply(x, x)
-        assert not multiply(xx, xx, cap=3)
-        assert multiply(xx, xx, cap=4)
-
     def test_commutator_antisymmetric(self):
         x, y = Polynomial.of(QQ, leaf(0)), Polynomial.of(QQ, leaf(1))
         assert not commutator(x, y).add(commutator(y, x))

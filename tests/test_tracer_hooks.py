@@ -22,6 +22,9 @@ KNOWN_MISSING = {
     "lieadm.fdalg.rref": "the audit's chains eliminate through AlgebraSlice.span",
     "lieadm.fdalg.sum_bases": "the audit's chains sum through AlgebraSlice.sum",
     "lieadm.fdalg.member": "was an unused import; the audit never reduces against a basis",
+    "lieadm.fdalg.FiniteDimAlgebra.multiply": (
+        "deleted; membership multiplies through terms.evaluate and add_product"
+    ),
 }
 
 SPAN_METHODS = ("product_space", "bracket_space", "sum", "ideal_closure", "check_inclusion")

@@ -340,6 +340,19 @@ class TestNormalForm:
                         seen.add(want)
         assert seen == {int, Fraction}
 
+    def test_identity_killing_the_generators(self):
+        # 2*x = 0 over Q kills every generator, so every class is zero: the
+        # evaluator's leaves are the empty degree-1 classes
+        v = custom_variety(["2*x"], name="null")
+        for mu in ((1, 0), (1, 1), (2, 1), (1, 1, 1)):
+            comp = component_basis(v, QQ, len(mu), mu)
+            assert comp.quotient_dim == 0
+            for m in enumerate_monomials(len(mu), mu):
+                assert not comp.normal_form(P(QQ, m))
+        for source in ("x*y - y*x", "x*x"):
+            r = verify_identity(v, QQ, Identity("t", source))
+            assert r.holds and r.witness is None
+
     def test_wrong_multidegree_rejected(self):
         comp = component_basis(builtin_variety("novikov"), QQ, 2, (2, 1))
         with pytest.raises(InputError):
