@@ -17,6 +17,9 @@ The chains and the powers of the commutator ideal use the span calculus
 of ``ideals.AlgebraSlice``; one span calculus serves both kinds of
 algebra. A structure-constant algebra is the one component of a slice,
 under the empty multidegree with degree cap 0, so nothing is truncated.
+One audit runs its three chain computations on one slice, so a span such
+as [A, A] (the second Lie power, the generator of H_2 and of the
+commutator ideal) is formed once per audit, through the slice's memo.
 
 Membership evaluates each identity on every tuple of basis vectors,
 through ``terms.evaluate`` with the basis vectors as leaves. One audit
@@ -287,7 +290,10 @@ def check_membership(
 
 
 # ---------------------------------------------------------------------------
-# chains, through the span calculus of ideals.AlgebraSlice
+# chains, through the span calculus of ideals.AlgebraSlice. Each function
+# runs on the slice it is given, or on a fresh one; an audit passes one slice
+# to all three, so they share its chain terms and its span memo, and the
+# slice is dropped with the audit, never stored on the algebra.
 
 
 class _FdSlice(AlgebraSlice):
@@ -350,17 +356,19 @@ def _iterate_chain(kind: str, term) -> FdChainReport:
     return FdChainReport(kind, terms)
 
 
-def lie_series_fd(alg: FiniteDimAlgebra) -> FdChainReport:
-    return _iterate_chain("lie-powers", _FdSlice(alg).a_term)
+def lie_series_fd(alg: FiniteDimAlgebra, s: Optional[_FdSlice] = None) -> FdChainReport:
+    return _iterate_chain("lie-powers", (s or _FdSlice(alg)).a_term)
 
 
-def lower_central_fd(alg: FiniteDimAlgebra) -> FdChainReport:
-    return _iterate_chain("lower-central", _FdSlice(alg).h_term)
+def lower_central_fd(alg: FiniteDimAlgebra, s: Optional[_FdSlice] = None) -> FdChainReport:
+    return _iterate_chain("lower-central", (s or _FdSlice(alg)).h_term)
 
 
-def commutator_ideal_nilpotency(alg: FiniteDimAlgebra) -> Optional[int]:
+def commutator_ideal_nilpotency(
+    alg: FiniteDimAlgebra, s: Optional[_FdSlice] = None
+) -> Optional[int]:
     """Smallest m with (A o A)^m = 0, or None within dim+1 powers."""
-    s = _FdSlice(alg)
+    s = s or _FdSlice(alg)
     powers = [None, s.commutator_ideal(s.full(), s.full())]
     for m in range(1, alg.dim + 2):
         if powers[m].is_zero():
@@ -417,9 +425,10 @@ def audit(alg: FiniteDimAlgebra) -> AuditReport:
         name: check_membership(alg, builtin_variety(name), table)
         for name in variety_names()
     }
-    lie = lie_series_fd(alg)
-    lower = lower_central_fd(alg)
-    index = commutator_ideal_nilpotency(alg)
+    s = _FdSlice(alg)
+    lie = lie_series_fd(alg, s)
+    lower = lower_central_fd(alg, s)
+    index = commutator_ideal_nilpotency(alg, s)
 
     checks = []
 

@@ -16,6 +16,14 @@ a component only through ``quotient_dim`` and ``add_product``, so
 ``fdalg`` runs its chains on a slice whose one component is a
 structure-constant algebra, under the empty multidegree with cap 0: its
 products have total degree 0, and nothing is ever truncated.
+
+Each slice memoizes its span products and brackets (``_pair_space``),
+keyed by the operation and the parts of both operands. Every part is a
+unique reduced echelon basis and parts are sorted, so equal keys mean
+equal spans, and the named checks, which combine the same chain terms,
+closures and brackets over and over, compute each distinct one once per
+slice. [v, u] = -[u, v] spans the same subspace as [u, v], so a bracket
+is stored under both operand orders. The memo lives as long as the slice.
 """
 
 from __future__ import annotations
@@ -104,6 +112,7 @@ class AlgebraSlice:
         "_h",
         "_a",
         "_a_closed",
+        "_memo",
     )
 
     def __init__(
@@ -129,7 +138,8 @@ class AlgebraSlice:
     def _init_spans(self, field: Field, degree_cap: int, components: dict) -> None:
         """The state every span operation reads: the field, the degree cap,
         the components by multidegree (each with ``quotient_dim`` and
-        ``add_product``) and the memoized chain terms."""
+        ``add_product``), the memoized chain terms and the memo of
+        ``_pair_space``."""
         self.field = field
         self.degree_cap = degree_cap
         self.components = components
@@ -137,6 +147,7 @@ class AlgebraSlice:
         self._h: list = [None]
         self._a: list = [None]
         self._a_closed: dict[int, GradedSubspace] = {}
+        self._memo: dict[tuple, GradedSubspace] = {}
 
     def component(self, mu: tuple[int, ...]) -> FreeAlgebraComponent:
         comp = self.components.get(mu)
@@ -177,13 +188,23 @@ class AlgebraSlice:
 
     def _pair_space(self, U: GradedSubspace, V: GradedSubspace, bracket: bool) -> GradedSubspace:
         """Span of the products u*v, or of the brackets [u, v] when
-        ``bracket``, over the basis rows u of U and v of V."""
+        ``bracket``, over the basis rows u of U and v of V.
+
+        Memoized on the slice by ``(bracket, parts of U, parts of V)`` for
+        the slice's lifetime; see the module docstring. Operands from
+        another slice are refused before the lookup, even with equal parts.
+        A bracket span is stored under both operand orders."""
         self._same(U)
         self._same(V)
+        a, b = tuple(U.parts.items()), tuple(V.parts.items())
+        key = (bracket, a, b)
+        got = self._memo.get(key)
+        if got is not None:
+            return got
         p = self.field.char
         rows: dict[tuple, list] = {}
-        for mu1, b1 in U.parts.items():
-            for mu2, b2 in V.parts.items():
+        for mu1, b1 in a:
+            for mu2, b2 in b:
                 mu = mdeg_add(mu1, mu2)
                 if mdeg_total(mu) > self.degree_cap:
                     continue
@@ -198,7 +219,10 @@ class AlgebraSlice:
                         acc = reduced(p, acc)
                         if acc:
                             bucket.append(acc)
-        return self.span(rows)
+        got = self._memo[key] = self.span(rows)
+        if bracket:
+            self._memo[(True, b, a)] = got
+        return got
 
     def product_space(self, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
         return self._pair_space(U, V, False)
@@ -211,34 +235,42 @@ class AlgebraSlice:
     ) -> GradedSubspace:
         """Span of the associators (uv)w - u(vw) over the basis rows u of U,
         v of V and w of W: the catalog ``assoc`` template evaluated by
-        ``terms.evaluate`` on rows keyed (operand, multidegree, row index),
-        so each u*v and v*w is formed once per call, not once per triple."""
+        ``terms.evaluate`` on rows keyed (part number, row index), each
+        distinct part of the operands numbered once, so each product of
+        two rows is formed once per call, even across operands."""
         operands = (U, V, W)
         for X in operands:
             self._same(X)
         p = self.field.char
-        parts = [(o, mu, b.rows) for o, X in enumerate(operands) for mu, b in X.parts.items()]
-        units = {((o, mu, i),): (mu, r.entries) for o, mu, rs in parts for i, r in enumerate(rs)}
+        numbers: dict = {}  # (multidegree, part) -> part number
+        legs = []  # per operand: (multidegree, leaf keys of the rows) per part
+        for X in operands:
+            leg = []
+            for mu, b in X.parts.items():
+                n = numbers.setdefault((mu, b), len(numbers))
+                leg.append((mu, [(n, i) for i in range(b.rank)]))
+            legs.append(leg)
+        units = {
+            ((n, i),): (mu, r.entries)
+            for (mu, b), n in numbers.items()
+            for i, r in enumerate(b.rows)
+        }
         table = {(1,): units}
         template = builtin("assoc").template(self.field)
         terms = [(m, itemgetter(*m.leaves), c) for m, c in template.terms.items()]
         cap = self.degree_cap
         rows: dict[tuple, list] = {}
-        for mu1, b1 in U.parts.items():
-            for mu2, b2 in V.parts.items():
+        for mu1, keys1 in legs[0]:
+            for mu2, keys2 in legs[1]:
                 room = cap - mdeg_total(mu1) - mdeg_total(mu2)
                 if room < 0:
                     continue
-                for mu3, b3 in W.parts.items():
+                for mu3, keys3 in legs[2]:
                     if mdeg_total(mu3) > room:
                         continue
                     mu = mdeg_add(mdeg_add(mu1, mu2), mu3)
                     bucket = rows.setdefault(mu, [])
-                    for keys in itertools.product(
-                        [(0, mu1, i) for i in range(b1.rank)],
-                        [(1, mu2, j) for j in range(b2.rank)],
-                        [(2, mu3, l) for l in range(b3.rank)],
-                    ):
+                    for keys in itertools.product(keys1, keys2, keys3):
                         acc: dict = {}
                         for m, leaves_of, c in terms:
                             for j, w in evaluate(m, leaves_of(keys), table, self.components, p)[1]:

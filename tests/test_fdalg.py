@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import lieadm
 from lieadm.cli import main
 from lieadm.errors import ResourceError, SchemaError
+from lieadm.ideals import AlgebraSlice
 from lieadm.fdalg import (
     MAX_AUDIT_COST,
     MAX_DIM,
@@ -389,6 +390,40 @@ class TestAudit:
         assert FiniteDimAlgebra.__slots__ == ("field", "dim", "products")
         assert not hasattr(a, "__dict__")
         assert (a.field, a.dim, a.products) == state
+
+    @pytest.mark.parametrize("name", ["heis3.json", "nonmember2.json", "sq2.json"])
+    def test_chains_share_one_slice(self, monkeypatch, name):
+        # the audit's three chain computations run on one slice, so each
+        # distinct span product, such as [A, A] (A[2], and the generator of
+        # H_2 and of the commutator ideal), is computed once per audit, and
+        # the results equal those of the standalone functions
+        a = load(name)
+        alone = (
+            lie_series_fd(a).to_doc(),
+            lower_central_fd(a).to_doc(),
+            commutator_ideal_nilpotency(a),
+        )
+        computed = []
+        pair_space, span = AlgebraSlice._pair_space, AlgebraSlice.span
+        current = []
+
+        def recorded_pair_space(self, U, V, bracket):
+            current.append((bracket, tuple(U.parts.items()), tuple(V.parts.items())))
+            try:
+                return pair_space(self, U, V, bracket)
+            finally:
+                current.pop()
+
+        def recorded_span(self, rows):
+            if current:
+                computed.append(current[-1])
+            return span(self, rows)
+
+        monkeypatch.setattr(AlgebraSlice, "_pair_space", recorded_pair_space)
+        monkeypatch.setattr(AlgebraSlice, "span", recorded_span)
+        doc = audit(a).to_doc()
+        assert (doc["lie_powers"], doc["lower_central"], doc["commutator_ideal_index"]) == alone
+        assert computed and len(set(computed)) == len(computed)
 
     def test_shared_table_gives_standalone_verdicts(self):
         a = load("nonmember2.json")

@@ -1,5 +1,7 @@
 """Graded subspace calculus on truncated relatively free algebras."""
 
+import random
+
 import pytest
 
 from lieadm.errors import InputError
@@ -19,6 +21,31 @@ from naive_oracle import naive_is_zero, naive_reducer
 
 def make_slice(name="novikov", field=QQ, k=2, cap=4, **kw):
     return AlgebraSlice(builtin_variety(name), field, k, cap, **kw)
+
+
+def count_pair_spaces(monkeypatch) -> dict:
+    """Live counts of ``_pair_space`` calls and of the calls among them
+    that compute a span (``span`` called inside) instead of reading the memo."""
+    counts = {"calls": 0, "computed": 0}
+    pair_space, span = AlgebraSlice._pair_space, AlgebraSlice.span
+    inside = []
+
+    def counted_pair_space(self, U, V, bracket):
+        counts["calls"] += 1
+        inside.append(True)
+        try:
+            return pair_space(self, U, V, bracket)
+        finally:
+            inside.pop()
+
+    def counted_span(self, rows):
+        if inside:
+            counts["computed"] += 1
+        return span(self, rows)
+
+    monkeypatch.setattr(AlgebraSlice, "_pair_space", counted_pair_space)
+    monkeypatch.setattr(AlgebraSlice, "span", counted_span)
+    return counts
 
 
 class TestSliceBasics:
@@ -193,8 +220,7 @@ class TestAssociatorSpace:
     def test_each_pair_product_formed_once(self, monkeypatch):
         # every u*v and v*w is multiplied once per call, so the products
         # number at most two per row triple, (uv)w and u(vw), plus one per
-        # (u, v) and per (v, w) pair of rows; forming all four per triple
-        # makes 4 per triple
+        # pair of rows; forming all four per triple makes 4 per triple
         s = make_slice("novikov", k=2, cap=4)
         full = s.full()
         dims = {mu: b.rank for mu, b in full.parts.items()}
@@ -216,7 +242,71 @@ class TestAssociatorSpace:
 
         monkeypatch.setattr(FreeAlgebraComponent, "add_product", counted)
         s.associator_space(full, full, full)
-        assert calls <= 2 * triples + 2 * pairs < 4 * triples
+        # the (u, v) and (v, w) pairs of one subspace passed twice are the
+        # same pairs of rows, formed once
+        assert calls <= 2 * triples + pairs < 4 * triples
+
+
+# a battery of named checks that share chain terms, brackets and closures
+BATTERY = [
+    ("th_pro", {"p": 1, "q": 2}),
+    ("th_pro", {"p": 2, "q": 2}),
+    ("th_pro", {"m": 2}),
+    ("circ_pro", {"p": 1, "q": 2}),
+    ("circ_pro", {"p": 2, "q": 2}),
+    ("prod_com_id", {"i": 2}),
+    ("prod_com_id", {"i": 3}),
+    ("lem_ideal", {}),
+]
+
+
+class TestSpanMemo:
+    def test_foreign_operand_with_memoized_parts_rejected(self):
+        s, other = make_slice(), make_slice()
+        full = s.full()
+        s.bracket_space(full, full)
+        s.product_space(full, full)
+        assert other.full().parts == full.parts
+        with pytest.raises(InputError):
+            s.bracket_space(other.full(), full)
+        with pytest.raises(InputError):
+            s.product_space(full, other.full())
+
+    def test_reversed_bracket_read_from_memo(self, monkeypatch):
+        s = make_slice()
+        full, a2 = s.full(), s.a_term(2)
+        s.bracket_space(full, a2)
+        calls = 0
+        add_product = FreeAlgebraComponent.add_product
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return add_product(self, *args)
+
+        monkeypatch.setattr(FreeAlgebraComponent, "add_product", counted)
+        got = s.bracket_space(a2, full)
+        assert calls == 0
+        monkeypatch.undo()
+        fresh = make_slice()
+        assert got.parts == fresh.bracket_space(fresh.a_term(2), fresh.full()).parts
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_battery_on_one_slice_matches_fresh_slices(self, monkeypatch, field):
+        fresh = [
+            check_theorem(make_slice(field=field), name, params).to_doc()
+            for name, params in BATTERY
+        ]
+        counts = count_pair_spaces(monkeypatch)
+        for seed in range(3):
+            order = random.Random(seed).sample(range(len(BATTERY)), len(BATTERY))
+            s = make_slice(field=field)
+            counts.update(calls=0, computed=0)
+            for i in order:
+                assert check_theorem(s, *BATTERY[i]).to_doc() == fresh[i]
+            # each distinct product or bracket is computed once per slice,
+            # whatever the order of the checks: 13 of 38 calls
+            assert (counts["calls"], counts["computed"]) == (38, 13)
 
 
 class TestChains:
