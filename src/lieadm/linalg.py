@@ -17,13 +17,20 @@ finished vector (``reduced``). ``rref`` works the same way
 on integer rows for both fields, reducing mod p and making each row monic
 over F_p, or making it primitive with a positive lead over Q, where a
 non-integral ``Fraction`` appears only in the finished basis.
+
+A basis computes its hash once and, when first reduced against, a map
+from each pivot column to its row. Since every row vanishes at the other
+pivots, ``member`` clears only the pivot columns present in a vector, in
+one pass. ``sum_bases`` reduces the smaller basis against the larger one
+that way and returns the larger one itself when nothing is left over;
+otherwise only the larger basis's rows and the leftovers are eliminated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import FieldError, InputError
 
@@ -238,6 +245,22 @@ def _row_as_dict(row, ambient_dim: int, p: int) -> dict[int, int]:
     return {j: v.numerator * (lcm // v.denominator) for j, v in out.items()}
 
 
+def _integral(p: int, entries) -> dict[int, int]:
+    """The integer row of (index, scalar) pairs the engine made itself, such
+    as the rows of an ``EchelonBasis``: indices in range and no zeros, so
+    unlike ``_row_as_dict`` nothing is checked. Over F_p the scalars are
+    ints in [0, p) already; over Q the row is scaled by the lcm of its
+    denominators. ``entries`` is read twice."""
+    if p:
+        return dict(entries)
+    lcm = 1
+    for _, c in entries:
+        d = c.denominator
+        if d != 1:
+            lcm = lcm // gcd(lcm, d) * d
+    return {j: c.numerator * (lcm // c.denominator) for j, c in entries}
+
+
 # ---------------------------------------------------------------------------
 # echelon bases
 
@@ -246,23 +269,32 @@ class EchelonBasis:
     """A subspace held in reduced row-echelon form.
 
     Rows are monic at their pivots, pivot columns vanish in every other
-    row, and pivots increase strictly. Instances are immutable.
+    row, and pivots increase strictly. Instances are immutable, so the
+    hash and the pivot index are computed once, when first asked for.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_hash", "_index")
 
     def __init__(self, field: Field, ambient_dim: int, rows: tuple[SparseVector, ...]):
         self.field = field
         self.ambient_dim = ambient_dim
         self.rows = rows
         self.pivots = tuple(r.leading()[0] for r in rows)
+        self._hash: Optional[int] = None
+        self._index: Optional[dict[int, tuple]] = None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
+    def pivot_index(self) -> dict[int, tuple]:
+        """Pivot column -> entries of the row with that pivot."""
+        if self._index is None:
+            self._index = {j: r.entries for j, r in zip(self.pivots, self.rows)}
+        return self._index
+
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, EchelonBasis)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
@@ -270,7 +302,9 @@ class EchelonBasis:
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ambient_dim, self.rows))
+        if self._hash is None:
+            self._hash = hash((self.field, self.ambient_dim, self.rows))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"EchelonBasis(field={self.field.name}, ambient={self.ambient_dim}, rank={self.rank})"
@@ -306,9 +340,15 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
     divides it and becomes a ``Fraction`` otherwise.
     """
     p = field.char
+    return _rref(field, ambient_dim, (_row_as_dict(r, ambient_dim, p) for r in rows))
+
+
+def _rref(field: Field, ambient_dim: int, rows: Iterable[dict[int, int]]) -> EchelonBasis:
+    """``rref`` of integer rows already read (``_row_as_dict``, ``_integral``),
+    which it updates in place."""
+    p = field.char
     piv: dict[int, dict[int, int]] = {}
-    for r in rows:
-        row = _row_as_dict(r, ambient_dim, p)
+    for row in rows:
         for j in [j for j in row if j in piv]:
             _eliminate(p, row, j, piv[j])
         row = _normalized(p, row)
@@ -384,6 +424,16 @@ def _normalized(p: int, row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+def canonical_row(p: int, row: dict) -> dict[int, int]:
+    """The representative of the line of ``row`` that ``rref`` stores
+    (``_normalized``), for a row the engine built: int or ``Fraction``
+    scalars, zeros allowed, indices not checked. Two rows span the same
+    line exactly when their canonical rows are equal."""
+    if not p:
+        row = _integral(0, reduced(0, row).items())
+    return _normalized(p, row)
+
+
 def _strip_content(row: dict[int, int]) -> None:
     g = 0
     for v in row.values():
@@ -410,19 +460,24 @@ class MemberResult:
         self.residual = residual
 
 
+def _residual(p: int, row: dict, index: dict[int, tuple]) -> dict:
+    """``row`` reduced against the basis rows of ``index`` (``pivot_index``),
+    in place, then without its zeros (``reduced``). A basis row vanishes at
+    every other pivot, so clearing the pivot columns present in ``row``,
+    once each and in any order, leaves it in the free columns."""
+    for piv in [j for j in row if j in index]:
+        c = row[piv] % p if p else row[piv]
+        if c:
+            for j, w in index[piv]:
+                row[j] = row.get(j, 0) - c * w
+        del row[piv]
+    return reduced(p, row)
+
+
 def member(basis: EchelonBasis, v) -> MemberResult:
     """Reduce ``v`` against the basis rows."""
     p = basis.field.char
-    row = _row_as_dict(v, basis.ambient_dim, p)
-    for piv, brow in zip(basis.pivots, basis.rows):
-        c = row.get(piv, 0)
-        if p:
-            c %= p
-        if c:
-            for j, w in brow.entries:
-                row[j] = row.get(j, 0) - c * w
-            del row[piv]
-    row = reduced(p, row)
+    row = _residual(p, _row_as_dict(v, basis.ambient_dim, p), basis.pivot_index())
     if not row:
         return MemberResult(True, SparseVector(()))
     ic = basis.field.inv(row[min(row)])
@@ -431,11 +486,24 @@ def member(basis: EchelonBasis, v) -> MemberResult:
 
 
 def sum_bases(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
-    """Canonical basis of the subspace sum a + b."""
+    """Canonical basis of the subspace sum a + b.
+
+    The rows of the smaller basis (``b`` on a tie) are reduced against the
+    larger one. When none is left over, the sum is the larger basis, and
+    that very object is returned; otherwise only the larger basis's rows
+    and the leftovers are eliminated. The rows of a basis are read
+    unchecked (``_integral``); the field and ambient dimension are
+    checked here."""
     if a.field != b.field or a.ambient_dim != b.ambient_dim:
         raise InputError("subspace sum needs matching field and ambient dimension")
-    if not b.rows:
-        return a
-    if not a.rows:
-        return b
-    return rref(a.field, a.ambient_dim, a.rows + b.rows)
+    big, small = (a, b) if a.rank >= b.rank else (b, a)
+    if not small.rows:
+        return big
+    p = a.field.char
+    index = big.pivot_index()
+    rest = [row for r in small.rows if (row := _residual(p, dict(r.entries), index))]
+    if not rest:
+        return big
+    rows = [_integral(p, r.entries) for r in big.rows]
+    rows += [_integral(p, row.items()) for row in rest]
+    return _rref(a.field, a.ambient_dim, rows)

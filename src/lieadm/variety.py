@@ -20,6 +20,9 @@ canonical ones, whichever way the component is built. A product of two
 normal monomials is a column, so its normal form is a table look-up.
 Substitutions and normal forms are evaluated by ``terms.evaluate``, as
 an audit evaluates identities on basis vectors.
+An identity antisymmetric in two variables gives the same relation line
+(up to sign) for a substitution and for its swap, so only one of the
+two, the orbit representative that comes first, is evaluated.
 The relation rows reach the elimination one identity at a time, each
 block in descending lead order, which cuts the work of keeping the pivot
 rows reduced; the order changes only the work, never the basis.
@@ -31,12 +34,13 @@ immutable once built; lower components come from the same cache.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from functools import lru_cache
+from operator import itemgetter, le, lt
 from typing import Iterable, Optional
 
 from .errors import InputError, ResourceError, UnsupportedVarietyError
 from .exprs import Identity, builtin
-from .linalg import Field, SparseVector, reduced, rref
+from .linalg import Field, SparseVector, canonical_row, rref
 from .terms import (
     Monomial,
     Polynomial,
@@ -139,16 +143,41 @@ def _compositions(mu: tuple[int, ...], m: int) -> list[tuple[tuple[int, ...], ..
     ]
 
 
+@lru_cache(maxsize=None)
+def _antisymmetric_pair(ident: Identity, field: Field) -> Optional[tuple[int, int]]:
+    """The first pair i < j of variables whose swap negates the identity's
+    template over the field (coefficients mod p), or None."""
+    template = ident.template(field)
+    negated = Polynomial(field, {t: -c for t, c in template.terms.items()})
+    m = len(ident.variables)
+    for i, j in itertools.combinations(range(m), 2):
+        swap = {v: leaf(v) for v in range(m)}
+        swap[i], swap[j] = swap[j], swap[i]
+        if substitute(template, swap) == negated:
+            return i, j
+    return None
+
+
 def relation_rows(
     variety: VarietySpec, field: Field, k: int, mu: tuple[int, ...], space=None
-) -> list[dict[int, object]]:
+) -> list[dict[int, int]]:
     """Deduplicated top-level relation rows at mu, as column->coefficient
     dicts over the product space (``space``, from ``_product_space``),
-    each monic at its first column.
+    each the representative ``rref`` stores (``linalg.canonical_row``):
+    monic over F_p, primitive integers with a positive lead over Q.
 
     For each identity term g*h, g and h are evaluated on the lower normal
     monomials, keyed (part, pick), through ``terms.evaluate`` with one table
     per call, and their classes are placed into the product-space columns.
+
+    Only orbit representatives are evaluated. When the identity is
+    antisymmetric in variables i < j (``_antisymmetric_pair``), a
+    substitution and its swap give the same line, and equal keys at i and
+    j give zero outside characteristic 2. Keys are enumerated in the order
+    of (total degree of part, part, pick), so a substitution is evaluated
+    only when its key at i ranks below its key at j, or equals it over
+    F_2: exactly the first of each pair, which is the one the duplicate
+    check would keep, so the rows are the same in the same order.
 
     The rows come in one block per identity, in the variety's identity
     order. Within a block they are stably sorted by descending lead
@@ -161,10 +190,11 @@ def relation_rows(
     lower, cols = space or _product_space(variety, field, k, mu)
     columns = {key: j for j, (key, _) in enumerate(cols)}
     p = field.char
+    keep = le if p == 2 else lt  # equal picks at a swapped pair give a row only over F_2
     units = {((a, q),): (a, ((q, 1),)) for a, c in lower.items() for q in range(c.quotient_dim)}
     table = {(1,): units}
     seen = set()
-    rows: list[dict[int, object]] = []
+    rows: list[dict[int, int]] = []
     for ident in variety.identities:
         template = ident.template(field)
         if not ident.multilinear(field):
@@ -179,15 +209,25 @@ def relation_rows(
             # c*x = 0 kills every element, so every column is a relation
             rows += [{j: 1} for j in reversed(range(len(cols)))]
             continue
-        block: list[dict[int, object]] = []
+        block: list[dict[int, int]] = []
         # a term has m >= 2 leaves, so itemgetter gives a tuple
         terms = [
             (t.left, t.right, t.left.degree, itemgetter(*t.leaves), c)
             for t, c in template.terms.items()
         ]
+        pair = _antisymmetric_pair(ident, field)
         for parts in _compositions(mu, m):
             pools = [[(part, pick) for pick in range(lower[part].quotient_dim)] for part in parts]
-            for keys in itertools.product(*pools):
+            substitutions = itertools.product(*pools)
+            if pair is not None:
+                u, v = pair
+                rank_u = (mdeg_total(parts[u]), parts[u])
+                rank_v = (mdeg_total(parts[v]), parts[v])
+                if rank_u > rank_v:
+                    continue
+                if rank_u == rank_v:
+                    substitutions = (s for s in substitutions if keep(s[u][1], s[v][1]))
+            for keys in substitutions:
                 row: dict[int, object] = {}
                 for left, right, d, leaves_of, c in terms:
                     args = leaves_of(keys)
@@ -198,10 +238,8 @@ def relation_rows(
                         for q2, yq in y:
                             j = columns[(a, q1, q2)]
                             row[j] = row.get(j, 0) + cx * yq
-                row = reduced(p, row)
+                row = canonical_row(p, row)
                 if row:
-                    ic = field.inv(row[min(row)])
-                    row = reduced(p, {j: c * ic for j, c in row.items()})
                     fingerprint = tuple(sorted(row.items()))
                     if fingerprint not in seen:
                         seen.add(fingerprint)

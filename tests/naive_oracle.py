@@ -143,27 +143,36 @@ def naive_relation_polys(sources, k, mu):
 
 
 class DenseReducer:
-    """Classic Gaussian elimination over Fraction lists."""
+    """Classic Gaussian elimination over Fraction lists, or over int lists
+    mod p when ``p`` is a prime."""
 
-    def __init__(self, width):
+    def __init__(self, width, p=0):
         self.width = width
+        self.p = p
         self.rows = []  # (pivot_col, monic_row)
 
     def reduce(self, row):
-        row = list(row)
+        p = self.p
+        row = [a % p for a in row] if p else list(row)
         for pc, br in self.rows:
             c = row[pc]
             if c:
                 for j in range(self.width):
                     row[j] -= c * br[j]
+                    if p:
+                        row[j] %= p
         return row
 
     def insert(self, row):
         row = self.reduce(row)
         for j in range(self.width):
             if row[j]:
-                inv = Fraction(1) / row[j]
-                row = [a * inv for a in row]
+                if self.p:
+                    inv = pow(row[j], self.p - 2, self.p)
+                    row = [a * inv % self.p for a in row]
+                else:
+                    inv = Fraction(1) / row[j]
+                    row = [a * inv for a in row]
                 self.rows.append((j, row))
                 return True
         return False

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from lieadm import ideals as ideals_module
+from lieadm import linalg
 from lieadm.errors import InputError
 from lieadm.ideals import (
     AlgebraSlice,
@@ -258,6 +260,35 @@ BATTERY = [
     ("prod_com_id", {"i": 3}),
     ("lem_ideal", {}),
 ]
+
+
+class TestClosureWork:
+    def test_closure_of_an_ideal_keeps_its_parts_and_eliminates_nothing(self, monkeypatch):
+        s = make_slice("bicommutative", QQ, 2, 4)
+        ideal = s.h_term(2)
+        assert not ideal.is_zero()
+        eliminate, sum_bases = linalg._rref, ideals_module._sum_bases
+        eliminations, sums = [], []
+
+        def counted_rref(*args):
+            eliminations.append(args)
+            return eliminate(*args)
+
+        def watched_sum(a, b):
+            before = len(eliminations)
+            got = sum_bases(a, b)
+            sums.append((got is a or got is b, got in (a, b), len(eliminations) - before))
+            return got
+
+        monkeypatch.setattr(linalg, "_rref", counted_rref)
+        monkeypatch.setattr(ideals_module, "_sum_bases", watched_sum)
+        closed = s.ideal_closure(ideal)
+        assert closed.parts.keys() == ideal.parts.keys()
+        assert all(closed.parts[mu] is part for mu, part in ideal.parts.items())
+        assert sums
+        # a sum equal to one operand is that operand, and eliminates nothing
+        assert all(kept == contained and (not contained or n == 0) for kept, contained, n in sums)
+        assert any(contained for _, contained, _ in sums)
 
 
 class TestSpanMemo:

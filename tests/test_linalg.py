@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lieadm import linalg
 from lieadm.errors import FieldError, InputError
 from lieadm.linalg import (
     GF,
@@ -18,6 +19,8 @@ from lieadm.linalg import (
     rref,
     sum_bases,
 )
+
+from naive_oracle import DenseReducer
 
 
 def frac_rows(rows):
@@ -402,6 +405,115 @@ class TestSubspaceOps:
         rows1 = frac_rows([{0: 1, 1: 1}, {1: 1, 2: 1}])
         rows2 = frac_rows([{0: 1, 2: -1}, {0: 1, 1: 2, 2: 1}])
         assert rref(QQ, 3, rows1) == rref(QQ, 3, rows2)
+
+
+class TestIncrementalSums:
+    """sum_bases reduces the smaller basis against the larger one through
+    its pivot index and keeps the larger one when nothing is left over."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_larger_operand_returned_when_other_inside(self, field, monkeypatch):
+        big = rref(field, 5, [{0: 1, 1: 2}, {2: 1, 3: Fraction(1, 3)}, {1: 1, 4: 3}])
+        small = rref(field, 5, [{0: 1, 1: 4, 4: 6}])  # row 1 + 2 * row 3
+        twin = EchelonBasis(field, 5, big.rows)
+        outside = rref(field, 5, [{3: 1}])
+        want = rref(field, 5, small.rows + outside.rows)
+        calls, inner = [], linalg._rref
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(linalg, "_rref", counted)
+        assert sum_bases(big, small) is big
+        assert sum_bases(small, big) is big
+        # equal spans: the first operand on a tie
+        assert sum_bases(big, twin) is big and sum_bases(twin, big) is twin
+        assert sum_bases(big, EchelonBasis(field, 5, ())) is big
+        assert calls == []
+        assert sum_bases(small, outside) == want
+        assert len(calls) == 1
+
+    def test_hash_computed_once_as_the_tuple_hash(self):
+        b = rref(QQ, 4, frac_rows([{0: 1, 2: 3}, {1: 2, 3: -1}]))
+        assert hash(b) == hash((b.field, b.ambient_dim, b.rows))
+        assert b._hash == hash(b)
+        again = rref(QQ, 4, b.rows[::-1])
+        assert again == b and hash(again) == hash(b)
+
+    def test_pivot_index_built_lazily(self):
+        b = rref(GF(7), 4, [{0: 1, 2: 3}, {1: 2, 3: 1}])
+        assert b._index is None
+        member(b, {2: 1})
+        assert b.pivot_index() == {piv: r.entries for piv, r in zip(b.pivots, b.rows)}
+
+
+def dense(p, n, row):
+    return [row.get(j, 0) % p if p else Fraction(row.get(j, 0)) for j in range(n)]
+
+
+def oracle_of(p, n, rows):
+    red = DenseReducer(n, p)
+    for r in rows:
+        red.insert(dense(p, n, r))
+    return red
+
+
+@st.composite
+def subspace_cases(draw):
+    """Two random row sets over Q (``Fraction`` entries) or GF(p); the
+    second is, half the time, random combinations of the first. Plus a
+    random vector, which may be a combination of the first set."""
+    p = draw(st.sampled_from((0, 2, 5)))
+    n = draw(st.integers(1, 6))
+    if p:
+        scalars = st.integers(0, p - 1)
+    else:
+        scalars = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    rows = st.lists(st.dictionaries(st.integers(0, n - 1), scalars, max_size=n), max_size=5)
+    a = draw(rows)
+
+    def combination():
+        acc = {}
+        for r in a:
+            c = draw(scalars)
+            for j, x in r.items():
+                acc[j] = acc.get(j, 0) + c * x
+        return acc
+
+    b = [combination() for _ in range(draw(st.integers(0, 4)))] if draw(st.booleans()) else draw(rows)
+    v = combination() if draw(st.booleans()) else draw(st.dictionaries(st.integers(0, n - 1), scalars))
+    return p, n, a, b, v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(subspace_cases())
+def test_sum_and_member_agree_with_dense_reducer(case):
+    p, n, a, b, v = case
+    field = field_of_char(p)
+    A, B = rref(field, n, a), rref(field, n, b)
+    S = sum_bases(A, B)
+    # S is a + b: the dense rank of both row sets, and spanned by them
+    both = oracle_of(p, n, a + b)
+    assert S.rank == both.rank
+    assert all(not any(both.reduce(dense(p, n, dict(r.entries)))) for r in S.rows)
+    assert S == sum_bases(B, A)
+    inside = all(not any(oracle_of(p, n, a).reduce(dense(p, n, r))) for r in b)
+    if inside:
+        assert S is A
+    # member: the verdict of the dense reducer; outside, a monic residual
+    # free of A's pivots that lies in A + <v> but not in A
+    got = member(A, v)
+    alone = oracle_of(p, n, a)
+    assert got.inside == (not any(alone.reduce(dense(p, n, v))))
+    if got.inside:
+        assert not got.residual
+    else:
+        res = dict(got.residual.entries)
+        assert res[min(res)] == 1
+        assert not set(res) & set(A.pivots)
+        assert any(alone.reduce(dense(p, n, res)))
+        assert not any(oracle_of(p, n, a + [v]).reduce(dense(p, n, res)))
 
 
 class TestSparseVector:

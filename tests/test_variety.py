@@ -289,6 +289,85 @@ class TestEliminationFeed:
         assert sum(touched) <= bound
 
 
+FIELDS = [QQ, GF(5), GF(3), GF(2)]
+FIELD_IDS = ["Q", "F5", "F3", "F2"]
+
+
+class TestRelationPlan:
+    """relation_rows evaluates one substitution per antisymmetric pair:
+    the rows, and their order, are those of evaluating every one."""
+
+    @staticmethod
+    def rows_both_ways(monkeypatch, v, field, k, mu):
+        space = variety_module._product_space(v, field, k, mu)
+        planned = relation_rows(v, field, k, mu, space)
+        with monkeypatch.context() as m:
+            m.setattr(variety_module, "_antisymmetric_pair", lambda ident, field: None)
+            every = relation_rows(v, field, k, mu, space)
+        return planned, every
+
+    @pytest.mark.parametrize(
+        "source, field, pair",
+        [
+            (builtin("leftsym").source, QQ, (0, 1)),
+            (builtin("leftcom").source, GF(5), (0, 1)),
+            (builtin("rightsym").source, GF(3), (1, 2)),
+            (builtin("rightcom").source, QQ, (1, 2)),
+            (builtin("assoc").source, QQ, None),
+            (builtin("assoc").source, GF(2), None),
+            ("x*y - y*x", QQ, (0, 1)),
+            ("x*y + y*x", QQ, None),
+            ("x*y + y*x", GF(2), (0, 1)),
+        ],
+    )
+    def test_pair_found_from_template(self, source, field, pair):
+        assert variety_module._antisymmetric_pair(Identity("t", source), field) == pair
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("name", ["novikov", "bicommutative", "assosymmetric"])
+    def test_multilinear_degree_5(self, name, field, monkeypatch):
+        planned, every = self.rows_both_ways(monkeypatch, builtin_variety(name), field, 5, (1,) * 5)
+        assert planned == every
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_every_component_of_a_slice(self, field, monkeypatch):
+        for name in ("novikov", "assosymmetric"):
+            v = builtin_variety(name)
+            for mu in multidegrees((4, 4, 4), 4):
+                planned, every = self.rows_both_ways(monkeypatch, v, field, 3, mu)
+                assert planned == every, (name, mu)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize(
+        "sources", [["x*y - y*x"], ["(x*y)*z - x*(y*z)"]], ids=["commutator", "assoc"]
+    )
+    def test_custom_and_pairless_identities(self, sources, field, monkeypatch):
+        v = custom_variety(sources)
+        for mu in [(1, 1, 1, 1), (2, 1, 1), (2, 2)]:
+            planned, every = self.rows_both_ways(monkeypatch, v, field, len(mu), mu)
+            assert planned == every, mu
+
+    @pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
+    def test_half_the_substitutions_evaluated(self, field, monkeypatch):
+        # one identity term g*h evaluates its right factor h once per
+        # substitution: count those calls with and without the plan
+        v, mu = builtin_variety("novikov"), (1,) * 4
+        space = variety_module._product_space(v, field, 4, mu)
+        evaluate, calls = variety_module.evaluate, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(variety_module, "evaluate", counted)
+        relation_rows(v, field, 4, mu, space)
+        planned = len(calls)
+        calls.clear()
+        monkeypatch.setattr(variety_module, "_antisymmetric_pair", lambda ident, field: None)
+        relation_rows(v, field, 4, mu, space)
+        assert 2 * planned == len(calls)
+
+
 class TestNormalForm:
     def test_defining_identity_reduces_to_zero(self):
         v = builtin_variety("novikov")
