@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedVarietyError,
     WorkbenchError,
 )
-from .exprs import BUILTIN_SOURCES, Identity, builtin, builtin_names, expand, parse, render
+from .exprs import BUILTIN_SOURCES, Identity, builtin, builtin_names
 from .fdalg import (
     AuditReport,
     FiniteDimAlgebra,
@@ -105,7 +105,6 @@ __all__ = [
     "component_basis",
     "custom_variety",
     "enumerate_monomials",
-    "expand",
     "field_of_char",
     "format_multidegree",
     "generate_nilpotent_corpus",
@@ -117,8 +116,6 @@ __all__ = [
     "member",
     "multidegree",
     "node",
-    "parse",
-    "render",
     "render_monomial",
     "render_polynomial",
     "rref",

@@ -1,4 +1,4 @@
-"""Identity expressions: parsing, expansion, and the builtin catalog.
+"""Identity expressions: parsing into templates over Q, and the builtin catalog.
 
 Grammar (whitespace insignificant, offsets are 0-based byte positions):
 
@@ -15,82 +15,48 @@ Grammar (whitespace insignificant, offsets are 0-based byte positions):
 optional digit suffix; the suffix form (x1, x2, ...) is what witness
 polynomials print, so any reported polynomial can be pasted back in.
 A leading '-' is accepted only as the sign of a rational.
+
+An expression is read once, straight into its template: the fully
+expanded polynomial over Q, with commutators, associators and Jordan
+products rewritten into plain products as they are parsed. Leaf i stands
+for the i-th variable name in sorted order; the names are read from the
+tokens before parsing starts.
+
+An ``Identity`` keeps that template and reduces its coefficients into
+each prime field it is asked for. The reduction is exact: when p divides
+no denominator of a rational literal, every coefficient met while
+expanding is a p-integral rational, and reduction mod p is a ring map on
+those, so it commutes with expansion. When p divides one, that literal
+has no image in F_p, and the template over F_p is a FieldError naming the
+first such literal, even where the literal cancels out over Q.
+
+Each product is checked before it is formed. A product whose term count
+would pass MAX_TEMPLATE_TERMS is a ResourceError naming the count: |p||q|
+for p*q, 2|p||q| for [p,q] and {p,q}, and 2|p||q||r| for <p,q,r>. The
+builtin templates hold at most 12 terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
-from .errors import ExprSyntaxError, InputError
-from .linalg import Field
+from .errors import ExprSyntaxError, FieldError, InputError, ResourceError
+from .linalg import QQ, Field
 from .terms import Polynomial, associator, commutator, jordan, leaf, multiply
 
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Scale:
-    coeff: Fraction
-    body: "Node"
-
-
-@dataclass(frozen=True)
-class Add:
-    a: "Node"
-    b: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    a: "Node"
-    b: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    a: "Node"
-    b: "Node"
-
-
-@dataclass(frozen=True)
-class Comm:
-    a: "Node"
-    b: "Node"
-
-
-@dataclass(frozen=True)
-class Assoc:
-    a: "Node"
-    b: "Node"
-    c: "Node"
-
-
-@dataclass(frozen=True)
-class Jordan:
-    a: "Node"
-    b: "Node"
-
-
-Node = object
-
-# ---------------------------------------------------------------------------
-# tokenizer
-
-# Deepest parse tree the parser builds. Each bracket level and each chained
-# binary operator counts one level. Parsing, expansion and rendering recurse
-# per level, up to three frames (parsing) and four (rendering) per bracket
-# level: a tree at the bound takes about 600 and 800 frames, inside Python's
-# default recursion limit of 1000 with a caller's frames on top. A deeper
-# tree is an ExprSyntaxError at the token that crosses the bound.
+# Deepest expression tree the parser reads. Each bracket level and each
+# chained binary operator counts one level. Only parsing recurses, three
+# frames per bracket level (expr, term, factor): an expression at the bound
+# takes about 600 frames, inside Python's default recursion limit of 1000
+# with a caller's frames on top. A deeper expression is an ExprSyntaxError
+# at the token that crosses the bound.
 MAX_DEPTH = 200
+
+# Most terms one product in an expression may expand to; see the module
+# docstring.
+MAX_TEMPLATE_TERMS = 2**16
 
 _SYMBOLS = set("+-*/()[]<>{},")
 
@@ -129,11 +95,26 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent that expands as it parses; see the module
+    docstring. ``fractions`` collects (offset, value) of each rational
+    literal that is not an integer, in source order."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
+        self.variables = tuple(sorted({value for kind, value, _ in self.tokens if kind == "var"}))
+        self.leaves = {name: Polynomial.of(QQ, leaf(i)) for i, name in enumerate(self.variables)}
+        self.fractions: list[tuple[int, Fraction]] = []
         self.pos = 0
         self.depth = 0
+
+    def parse(self) -> Polynomial:
+        """The template over Q; raises ExprSyntaxError with a byte offset."""
+        out = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise ExprSyntaxError(f"unexpected {tok[1]!r} after expression", tok[2])
+        return out
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -160,9 +141,21 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def product(self, make, tok: tuple[str, str, int], weight: int, *args) -> Polynomial:
+        """``make(*args)`` for the product at ``tok``, refused before it is
+        formed when weight times the product of the operands' term counts
+        passes MAX_TEMPLATE_TERMS."""
+        count = weight * prod(len(a.terms) for a in args)
+        if count > MAX_TEMPLATE_TERMS:
+            raise ResourceError(
+                f"{tok[1]!r} at offset {tok[2]} would expand to {count} terms, "
+                f"over the guard of {MAX_TEMPLATE_TERMS}"
+            )
+        return make(*args)
+
     # grammar rules ---------------------------------------------------------
 
-    def expr(self) -> Node:
+    def expr(self) -> Polynomial:
         depth = self.depth
         out = self.term()
         while True:
@@ -172,9 +165,9 @@ class _Parser:
                 return out
             self.deeper(self.take())
             rhs = self.term()
-            out = Add(out, rhs) if tok[0] == "+" else Sub(out, rhs)
+            out = out.add(rhs) if tok[0] == "+" else out.sub(rhs)
 
-    def term(self) -> Node:
+    def term(self) -> Polynomial:
         coeff = self._rational()
         if coeff is not None:
             tok = self.peek()
@@ -187,14 +180,15 @@ class _Parser:
             if tok is None or tok[0] != "*":
                 break
             self.deeper(self.take())
-            out = Mul(out, self.factor())
+            out = self.product(multiply, tok, 1, out, self.factor())
         self.depth = depth
-        return out if coeff is None else Scale(coeff, out)
+        return out if coeff is None else out.scaled(QQ.from_fraction(coeff))
 
     def _rational(self) -> Optional[Fraction]:
         tok = self.peek()
         if tok is None:
             return None
+        start = tok[2]
         negative = False
         if tok[0] == "-":
             nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
@@ -215,17 +209,19 @@ class _Parser:
             den = _integer(dtok)
             if den == 0:
                 raise ExprSyntaxError("zero denominator", dtok[2])
-        q = Fraction(num, den)
-        return -q if negative else q
+        q = Fraction(-num if negative else num, den)
+        if q.denominator > 1:
+            self.fractions.append((start, q))
+        return q
 
-    def factor(self) -> Node:
+    def factor(self) -> Polynomial:
         tok = self.peek()
         if tok is None:
             raise ExprSyntaxError("expected a factor before end of input", len(self.text))
         kind, value, off = tok
         if kind == "var":
             self.take()
-            return Var(value)
+            return self.leaves[value]
         if kind in _BRACKETS:
             close, arity, make = _BRACKETS[kind]
             self.deeper(tok)
@@ -236,12 +232,17 @@ class _Parser:
                 args.append(self.expr())
             self.expect(close)
             self.depth -= 1
-            return make(*args) if make else args[0]
+            return self.product(make, tok, 2, *args) if make else args[0]
         raise ExprSyntaxError(f"expected a factor, found {value!r}", off)
 
 
-# opening bracket -> (closing bracket, arguments, node type; None for grouping)
-_BRACKETS = {"(": (")", 1, None), "[": ("]", 2, Comm), "<": (">", 3, Assoc), "{": ("}", 2, Jordan)}
+# opening bracket -> (closing bracket, arguments, expansion; None for grouping)
+_BRACKETS = {
+    "(": (")", 1, None),
+    "[": ("]", 2, commutator),
+    "<": (">", 3, associator),
+    "{": ("}", 2, jordan),
+}
 
 
 def _integer(tok: tuple[str, str, int]) -> int:
@@ -251,117 +252,6 @@ def _integer(tok: tuple[str, str, int]) -> int:
         raise ExprSyntaxError(
             f"number literal of {len(tok[1])} characters is not a readable integer", tok[2]
         ) from None
-
-
-def parse(text: str) -> Node:
-    """Parse an expression; raises ExprSyntaxError with a byte offset."""
-    p = _Parser(text)
-    out = p.expr()
-    tok = p.peek()
-    if tok is not None:
-        raise ExprSyntaxError(f"unexpected {tok[1]!r} after expression", tok[2])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# rendering (round-trips through parse for parser-produced trees)
-
-
-def render(ast: Node) -> str:
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Add):
-        return f"{render(ast.a)} + {_term_text(ast.b)}"
-    if isinstance(ast, Sub):
-        return f"{render(ast.a)} - {_term_text(ast.b)}"
-    return _term_text(ast)
-
-
-def _term_text(ast: Node) -> str:
-    if isinstance(ast, Scale):
-        q = ast.coeff
-        qtext = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        return f"{qtext}*{_mul_chain(ast.body)}"
-    return _mul_chain(ast)
-
-
-def _mul_chain(ast: Node) -> str:
-    if isinstance(ast, Mul):
-        return f"{_mul_chain(ast.a)}*{_factor_text(ast.b)}"
-    return _factor_text(ast)
-
-
-def _factor_text(ast: Node) -> str:
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Comm):
-        return f"[{render(ast.a)},{render(ast.b)}]"
-    if isinstance(ast, Assoc):
-        return f"<{render(ast.a)},{render(ast.b)},{render(ast.c)}>"
-    if isinstance(ast, Jordan):
-        return "{" + render(ast.a) + "," + render(ast.b) + "}"
-    return f"({render(ast)})"
-
-
-# ---------------------------------------------------------------------------
-# expansion
-
-
-def variables_of(ast: Node) -> tuple[str, ...]:
-    """Variable names in the expression, sorted."""
-    seen = set()
-
-    def walk(n):
-        if isinstance(n, Var):
-            seen.add(n.name)
-        elif isinstance(n, Scale):
-            walk(n.body)
-        elif isinstance(n, (Add, Sub, Mul, Comm, Jordan)):
-            walk(n.a)
-            walk(n.b)
-        elif isinstance(n, Assoc):
-            walk(n.a)
-            walk(n.b)
-            walk(n.c)
-
-    walk(ast)
-    return tuple(sorted(seen))
-
-
-def expand(ast: Node, field: Field, variables: Optional[tuple[str, ...]] = None) -> Polynomial:
-    """Fully expanded polynomial template over variable leaf indices.
-
-    Commutator, associator, and Jordan nodes are rewritten into plain
-    products; leaf index i stands for variables[i].
-    """
-    names = variables if variables is not None else variables_of(ast)
-    pos = {name: i for i, name in enumerate(names)}
-
-    def walk(n) -> Polynomial:
-        if isinstance(n, Var):
-            i = pos.get(n.name)
-            if i is None:
-                raise InputError(
-                    f"variable {n.name!r} is not among {', '.join(names)}"
-                )
-            return Polynomial.of(field, leaf(i))
-        if isinstance(n, Scale):
-            return walk(n.body).scaled(field.from_fraction(n.coeff))
-        if isinstance(n, Add):
-            return walk(n.a).add(walk(n.b))
-        if isinstance(n, Sub):
-            return walk(n.a).sub(walk(n.b))
-        if isinstance(n, Mul):
-            return multiply(walk(n.a), walk(n.b))
-        if isinstance(n, Comm):
-            return commutator(walk(n.a), walk(n.b))
-        if isinstance(n, Assoc):
-            return associator(walk(n.a), walk(n.b), walk(n.c))
-        if isinstance(n, Jordan):
-            return jordan(walk(n.a), walk(n.b))
-        raise InputError(f"unknown expression node {n!r}")
-
-    return walk(ast)
 
 
 def is_multilinear(template: Polynomial, nvars: int) -> bool:
@@ -374,24 +264,39 @@ def is_multilinear(template: Polynomial, nvars: int) -> bool:
 
 
 class Identity:
-    """A named identity: source text, parsed tree, per-field expansions."""
+    """A named identity: source text, variables in sorted order, and its
+    template, parsed once over Q and reduced per field."""
 
-    __slots__ = ("name", "source", "ast", "variables", "_cache")
+    __slots__ = ("name", "source", "variables", "_fractions", "_cache")
 
     def __init__(self, name: str, source: str):
         self.name = name
         self.source = source
-        self.ast = parse(source)
-        self.variables = variables_of(self.ast)
-        self._cache: dict[Field, Polynomial] = {}
+        parser = _Parser(source)
+        template = parser.parse()
+        self.variables = parser.variables
+        self._fractions = tuple(parser.fractions)
+        self._cache: dict[Field, Polynomial] = {QQ: template}
 
     def __repr__(self) -> str:
         return f"Identity({self.name}: {self.source})"
 
     def template(self, field: Field) -> Polynomial:
+        """The template over ``field``: leaf i stands for variables[i].
+        FieldError when the characteristic divides the denominator of a
+        rational literal."""
         t = self._cache.get(field)
         if t is None:
-            t = self._cache[field] = expand(self.ast, field, self.variables)
+            p = field.char
+            for off, q in self._fractions:
+                if q.denominator % p == 0:
+                    raise FieldError(
+                        f"coefficient {QQ.render(q)} at offset {off} has a denominator "
+                        f"not invertible mod {p}"
+                    )
+            rational = self._cache[QQ].terms
+            t = Polynomial(field, {m: field.from_fraction(c) for m, c in rational.items()})
+            self._cache[field] = t
         return t
 
     def multilinear(self, field: Field) -> bool:

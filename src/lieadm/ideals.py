@@ -204,10 +204,11 @@ class AlgebraSlice:
         p = self.field.char
         rows: dict[tuple, list] = {}
         for mu1, b1 in a:
+            room = self.degree_cap - mdeg_total(mu1)
             for mu2, b2 in b:
+                if mdeg_total(mu2) > room:
+                    break  # parts come in ascending total degree
                 mu = mdeg_add(mu1, mu2)
-                if mdeg_total(mu) > self.degree_cap:
-                    continue
                 add = self.components[mu].add_product
                 bucket = rows.setdefault(mu, [])
                 for v1 in b1.rows:

@@ -118,17 +118,20 @@ def _product_space(variety, field, k, mu, max_monomials=None) -> tuple[dict, lis
     lower = {
         a: component_basis(variety, field, k, a, max_monomials) for a in multidegrees(mu, n - 1)
     }
+    count = (n == 1) + sum(
+        left.quotient_dim * lower[mdeg_sub(mu, a)].quotient_dim for a, left in lower.items()
+    )
+    if max_monomials is not None and count > max_monomials:
+        raise ResourceError(
+            f"component at {format_multidegree(mu)} has {count} product-space "
+            f"columns, over the guard of {max_monomials}"
+        )
     cols = [((), leaf(mu.index(1)))] if n == 1 else []
     for a, left in lower.items():
         right = lower[mdeg_sub(mu, a)]
         for p, pm in enumerate(left.quotient_monomials):
             cols += [((a, p, q), node(pm, qm)) for q, qm in enumerate(right.quotient_monomials)]
     cols.sort(key=lambda col: (col[1].shape, col[1].leaves))
-    if max_monomials is not None and len(cols) > max_monomials:
-        raise ResourceError(
-            f"component at {format_multidegree(mu)} has {len(cols)} product-space "
-            f"columns, over the guard of {max_monomials}"
-        )
     return lower, cols
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import lieadm
 from lieadm.cli import main
-from lieadm.exprs import expand, parse
+from lieadm.exprs import MAX_TEMPLATE_TERMS, Identity
 from lieadm.fdalg import MAX_DIM
 from lieadm.linalg import QQ
 
@@ -119,8 +119,7 @@ class TestVerify:
         )
         assert code == 1
         text = doc["witness"]["residual"]
-        poly = expand(parse(text), QQ)
-        assert poly.terms
+        assert Identity("residual", text).template(QQ).terms
 
     def test_expr_identity(self, capsys):
         code, doc, _ = run_json(
@@ -184,6 +183,17 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: expression nested deeper than") and "(at offset" in err
         assert not out
+
+    def test_product_over_term_guard_refused_at_once(self, capsys):
+        # the outermost of 17 nested commutators would expand to 2^17 terms
+        expr = "[" * 17 + "x" + ",y]" * 17
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--variety", "novikov", "--expr", expr)
+        assert time.perf_counter() - t0 < 1
+        assert code == 2
+        assert not out
+        assert err.startswith("error:")
+        assert f"131072 terms, over the guard of {MAX_TEMPLATE_TERMS}" in err
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_refused(self, capsys, cap):

@@ -322,6 +322,30 @@ class TestSpanMemo:
         fresh = make_slice()
         assert got.parts == fresh.bracket_space(fresh.a_term(2), fresh.full()).parts
 
+    @pytest.mark.parametrize("bracket", [False, True], ids=["product", "bracket"])
+    def test_pairs_past_the_cap_are_never_added(self, monkeypatch, bracket):
+        # full() has a part at each of the 14 multidegrees of total 1..4 over
+        # two generators, so 196 pairs, of which 41 fit the cap
+        s = make_slice()
+        full = s.full()
+        in_cap = sum(
+            sum(mu1) + sum(mu2) <= s.degree_cap for mu1 in full.parts for mu2 in full.parts
+        )
+        calls = 0
+        mdeg_add = ideals_module.mdeg_add
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return mdeg_add(a, b)
+
+        monkeypatch.setattr(ideals_module, "mdeg_add", counted)
+        got = s._pair_space(full, full, bracket)
+        assert 0 < calls <= in_cap < len(full.parts) ** 2
+        monkeypatch.undo()
+        fresh = make_slice()
+        assert got.parts == fresh._pair_space(fresh.full(), fresh.full(), bracket).parts
+
     @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
     def test_battery_on_one_slice_matches_fresh_slices(self, monkeypatch, field):
         fresh = [

@@ -1,21 +1,21 @@
-"""Expression grammar: parsing, rendering, expansion to polynomials."""
+"""Expression grammar: parsing straight into templates over Q, their
+reduction per field, and the term guard."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lieadm.errors import ExprSyntaxError, FieldError, InputError
+from lieadm.errors import ExprSyntaxError, FieldError, InputError, ResourceError
 from lieadm.exprs import (
     BUILTIN_SOURCES,
     MAX_DEPTH,
+    MAX_TEMPLATE_TERMS,
     Identity,
     builtin,
     builtin_names,
-    expand,
     is_multilinear,
-    parse,
-    render,
-    variables_of,
 )
 from lieadm.linalg import GF, QQ
 from lieadm.terms import (
@@ -28,6 +28,7 @@ from lieadm.terms import (
     render_polynomial,
 )
 
+FIELDS = (QQ, GF(2), GF(3), GF(5))
 
 # (source, offset of the token that crosses MAX_DEPTH): 400 brackets around
 # x; 1200 terms x*y*z, where term 200 sits 199 levels down and its second
@@ -39,54 +40,36 @@ TOO_DEEP = [
 ]
 
 
-def poly(source, field=QQ, variables=None):
-    ast = parse(source)
-    return expand(ast, field, variables)
+def poly(source, field=QQ):
+    return Identity("t", source).template(field)
+
+
+def nested_commutator(n):
+    """[[...[x,y],y]...,y] with n brackets: 2^n terms."""
+    return "[" * n + "x" + ",y]" * n
 
 
 class TestParsing:
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "x*y",
-            "x*y - y*x",
-            "[x,y]",
-            "<x,y,z>",
-            "{x, y}",
-            "(x*y)*z - x*(y*z)",
-            "2*x*y",
-            "-1*x*y",
-            "1/2*(x*y + y*x)",
-            "[x*y, z] + <x, y, z*w>",
-            "a1*b2 - b2*a1",
-        ],
-    )
-    def test_render_parse_fixed_point(self, source):
-        once = render(parse(source))
-        assert render(parse(once)) == once
-
     def test_left_associative_products(self):
         assert poly("x*y*z") == poly("(x*y)*z")
         assert poly("x*y*z") != poly("x*(y*z)")
 
     def test_bracket_sugar_matches_expansion(self):
         x, y, z = (Polynomial.of(QQ, leaf(g)) for g in range(3))
-        assert poly("[x,y]", variables=("x", "y")) == commutator(x, y)
+        assert poly("[x,y]") == commutator(x, y)
         assert poly("<x,y,z>") == associator(x, y, z)
-        assert poly("{x,y}", variables=("x", "y")) == jordan(x, y)
+        assert poly("{x,y}") == jordan(x, y)
 
     def test_scalar_coefficients(self):
         x, y = Polynomial.of(QQ, leaf(0)), Polynomial.of(QQ, leaf(1))
-        assert poly("2*x*y", variables=("x", "y")) == multiply(x, y).scaled(2)
-        assert poly("-3/2*x*y", variables=("x", "y")) == multiply(x, y).scaled(
-            QQ.from_fraction(Fraction(-3, 2))
-        )
+        assert poly("2*x*y") == multiply(x, y).scaled(2)
+        assert poly("-3/2*x*y") == multiply(x, y).scaled(QQ.from_fraction(Fraction(-3, 2)))
 
     def test_variables_sorted(self):
-        assert variables_of(parse("z*y - y*z + x*(y*z)")) == ("x", "y", "z")
+        assert Identity("t", "z*y - y*z + x*(y*z)").variables == ("x", "y", "z")
 
     def test_variable_tokens(self):
-        assert variables_of(parse("a1*b12")) == ("a1", "b12")
+        assert Identity("t", "a1*b12").variables == ("a1", "b12")
 
     @pytest.mark.parametrize(
         "source,offset",
@@ -102,7 +85,7 @@ class TestParsing:
     )
     def test_syntax_errors_carry_offsets(self, source, offset):
         with pytest.raises(ExprSyntaxError) as exc:
-            parse(source)
+            Identity("t", source)
         assert exc.value.offset == offset
 
     @pytest.mark.parametrize(
@@ -113,13 +96,13 @@ class TestParsing:
     def test_unreadable_number_literals_are_syntax_errors(self, source, offset):
         # past Python's 4300-digit limit for int(), or a digit int() refuses
         with pytest.raises(ExprSyntaxError) as exc:
-            parse(source)
+            Identity("t", source)
         assert exc.value.offset == offset
 
     def test_too_deep_is_a_syntax_error_at_the_crossing_token(self):
         for source, offset in TOO_DEEP:
             with pytest.raises(ExprSyntaxError) as exc:
-                parse(source)
+                Identity("t", source)
             assert exc.value.offset == offset
             assert f"deeper than {MAX_DEPTH} levels" in str(exc.value)
 
@@ -128,38 +111,64 @@ class TestParsing:
         nested = "(" * n + "x" + ")" * n
         total = " + ".join(["x"] * (n + 1))
         chain = "*".join(["x"] * (n + 1))
-        for source in (nested, total, chain):
-            ast = parse(source)
-            expand(ast, QQ)
-            assert parse(render(ast)) == ast
-        # a bracket level costs the most frames; its expansion is 2^n terms
-        ast = parse("[" * n + "x" + ",y]" * n)
-        assert variables_of(ast) == ("x", "y")
-        assert render(ast) == "[" * n + "x" + ",y]" * n
+        assert poly(nested) == poly("x")
+        assert poly(total) == poly("x").scaled(n + 1)
+        assert len(poly(chain).terms) == 1
+        # a bracket level costs the most frames, but 200 of them would
+        # expand to 2^200 terms: the term guard refuses it first
+        with pytest.raises(ResourceError):
+            Identity("t", nested_commutator(n))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ExprSyntaxError):
-            parse("")
+            Identity("t", "")
         with pytest.raises(ExprSyntaxError):
-            parse("   ")
+            Identity("t", "   ")
+
+
+class TestTermGuard:
+    def test_sixteen_nested_commutators_expand(self):
+        assert len(poly(nested_commutator(16)).terms) == MAX_TEMPLATE_TERMS
+
+    def test_seventeen_nested_commutators_are_refused_with_the_count(self):
+        with pytest.raises(ResourceError) as exc:
+            Identity("t", nested_commutator(17))
+        assert "'[' at offset 0 would expand to 131072 terms" in str(exc.value)
+        assert f"guard of {MAX_TEMPLATE_TERMS}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "source,count",
+        [
+            ("(" + nested_commutator(9) + ")*" + nested_commutator(8), 2**17),
+            ("{" + nested_commutator(8) + "," + nested_commutator(8) + "}", 2**17),
+            ("<" + nested_commutator(8) + "," + nested_commutator(8) + ",x>", 2**17),
+        ],
+        ids=["product", "jordan", "associator"],
+    )
+    def test_each_product_is_counted_before_it_is_formed(self, source, count):
+        with pytest.raises(ResourceError, match=f" {count} terms"):
+            Identity("t", source)
 
 
 class TestExpansion:
     def test_commutator_two_terms(self):
-        p = poly("[x,y]", variables=("x", "y"))
-        assert len(p.terms) == 2
+        assert len(poly("[x,y]").terms) == 2
 
     def test_expansion_respects_field(self):
-        p = poly("x*y + x*y", GF(2), variables=("x", "y"))
-        assert not p
+        assert not poly("x*y + x*y", GF(2))
 
     def test_half_coefficient_rejected_mod_two(self):
         with pytest.raises(FieldError):
-            poly("1/2*x*y", GF(2), variables=("x", "y"))
+            poly("1/2*x*y", GF(2))
 
-    def test_unknown_variable_in_explicit_list(self):
-        with pytest.raises(InputError):
-            poly("x*q", variables=("x", "y"))
+    @pytest.mark.parametrize("source", ["5*(1/5*x)", "1/5*x - 1/5*x", "x + 3*(2/15*y - 1/10*y)"])
+    def test_literal_denominator_divisible_by_p_is_a_field_error(self, source):
+        # the reduction needs every literal, also one that cancels over Q
+        poly(source)
+        with pytest.raises(FieldError) as exc:
+            poly(source, GF(5))
+        first = source.index("/") - 1
+        assert f"at offset {first} has a denominator not invertible mod 5" in str(exc.value)
 
     def test_renderer_output_reparses_to_same_polynomial(self):
         x, y = Polynomial.of(QQ, leaf(0)), Polynomial.of(QQ, leaf(1))
@@ -169,7 +178,93 @@ class TestExpansion:
             .add(multiply(x, x).scaled(QQ.parse("-1/3")))
         )
         text = render_polynomial(p, key_gens=2)
-        assert poly(text, variables=("x1", "x2")) == p
+        assert poly(text) == p
+
+
+# -- reference route: random expressions expanded through terms -------------
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def _trees():
+    """Expression trees as nested tuples, leaves ('var', name)."""
+    leaves = st.sampled_from("xyz").map(lambda v: ("var", v))
+
+    def extend(sub):
+        pair = st.tuples(sub, sub)
+        return st.one_of(
+            pair.map(lambda t: ("+",) + t),
+            pair.map(lambda t: ("-",) + t),
+            pair.map(lambda t: ("*",) + t),
+            pair.map(lambda t: ("[",) + t),
+            pair.map(lambda t: ("{",) + t),
+            st.tuples(sub, sub, sub).map(lambda t: ("<",) + t),
+            st.tuples(_rationals, sub).map(lambda t: ("q",) + t),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _text(tree) -> str:
+    kind, *args = tree
+    if kind == "var":
+        return args[0]
+    if kind in "+-":
+        return f"{_text(args[0])} {kind} ({_text(args[1])})"
+    if kind == "*":
+        return f"({_text(args[0])})*({_text(args[1])})"
+    if kind == "q":
+        return f"{args[0]}*({_text(args[1])})"
+    close = {"[": "]", "{": "}", "<": ">"}[kind]
+    return kind + ",".join(_text(a) for a in args) + close
+
+
+def _names(tree) -> set:
+    if tree[0] == "var":
+        return {tree[1]}
+    return set().union(*(_names(a) for a in tree[1:] if isinstance(a, tuple)))
+
+
+def _denominators(tree) -> list:
+    if tree[0] == "var":
+        return []
+    own = [tree[1].denominator] if tree[0] == "q" else []
+    return own + [d for a in tree[1:] if isinstance(a, tuple) for d in _denominators(a)]
+
+
+def _expand(tree, field, index):
+    kind, *args = tree
+    if kind == "var":
+        return Polynomial.of(field, leaf(index[args[0]]))
+    if kind == "q":
+        return _expand(args[1], field, index).scaled(field.from_fraction(args[0]))
+    ops = [_expand(a, field, index) for a in args]
+    make = {
+        "+": lambda p, q: p.add(q),
+        "-": lambda p, q: p.sub(q),
+        "*": multiply,
+        "[": commutator,
+        "{": jordan,
+        "<": associator,
+    }[kind]
+    return make(*ops)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_trees())
+def test_template_equals_expansion_in_each_field(tree):
+    ident = Identity("t", _text(tree))
+    index = {name: i for i, name in enumerate(sorted(_names(tree)))}
+    assert ident.variables == tuple(index)
+    for field in FIELDS:
+        p = field.char
+        if p and any(d % p == 0 for d in _denominators(tree)):
+            with pytest.raises(FieldError):
+                ident.template(field)
+            with pytest.raises(FieldError):
+                _expand(tree, field, index)
+        else:
+            assert ident.template(field) == _expand(tree, field, index)
 
 
 class TestBuiltins:
@@ -223,3 +318,20 @@ class TestBuiltins:
     def test_variables_recorded_in_sorted_order(self):
         ident = builtin("eq312")
         assert ident.variables == ("w", "x", "y", "z")
+
+    def test_templates_pinned_over_four_fields(self):
+        # the canonical text of every builtin template over Q, F2, F3 and
+        # F5, as the per-field expansion of the expression tree gave it
+        lines = []
+        for name in sorted(BUILTIN_SOURCES):
+            ident = builtin(name)
+            for field in FIELDS:
+                text = render_polynomial(
+                    ident.template(field),
+                    namer=lambda i: ident.variables[i],
+                    key_gens=len(ident.variables),
+                )
+                lines.append(f"{name} {field.name}: {text}")
+        blob = "\n".join(lines).encode()
+        assert len(blob) == 6149
+        assert hashlib.sha256(blob).hexdigest().startswith("9ca589f26e0abace")

@@ -1,6 +1,8 @@
 """The package imports nothing outside the standard library at run time."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,18 @@ def test_runtime_imports_are_stdlib_or_lieadm():
         for path in SOURCES
     }
     assert {name: mods for name, mods in foreign.items() if mods} == {}
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # both cost tens of milliseconds of every command's start-up
+    code = "import sys, lieadm; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    root = str(Path(lieadm.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": root},
+        timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

@@ -161,6 +161,28 @@ class TestComponentDimensions:
         with pytest.raises(ResourceError, match=r"\(1,2\) has 6 product-space columns"):
             component_basis(builtin_variety("magma"), QQ, 2, (2, 2), max_monomials=5)
 
+    def test_refused_component_builds_no_column(self, monkeypatch):
+        # the count is taken from the lower dimensions before any column
+        # monomial is formed; the lower components are built unguarded first
+        clear_caches()
+        magma = builtin_variety("magma")
+        for d in range(1, 6):
+            component_basis(magma, QQ, 1, (d,))
+        calls = 0
+        node_ = variety_module.node
+
+        def counted(left, right):
+            nonlocal calls
+            calls += 1
+            return node_(left, right)
+
+        monkeypatch.setattr(variety_module, "node", counted)
+        # 1*14 + 1*5 + 2*2 + 5*1 + 14*1 = 42 columns at degree 6
+        with pytest.raises(ResourceError, match=r"\(6\) has 42 product-space columns, over .* 41"):
+            component_basis(magma, QQ, 1, (6,), max_monomials=41)
+        assert calls == 0
+        clear_caches()
+
     def test_guard_ignores_free_magma_size(self):
         # 1680 free magma monomials, but only 380 product-space columns
         clear_caches()
