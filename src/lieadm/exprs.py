@@ -30,10 +30,12 @@ those, so it commutes with expansion. When p divides one, that literal
 has no image in F_p, and the template over F_p is a FieldError naming the
 first such literal, even where the literal cancels out over Q.
 
-Each product is checked before it is formed. A product whose term count
-would pass MAX_TEMPLATE_TERMS is a ResourceError naming the count: |p||q|
-for p*q, 2|p||q| for [p,q] and {p,q}, and 2|p||q||r| for <p,q,r>. The
-builtin templates hold at most 12 terms.
+Each product is checked before it is formed. Its term count is |p||q|
+for p*q, 2|p||q| for [p,q] and {p,q}, and 2|p||q||r| for <p,q,r>, and
+one parse keeps a running total of the counts of the products it forms.
+A product that would take the total past MAX_TEMPLATE_TERMS is a
+ResourceError naming its count and the total. The builtin templates hold
+at most 12 terms.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from .terms import Polynomial, associator, commutator, jordan, leaf, multiply
 # at the token that crosses the bound.
 MAX_DEPTH = 200
 
-# Most terms one product in an expression may expand to; see the module
-# docstring.
+# Most terms the products of one expression may expand to in all; see the
+# module docstring.
 MAX_TEMPLATE_TERMS = 2**16
 
 _SYMBOLS = set("+-*/()[]<>{},")
@@ -107,6 +109,7 @@ class _Parser:
         self.fractions: list[tuple[int, Fraction]] = []
         self.pos = 0
         self.depth = 0
+        self.formed = 0  # terms of the products formed so far
 
     def parse(self) -> Polynomial:
         """The template over Q; raises ExprSyntaxError with a byte offset."""
@@ -143,13 +146,15 @@ class _Parser:
 
     def product(self, make, tok: tuple[str, str, int], weight: int, *args) -> Polynomial:
         """``make(*args)`` for the product at ``tok``, refused before it is
-        formed when weight times the product of the operands' term counts
-        passes MAX_TEMPLATE_TERMS."""
+        formed when its count, weight times the product of the operands'
+        term counts, would take the terms formed in this parse past
+        MAX_TEMPLATE_TERMS."""
         count = weight * prod(len(a.terms) for a in args)
-        if count > MAX_TEMPLATE_TERMS:
+        self.formed += count
+        if self.formed > MAX_TEMPLATE_TERMS:
             raise ResourceError(
                 f"{tok[1]!r} at offset {tok[2]} would expand to {count} terms, "
-                f"over the guard of {MAX_TEMPLATE_TERMS}"
+                f"{self.formed} in this expression, over the guard of {MAX_TEMPLATE_TERMS}"
             )
         return make(*args)
 

@@ -13,13 +13,15 @@ witnesses, both canonical chains, and the nilpotency index of the
 commutator ideal, then cross-checks the structural facts the chains are
 expected to satisfy for members of the covered varieties.
 
-The chains and the powers of the commutator ideal use the span calculus
-of ``ideals.AlgebraSlice``; one span calculus serves both kinds of
-algebra. A structure-constant algebra is the one component of a slice,
-under the empty multidegree with degree cap 0, so nothing is truncated.
-One audit runs its three chain computations on one slice, so a span such
-as [A, A] (the second Lie power, the generator of H_2 and of the
-commutator ideal) is formed once per audit, through the slice's memo.
+The chains and the powers of the commutator ideal are read from
+``ideals.AlgebraSlice``: its chain terms ``h_term``/``a_term`` and its
+``power``; one span calculus serves both kinds of algebra. A
+structure-constant algebra is the one component of a slice, under the
+empty multidegree with degree cap 0, so nothing is truncated. Each chain
+is reported as a plain document (``_iterate_chain``). One audit runs its
+three chain computations on one slice, so a span such as [A, A] (the
+second Lie power, the generator of H_2 and of the commutator ideal) is
+formed once per audit, through the slice's memo.
 
 Membership evaluates each identity on every tuple of basis vectors,
 through ``terms.evaluate`` with the basis vectors as leaves. One audit
@@ -59,7 +61,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import FieldError, ResourceError, SchemaError
-from .ideals import AlgebraSlice, GradedSubspace
+from .ideals import AlgebraSlice
 from .linalg import Field, GF, QQ, reduced
 from .terms import evaluate
 from .variety import VarietySpec, builtin_variety, variety_names
@@ -292,8 +294,8 @@ def check_membership(
 # ---------------------------------------------------------------------------
 # chains, through the span calculus of ideals.AlgebraSlice. Each function
 # runs on the slice it is given, or on a fresh one; an audit passes one slice
-# to all three, so they share its chain terms and its span memo, and the
-# slice is dropped with the audit, never stored on the algebra.
+# to all three, so they share its memo of chain terms, powers and spans, and
+# the slice is dropped with the audit, never stored on the algebra.
 
 
 class _FdSlice(AlgebraSlice):
@@ -306,46 +308,16 @@ class _FdSlice(AlgebraSlice):
         self._init_spans(alg.field, 0, {(): alg})
 
 
-class FdChainReport:
-    __slots__ = ("kind", "terms")
-
-    def __init__(self, kind: str, terms: list[GradedSubspace]):
-        self.kind = kind
-        self.terms = terms
-
-    def dims(self) -> list[int]:
-        return [t.total_dim() for t in self.terms]
-
-    def vanishing_index(self) -> Optional[int]:
-        for i, t in enumerate(self.terms, start=1):
-            if t.is_zero():
-                return i
-        return None
-
-    def reaches_zero(self) -> bool:
-        return self.vanishing_index() is not None
-
-    def class_index(self) -> Optional[int]:
-        v = self.vanishing_index()
-        return v - 1 if v is not None else None
-
-    def to_doc(self) -> dict:
-        return {
-            "chain": self.kind,
-            "dims": self.dims(),
-            "vanishing_index": self.vanishing_index(),
-            "class": self.class_index(),
-            "truncated": False,
-        }
-
-
-def _iterate_chain(kind: str, term) -> FdChainReport:
-    """Terms term(1), term(2), ... up to the first zero or repeated one.
+def _iterate_chain(kind: str, term) -> dict:
+    """The chain document of terms term(1), term(2), ... up to the first
+    zero or repeated one: ``chain``, the total ``dims``, the
+    ``vanishing_index`` of the zero term and the ``class`` one below it
+    (both None when the chain stops on a repeat), and ``truncated``.
 
     Both chains descend: H_{i+1} <= H_i and A_{i+1} <= A_i, by induction
     on i. So every term before the stop has a smaller dimension than the
-    one before, the chain stops within dim + 1 terms, and its document
-    says ``"truncated": false`` always.
+    one before, the chain stops within dim + 1 terms, and ``truncated``
+    is always false.
     """
     terms = [term(1)]
     while not terms[-1].is_zero():
@@ -353,14 +325,21 @@ def _iterate_chain(kind: str, term) -> FdChainReport:
         if nxt == terms[-1]:
             break
         terms.append(nxt)
-    return FdChainReport(kind, terms)
+    vanish = len(terms) if terms[-1].is_zero() else None
+    return {
+        "chain": kind,
+        "dims": [t.total_dim() for t in terms],
+        "vanishing_index": vanish,
+        "class": vanish - 1 if vanish is not None else None,
+        "truncated": False,
+    }
 
 
-def lie_series_fd(alg: FiniteDimAlgebra, s: Optional[_FdSlice] = None) -> FdChainReport:
+def lie_series_fd(alg: FiniteDimAlgebra, s: Optional[_FdSlice] = None) -> dict:
     return _iterate_chain("lie-powers", (s or _FdSlice(alg)).a_term)
 
 
-def lower_central_fd(alg: FiniteDimAlgebra, s: Optional[_FdSlice] = None) -> FdChainReport:
+def lower_central_fd(alg: FiniteDimAlgebra, s: Optional[_FdSlice] = None) -> dict:
     return _iterate_chain("lower-central", (s or _FdSlice(alg)).h_term)
 
 
@@ -369,14 +348,10 @@ def commutator_ideal_nilpotency(
 ) -> Optional[int]:
     """Smallest m with (A o A)^m = 0, or None within dim+1 powers."""
     s = s or _FdSlice(alg)
-    powers = [None, s.commutator_ideal(s.full(), s.full())]
+    ideal = s.commutator_ideal(s.full(), s.full())
     for m in range(1, alg.dim + 2):
-        if powers[m].is_zero():
+        if s.power(ideal, m).is_zero():
             return m
-        acc = s.zero()
-        for i in range(1, m + 1):
-            acc = s.sum(acc, s.product_space(powers[i], powers[m + 1 - i]))
-        powers.append(acc)
     return None
 
 
@@ -411,8 +386,8 @@ class AuditReport:
             "memberships": {
                 name: v.to_doc() for name, v in self.memberships.items()
             },
-            "lie_powers": self.lie.to_doc(),
-            "lower_central": self.lower.to_doc(),
+            "lie_powers": self.lie,
+            "lower_central": self.lower,
             "commutator_ideal_index": self.commutator_index,
             "checks": self.checks,
             "status": self.status,
@@ -430,54 +405,34 @@ def audit(alg: FiniteDimAlgebra) -> AuditReport:
     lower = lower_central_fd(alg, s)
     index = commutator_ideal_nilpotency(alg, s)
 
-    checks = []
-
     in_equiv = [n for n in _EQUIVALENCE if memberships[n].member]
     if in_equiv:
-        ok = lie.reaches_zero() == lower.reaches_zero()
-        checks.append(
-            {
-                "name": "lie-nilpotent-iff-finite-class",
-                "status": "PASS" if ok else "FAIL",
-                "detail": (
-                    f"member of {'/'.join(in_equiv)}: lie nilpotent = "
-                    f"{lie.reaches_zero()}, finite class = {lower.reaches_zero()}"
-                ),
-            }
+        lie_nilpotent, finite_class = lie["class"] is not None, lower["class"] is not None
+        equivalence = (
+            "PASS" if lie_nilpotent == finite_class else "FAIL",
+            f"member of {'/'.join(in_equiv)}: lie nilpotent = "
+            f"{lie_nilpotent}, finite class = {finite_class}",
         )
     else:
-        checks.append(
-            {
-                "name": "lie-nilpotent-iff-finite-class",
-                "status": "not-asserted",
-                "detail": "not a member of a variety with the equivalence",
-            }
-        )
+        equivalence = ("not-asserted", "not a member of a variety with the equivalence")
 
     covered = [n for n in _COVERED if memberships[n].member]
-    cls = lower.class_index()
+    cls = lower["class"]
     if covered and cls is not None:
         ok = index is not None and index <= cls
-        checks.append(
-            {
-                "name": "commutator-ideal-index-at-most-class",
-                "status": "PASS" if ok else "FAIL",
-                "detail": f"index = {index}, class = {cls}",
-            }
-        )
+        bound = ("PASS" if ok else "FAIL", f"index = {index}, class = {cls}")
+    elif covered:
+        bound = ("not-asserted", "class not finite within the cutoff")
     else:
-        checks.append(
-            {
-                "name": "commutator-ideal-index-at-most-class",
-                "status": "not-asserted",
-                "detail": (
-                    "class not finite within the cutoff"
-                    if covered
-                    else "not a member of a covered variety"
-                ),
-            }
-        )
+        bound = ("not-asserted", "not a member of a covered variety")
 
+    checks = [
+        {"name": name, "status": status, "detail": detail}
+        for name, (status, detail) in (
+            ("lie-nilpotent-iff-finite-class", equivalence),
+            ("commutator-ideal-index-at-most-class", bound),
+        )
+    ]
     return AuditReport(alg, memberships, lie, lower, index, checks)
 
 

@@ -17,13 +17,16 @@ a component only through ``quotient_dim`` and ``add_product``, so
 structure-constant algebra, under the empty multidegree with cap 0: its
 products have total degree 0, and nothing is ever truncated.
 
-Each slice memoizes its span products and brackets (``_pair_space``),
-keyed by the operation and the parts of both operands. Every part is a
-unique reduced echelon basis and parts are sorted, so equal keys mean
-equal spans, and the named checks, which combine the same chain terms,
-closures and brackets over and over, compute each distinct one once per
-slice. [v, u] = -[u, v] spans the same subspace as [u, v], so a bracket
-is stored under both operand orders. The memo lives as long as the slice.
+Each slice keeps one memo of derived spans, ``_memo``, for its lifetime.
+Span products and brackets (``_pair_space``) are keyed by the operation
+and the parts of both operands, ideal closures by ``("closure", parts)``,
+powers by ``("power", parts, m)``, and the chain terms H_i and A_[i] by
+``("H", i)`` and ``("A", i)``. Every part is a unique reduced echelon
+basis and parts are sorted, so equal keys mean equal spans, and the
+named checks, which combine the same chain terms, closures and brackets
+over and over, compute each distinct one once per slice. [v, u] = -[u, v]
+spans the same subspace as [u, v], so a bracket is stored under both
+operand orders.
 """
 
 from __future__ import annotations
@@ -109,9 +112,6 @@ class AlgebraSlice:
         "degree_cap",
         "components",
         "_full",
-        "_h",
-        "_a",
-        "_a_closed",
         "_memo",
     )
 
@@ -138,15 +138,12 @@ class AlgebraSlice:
     def _init_spans(self, field: Field, degree_cap: int, components: dict) -> None:
         """The state every span operation reads: the field, the degree cap,
         the components by multidegree (each with ``quotient_dim`` and
-        ``add_product``), the memoized chain terms and the memo of
-        ``_pair_space``."""
+        ``add_product``), the full space and the memo of derived spans
+        (see the module docstring)."""
         self.field = field
         self.degree_cap = degree_cap
         self.components = components
         self._full: Optional[GradedSubspace] = None
-        self._h: list = [None]
-        self._a: list = [None]
-        self._a_closed: dict[int, GradedSubspace] = {}
         self._memo: dict[tuple, GradedSubspace] = {}
 
     def component(self, mu: tuple[int, ...]) -> FreeAlgebraComponent:
@@ -296,20 +293,26 @@ class AlgebraSlice:
         return GradedSubspace(self, parts)
 
     def power(self, U: GradedSubspace, m: int) -> GradedSubspace:
-        """U^m = sum of U^i * U^(m-i); products of m factors, all bracketings."""
+        """U^m = sum of U^i * U^(m-i); products of m factors, all bracketings.
+        Memoized under ``("power", parts of U, m)``, built from the
+        memoized lower powers."""
         self._same(U)
         if m < 1:
             raise InputError("power exponent must be at least 1")
-        powers = [None, U]
-        for n in range(2, m + 1):
-            acc = self.zero()
-            for i in range(1, n):
-                acc = self.sum(acc, self.product_space(powers[i], powers[n - i]))
-            powers.append(acc)
-        return powers[m]
+        if m == 1:
+            return U
+        key = ("power", tuple(U.parts.items()), m)
+        got = self._memo.get(key)
+        if got is None:
+            got = self.zero()
+            for i in range(1, m):
+                got = self.sum(got, self.product_space(self.power(U, i), self.power(U, m - i)))
+            self._memo[key] = got
+        return got
 
     def ideal_closure(self, U: GradedSubspace) -> GradedSubspace:
-        """Least fixed point of W -> W + full*W + W*full.
+        """Least fixed point of W -> W + full*W + W*full, memoized under
+        ``("closure", parts of U)``.
 
         Multiplies by every basis class of every degree, not only by
         generators; one-sided closures are not enough without
@@ -317,54 +320,49 @@ class AlgebraSlice:
         and monotone under the cap.
         """
         self._same(U)
-        full = self.full()
-        cur = U
-        while True:
-            grown = self.sum(
-                cur, self.sum(self.product_space(full, cur), self.product_space(cur, full))
-            )
-            if grown == cur:
-                return cur
-            cur = grown
+        key = ("closure", tuple(U.parts.items()))
+        got = self._memo.get(key)
+        if got is None:
+            full = self.full()
+            got = U
+            while True:
+                grown = self.sum(
+                    got, self.sum(self.product_space(full, got), self.product_space(got, full))
+                )
+                if grown == got:
+                    break
+                got = grown
+            self._memo[key] = got
+        return got
 
     def commutator_ideal(self, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
         return self.ideal_closure(self.bracket_space(U, V))
 
     # -- canonical chains ------------------------------------------------------
 
-    def h_term(self, i: int) -> GradedSubspace:
-        """Lower central chain: H_1 = full, H_{i+1} = <[H_i, full]>."""
+    def _chain_term(self, name: str, i: int, step: Callable) -> GradedSubspace:
+        """Term i of the chain with first term full and term n+1 =
+        step(term n), each term past the first memoized under (name, n)."""
         if i < 1:
             raise InputError("chain index must be at least 1")
-        while len(self._h) <= i:
-            n = len(self._h)
-            if n == 1:
-                term = self.full()
-            else:
-                term = self.ideal_closure(self.bracket_space(self._h[n - 1], self.full()))
-            self._h.append(term)
-        return self._h[i]
+        term = self.full()
+        for n in range(2, i + 1):
+            key = (name, n)
+            nxt = self._memo.get(key)
+            if nxt is None:
+                nxt = self._memo[key] = step(term)
+            term = nxt
+        return term
+
+    def h_term(self, i: int) -> GradedSubspace:
+        """Lower central chain: H_1 = full, H_{i+1} = <[H_i, full]>."""
+        return self._chain_term(
+            "H", i, lambda t: self.ideal_closure(self.bracket_space(t, self.full()))
+        )
 
     def a_term(self, i: int) -> GradedSubspace:
         """Lie powers: A_[1] = full, A_[i+1] = [full, A_[i]] (not ideals)."""
-        if i < 1:
-            raise InputError("chain index must be at least 1")
-        while len(self._a) <= i:
-            n = len(self._a)
-            if n == 1:
-                term = self.full()
-            else:
-                term = self.bracket_space(self.full(), self._a[n - 1])
-            self._a.append(term)
-        return self._a[i]
-
-    def a_closed(self, i: int) -> GradedSubspace:
-        """Ideal closure of the i-th Lie power, memoized."""
-        got = self._a_closed.get(i)
-        if got is None:
-            got = self.ideal_closure(self.a_term(i))
-            self._a_closed[i] = got
-        return got
+        return self._chain_term("A", i, lambda t: self.bracket_space(self.full(), t))
 
     # -- inclusion checking ------------------------------------------------------
 
@@ -422,21 +420,10 @@ class ChainReport:
         self.kind = kind
         self.terms = terms
 
-    def vanishing_index(self) -> Optional[int]:
-        for i, t in enumerate(self.terms, start=1):
-            if t.is_zero():
-                return i
-        return None
-
-    def stabilized_at(self) -> Optional[int]:
-        for i in range(1, len(self.terms)):
-            if self.terms[i - 1] == self.terms[i]:
-                return i
-        return None
-
     def to_doc(self) -> dict:
-        s = self.slice
-        vanish = self.vanishing_index()
+        s, terms = self.slice, self.terms
+        vanish = next((i for i, t in enumerate(terms, start=1) if t.is_zero()), None)
+        stable = next((i for i in range(1, len(terms)) if terms[i - 1] == terms[i]), None)
         return {
             "chain": self.kind,
             "variety": s.variety.name,
@@ -449,11 +436,11 @@ class ChainReport:
                     "total_dim": t.total_dim(),
                     "dims": [{"multidegree": m, "dim": d} for m, d in t.dims()],
                 }
-                for i, t in enumerate(self.terms, start=1)
+                for i, t in enumerate(terms, start=1)
             ],
             "vanishing_index": vanish,
             "class": vanish - 1 if vanish is not None else None,
-            "stabilized_at": self.stabilized_at(),
+            "stabilized_at": stable,
         }
 
 
@@ -587,7 +574,7 @@ def _check_lem_mni1(s, params):
     _index_in_cap(s, i=i, **{"i+1": i + 1})
     verdict = s.check_inclusion(
         s.product_space(s.a_term(2), s.a_term(i)),
-        s.a_closed(i + 1),
+        s.ideal_closure(s.a_term(i + 1)),
         f"A[2]*A[{i}] <= <A[{i + 1}]>",
     )
     claims = [verdict.to_doc()]
@@ -599,7 +586,7 @@ def _check_prod_com_id(s, params):
     _index_in_cap(s, i=i)
     claims = [
         v.to_doc()
-        for v in s.check_equality(s.a_closed(i), s.h_term(i), f"<A[{i}]>", f"H_{i}")
+        for v in s.check_equality(s.ideal_closure(s.a_term(i)), s.h_term(i), f"<A[{i}]>", f"H_{i}")
     ]
     return claims, _status_of(claims), None
 
@@ -658,7 +645,7 @@ def _check_lem_46(s, params):
         raise InputError("this check assumes characteristic not 2 or 3")
     _index_in_cap(s, j=j, **{"j+1": j + 1})
     verdict = s.check_inclusion(
-        s.bracket_space(s.a_closed(j), s.full()),
+        s.bracket_space(s.ideal_closure(s.a_term(j)), s.full()),
         s.a_term(j + 1),
         f"[<A[{j}]>,full] <= A[{j + 1}]",
     )
@@ -674,8 +661,8 @@ def _check_cp_ass(s, params):
         raise InputError("this check assumes characteristic not 2 or 3")
     _index_in_cap(s, i=i, j=j, **{"i+j-1": i + j - 1})
     verdict = s.check_inclusion(
-        s.product_space(s.a_closed(i), s.a_closed(j)),
-        s.a_closed(i + j - 1),
+        s.product_space(s.ideal_closure(s.a_term(i)), s.ideal_closure(s.a_term(j))),
+        s.ideal_closure(s.a_term(i + j - 1)),
         f"<A[{i}]>*<A[{j}]> <= <A[{i + j - 1}]>",
     )
     claims = [verdict.to_doc()]
@@ -717,8 +704,8 @@ def _check_bicom_right_nilpotency(s, params):
 def _check_assoc_even_even(s, params):
     _index_in_cap(s, **{"3": 3})
     verdict = s.check_inclusion(
-        s.product_space(s.a_closed(2), s.a_closed(2)),
-        s.a_closed(3),
+        s.product_space(s.ideal_closure(s.a_term(2)), s.ideal_closure(s.a_term(2))),
+        s.ideal_closure(s.a_term(3)),
         "<A[2]>*<A[2]> <= <A[3]>",
     )
     claims = [verdict.to_doc()]

@@ -386,10 +386,12 @@ def component_basis(
 
 
 def clear_caches():
-    """Drop memoized components and the monomial enumeration table (used
-    by determinism tests and cold-start measurements)."""
+    """Drop memoized components, the monomial enumeration table and the
+    antisymmetric pairs of identities (used by determinism tests and
+    cold-start measurements)."""
     _component_cache.clear()
     _clear_monomial_table()
+    _antisymmetric_pair.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +452,22 @@ def verify_identity(
     if multilinear:
         tuples = [tuple(leaf(i) for i in range(nvars))]
     else:
+        # the pool has C(n-1) * nvars^n monomials of degree n, C the Catalan
+        # numbers; count them degree by degree and refuse before enumerating
+        size, catalan = 0, 1
+        for n in range(1, cap + 1):
+            size += catalan * nvars**n
+            if size**nvars > MAX_SUBSTITUTIONS:
+                least = "" if n == cap else "at least "
+                raise ResourceError(
+                    f"substitution search needs {least}{size ** nvars} tuples, "
+                    f"over the guard of {MAX_SUBSTITUTIONS}; lower the cap"
+                )
+            catalan = catalan * 2 * (2 * n - 1) // (n + 1)
         pool: list[Monomial] = []
         for mu in multidegrees((cap,) * nvars, cap):
             pool.extend(enumerate_monomials(nvars, mu))
         pool.sort(key=lambda m: m.sort_key(nvars))
-        if len(pool) ** nvars > MAX_SUBSTITUTIONS:
-            raise ResourceError(
-                f"substitution search needs {len(pool) ** nvars} tuples, "
-                f"over the guard of {MAX_SUBSTITUTIONS}; lower the cap"
-            )
         tuples = itertools.product(pool, repeat=nvars)
     for ts in tuples:
         value = substitute(template, dict(enumerate(ts)))

@@ -184,16 +184,35 @@ class TestVerify:
         assert err.startswith("error: expression nested deeper than") and "(at offset" in err
         assert not out
 
-    def test_product_over_term_guard_refused_at_once(self, capsys):
-        # the outermost of 17 nested commutators would expand to 2^17 terms
-        expr = "[" * 17 + "x" + ",y]" * 17
+    def refused_at_once(self, capsys, expr, total):
         t0 = time.perf_counter()
         code, out, err = run(capsys, "verify", "--variety", "novikov", "--expr", expr)
         assert time.perf_counter() - t0 < 1
         assert code == 2
         assert not out
         assert err.startswith("error:")
-        assert f"131072 terms, over the guard of {MAX_TEMPLATE_TERMS}" in err
+        assert f"{total} in this expression, over the guard of {MAX_TEMPLATE_TERMS}" in err
+
+    def test_product_over_term_guard_refused_at_once(self, capsys):
+        # the outermost of 16 nested commutators would take the terms formed
+        # in the expression to 2^17 - 2
+        self.refused_at_once(capsys, "[" * 16 + "x" + ",y]" * 16, 131070)
+
+    def test_chain_of_products_over_term_guard_refused_at_once(self, capsys):
+        # 15 nested commutators form 2^16 - 2 terms; the first of 20 '*x'
+        # would add 2^15 more
+        self.refused_at_once(capsys, "[" * 15 + "x" + ",y]" * 15 + "*x" * 20, 98302)
+
+    @pytest.mark.parametrize(
+        "expr,cap", [("x*x", "15"), ("x*x", "1000"), ("x*y*z*x", "9")], ids=["x15", "x1000", "xyzx9"]
+    )
+    def test_substitution_search_over_guard_refused_at_once(self, capsys, expr, cap):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--variety", "novikov", "--expr", expr, "--cap", cap)
+        assert time.perf_counter() - t0 < 1
+        assert code == 2
+        assert not out
+        assert err.startswith("error: substitution search needs at least")
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_refused(self, capsys, cap):

@@ -264,8 +264,11 @@ BATTERY = [
 
 class TestClosureWork:
     def test_closure_of_an_ideal_keeps_its_parts_and_eliminates_nothing(self, monkeypatch):
+        # H_2 carried into a fresh slice, whose memo holds no closure of it
+        h2 = make_slice("bicommutative", QQ, 2, 4).h_term(2)
         s = make_slice("bicommutative", QQ, 2, 4)
-        ideal = s.h_term(2)
+        ideal = s.span({mu: part.rows for mu, part in h2.parts.items()})
+        assert ideal.parts == h2.parts
         assert not ideal.is_zero()
         eliminate, sum_bases = linalg._rref, ideals_module._sum_bases
         eliminations, sums = [], []
@@ -322,6 +325,25 @@ class TestSpanMemo:
         fresh = make_slice()
         assert got.parts == fresh.bracket_space(fresh.a_term(2), fresh.full()).parts
 
+    def test_closures_powers_and_chain_terms_read_from_memo(self, monkeypatch):
+        s = make_slice()
+        U = s.span({(1, 0): [{0: 1}]})  # the first generator
+        calls = [
+            lambda: s.ideal_closure(U),
+            lambda: s.power(U, 3),
+            lambda: s.h_term(4),
+            lambda: s.a_term(4),
+        ]
+        first = [call() for call in calls]
+        assert not any(got.is_zero() for got in first)
+        counts = count_pair_spaces(monkeypatch)
+        for call, got in zip(calls, first):
+            assert call() is got
+        assert counts == {"calls": 0, "computed": 0}
+        # a subspace with equal parts is the same key
+        assert s.ideal_closure(s.span({mu: b.rows for mu, b in U.parts.items()})) is first[0]
+        assert counts == {"calls": 0, "computed": 0}
+
     @pytest.mark.parametrize("bracket", [False, True], ids=["product", "bracket"])
     def test_pairs_past_the_cap_are_never_added(self, monkeypatch, bracket):
         # full() has a part at each of the 14 multidegrees of total 1..4 over
@@ -360,8 +382,9 @@ class TestSpanMemo:
             for i in order:
                 assert check_theorem(s, *BATTERY[i]).to_doc() == fresh[i]
             # each distinct product or bracket is computed once per slice,
-            # whatever the order of the checks: 13 of 38 calls
-            assert (counts["calls"], counts["computed"]) == (38, 13)
+            # whatever the order of the checks: 13 of 28 calls, the rest
+            # read from the memo, as are closures, powers and chain terms
+            assert (counts["calls"], counts["computed"]) == (28, 13)
 
 
 class TestChains:

@@ -127,14 +127,27 @@ class TestParsing:
 
 
 class TestTermGuard:
-    def test_sixteen_nested_commutators_expand(self):
-        assert len(poly(nested_commutator(16)).terms) == MAX_TEMPLATE_TERMS
+    def test_fifteen_nested_commutators_expand(self):
+        # level j forms 2^j terms, 2^16 - 2 in all, within the guard
+        assert len(poly(nested_commutator(15)).terms) == MAX_TEMPLATE_TERMS // 2
 
-    def test_seventeen_nested_commutators_are_refused_with_the_count(self):
+    def test_sixteen_nested_commutators_are_refused_with_the_count(self):
+        # the outermost level would take the total to 2^17 - 2
         with pytest.raises(ResourceError) as exc:
-            Identity("t", nested_commutator(17))
-        assert "'[' at offset 0 would expand to 131072 terms" in str(exc.value)
+            Identity("t", nested_commutator(16))
+        assert "'[' at offset 0 would expand to 65536 terms, 131070 in this expression" in str(
+            exc.value
+        )
         assert f"guard of {MAX_TEMPLATE_TERMS}" in str(exc.value)
+
+    def test_terms_of_all_products_count_toward_the_guard(self):
+        # each product is within the guard, but the first '*' takes the
+        # total past it: 2^16 - 2 terms formed, then 2^15 more
+        source = nested_commutator(15) + "*x" * 20
+        with pytest.raises(ResourceError) as exc:
+            Identity("t", source)
+        offset = len(nested_commutator(15))
+        assert f"'*' at offset {offset} would expand to 32768 terms, 98302 in" in str(exc.value)
 
     @pytest.mark.parametrize(
         "source,count",

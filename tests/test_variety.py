@@ -602,6 +602,39 @@ class TestVerifyIdentity:
         }
 
 
+class TestSubstitutionGuard:
+    @pytest.mark.parametrize(
+        "source,cap,count",
+        [("x*x", 15, 23714), ("x*x", 1000, 23714), ("x*y*z*x", 9, 66**3)],
+        ids=["x*x-cap15", "x*x-cap1000", "xyzx-cap9"],
+    )
+    def test_refused_before_any_monomial_is_enumerated(self, monkeypatch, source, cap, count):
+        def enumerated(*args):
+            raise AssertionError("pool enumerated before the guard")
+
+        monkeypatch.setattr(variety_module, "multidegrees", enumerated)
+        monkeypatch.setattr(variety_module, "enumerate_monomials", enumerated)
+        with pytest.raises(ResourceError) as exc:
+            verify_identity(builtin_variety("novikov"), QQ, Identity("t", source), cap=cap)
+        assert str(exc.value) == (
+            f"substitution search needs at least {count} tuples, "
+            f"over the guard of {variety_module.MAX_SUBSTITUTIONS}; lower the cap"
+        )
+
+    @pytest.mark.parametrize("source", ["x*x", "x*x*y", "x*x*y*z"])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+    def test_count_is_the_pool_size(self, monkeypatch, source, cap):
+        # with the guard one below the search, the count runs to the cap
+        # and names exactly the tuples of the enumerated pool
+        nvars = len(Identity("t", source).variables)
+        pool = sum(
+            len(enumerate_monomials(nvars, mu)) for mu in multidegrees((cap,) * nvars, cap)
+        )
+        monkeypatch.setattr(variety_module, "MAX_SUBSTITUTIONS", pool**nvars - 1)
+        with pytest.raises(ResourceError, match=f"needs {pool ** nvars} tuples"):
+            verify_identity(builtin_variety("novikov"), QQ, Identity("t", source), cap=cap)
+
+
 class TestCaches:
     def test_clear_caches(self):
         v = builtin_variety("novikov")
@@ -616,6 +649,12 @@ class TestCaches:
         assert enumerate_monomials.cache_info().currsize > 0
         clear_caches()
         assert enumerate_monomials.cache_info().currsize == 0
+
+    def test_clear_caches_drops_antisymmetric_pairs(self):
+        component_basis(custom_variety(["x*y - y*x"]), QQ, 2, (1, 1))
+        assert variety_module._antisymmetric_pair.cache_info().currsize > 0
+        clear_caches()
+        assert variety_module._antisymmetric_pair.cache_info().currsize == 0
 
     def test_lower_components_are_shared(self):
         v = builtin_variety("assosymmetric")
