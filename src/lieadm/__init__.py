@@ -20,7 +20,6 @@ from .errors import (
 )
 from .exprs import BUILTIN_SOURCES, Identity, builtin, builtin_names
 from .fdalg import (
-    AuditReport,
     FiniteDimAlgebra,
     audit,
     check_membership,
@@ -33,7 +32,6 @@ from .ideals import (
     AlgebraSlice,
     ChainReport,
     GradedSubspace,
-    InclusionVerdict,
     TheoremReport,
     check_theorem,
     lie_power_series,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSlice",
-    "AuditReport",
     "BUILTIN_SOURCES",
     "ChainReport",
     "EchelonBasis",
@@ -81,7 +78,6 @@ __all__ = [
     "GF",
     "GradedSubspace",
     "Identity",
-    "InclusionVerdict",
     "InputError",
     "Monomial",
     "Polynomial",

@@ -247,12 +247,10 @@ def cmd_verify(args) -> int:
     if (args.builtin is None) == (args.expr is None):
         raise WorkbenchError("need exactly one of --builtin or --expr")
     ident = builtin(args.builtin) if args.builtin else Identity("expr", args.expr)
-    verdict = verify_identity(
-        variety, field, ident, cap=args.cap, max_monomials=args.max_monomials
-    )
-    doc = with_schema({"command": "verify", **verdict.to_doc()})
+    doc = verify_identity(variety, field, ident, cap=args.cap, max_monomials=args.max_monomials)
+    doc = with_schema({"command": "verify", **doc})
     _emit(doc, args.format, _table_verify)
-    return 0 if verdict.holds else 1
+    return 1 if doc["verdict"] == "fails" else 0
 
 
 def cmd_chain(args) -> int:
@@ -291,20 +289,19 @@ def cmd_check(args) -> int:
 def cmd_algebra(args) -> int:
     alg = FiniteDimAlgebra.load(args.file)
     report = audit(alg)
-    doc = report.to_doc()
     asserted = None
     if args.variety:
-        asserted = report.memberships[args.variety].member
+        asserted = report["memberships"][args.variety]["member"]
     doc = with_schema(
         {
             "command": "algebra",
-            **doc,
+            **report,
             "asserted_variety": args.variety,
             "asserted_member": asserted,
         }
     )
     _emit(doc, args.format, _table_algebra)
-    if report.status == "FAIL" or asserted is False:
+    if report["status"] == "FAIL" or asserted is False:
         return 1
     return 0
 
@@ -327,6 +324,11 @@ def cmd_search(args) -> int:
         outcome = "NOT-NILPOTENT-UP-TO-CAP" if ok else "COLLAPSED-WITHIN-CAP"
         exit_code = 0 if ok else 1
     else:
+        if args.gens < 2 or args.degree < 4:
+            raise WorkbenchError(
+                f"the grid k = 2..{args.gens}, D = 4..{args.degree} is empty; "
+                "assoc-even-even needs --gens at least 2 and --degree at least 4"
+            )
         found = False
         for k in range(2, args.gens + 1):
             for cap in range(4, args.degree + 1):

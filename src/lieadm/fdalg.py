@@ -7,8 +7,9 @@ The file format is a JSON document:
       "products": [ [i, j, k, "num/den"], ... ] }
 
 with 1-based basis indices, e_i * e_j = sum_k c * e_k over the listed
-entries, everything omitted being zero, and coefficients written as
-integer or fraction text. The audit computes variety memberships with
+entries, everything omitted being zero, and each coefficient a JSON
+integer or text of the form -?[0-9]+(/[0-9]+)?, the rational literal of
+the expression syntax. The audit computes variety memberships with
 witnesses, both canonical chains, and the nilpotency index of the
 commutator ideal, then cross-checks the structural facts the chains are
 expected to satisfy for members of the covered varieties.
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
@@ -149,9 +151,12 @@ class FiniteDimAlgebra:
             seen.add((i, j, k))
             if not isinstance(text, (str, int)) or isinstance(text, bool):
                 raise SchemaError(f"products[{pos}]: coefficient must be text")
-            try:
-                c = field.parse(str(text))
-            except Exception as err:
+            try:  # str() and int() refuse integers past the interpreter's digit limit
+                literal = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", str(text))
+                if literal is None:
+                    raise ValueError('not an integer or "num/den"')
+                c = field.from_fraction(Fraction(int(literal[1]), int(literal[2] or 1)))
+            except (ValueError, ZeroDivisionError, FieldError) as err:
                 raise SchemaError(f"products[{pos}]: bad coefficient: {err}") from None
             if c:
                 table.setdefault((i - 1, j - 1), []).append((k - 1, c))
@@ -226,28 +231,17 @@ def audit_cost(dim: int, products: dict) -> tuple[int, int, int]:
 # membership
 
 
-class MembershipVerdict:
-    __slots__ = ("member", "variety", "witness")
-
-    def __init__(self, member: bool, variety: str, witness: Optional[dict]):
-        self.member = member
-        self.variety = variety
-        self.witness = witness
-
-    def to_doc(self) -> dict:
-        return {"member": self.member, "witness": self.witness}
-
-
 def check_membership(
     alg: FiniteDimAlgebra, variety: VarietySpec, table: Optional[dict] = None
-) -> MembershipVerdict:
-    """Evaluate every defining identity on every basis tuple.
+) -> dict:
+    """The membership document ``{"member", "witness"}``: evaluate every
+    defining identity on every basis tuple.
 
     Multilinearity makes basis tuples sufficient; the first failing
-    (identity, tuple) in order is the witness. ``table`` is the
-    ``terms.evaluate`` table of monomial values on basis arguments; pass
-    the same dict to several calls on one algebra to share them, as
-    ``audit`` does.
+    (identity, tuple) in order is the witness, None for a member.
+    ``table`` is the ``terms.evaluate`` table of monomial values on basis
+    arguments; pass the same dict to several calls on one algebra to
+    share them, as ``audit`` does.
     """
     f = alg.field
     p = f.char
@@ -287,8 +281,8 @@ def check_membership(
                     },
                     "residual": _render_fd(f, acc.items()),
                 }
-                return MembershipVerdict(False, variety.name, witness)
-    return MembershipVerdict(True, variety.name, None)
+                return {"member": False, "witness": witness}
+    return {"member": True, "witness": None}
 
 
 # ---------------------------------------------------------------------------
@@ -359,42 +353,11 @@ def commutator_ideal_nilpotency(
 # audit
 
 
-class AuditReport:
-    __slots__ = (
-        "alg",
-        "memberships",
-        "lie",
-        "lower",
-        "commutator_index",
-        "checks",
-        "status",
-    )
-
-    def __init__(self, alg, memberships, lie, lower, commutator_index, checks):
-        self.alg = alg
-        self.memberships = memberships
-        self.lie = lie
-        self.lower = lower
-        self.commutator_index = commutator_index
-        self.checks = checks
-        self.status = "PASS" if all(c["status"] != "FAIL" for c in checks) else "FAIL"
-
-    def to_doc(self) -> dict:
-        return {
-            "field": self.alg.field.name,
-            "dim": self.alg.dim,
-            "memberships": {
-                name: v.to_doc() for name, v in self.memberships.items()
-            },
-            "lie_powers": self.lie,
-            "lower_central": self.lower,
-            "commutator_ideal_index": self.commutator_index,
-            "checks": self.checks,
-            "status": self.status,
-        }
-
-
-def audit(alg: FiniteDimAlgebra) -> AuditReport:
+def audit(alg: FiniteDimAlgebra) -> dict:
+    """The audit document: ``field``, ``dim``, the ``memberships`` of every
+    builtin variety, the ``lie_powers`` and ``lower_central`` chain
+    documents, the ``commutator_ideal_index``, the two ``checks`` and the
+    overall ``status``, FAIL when a check fails, else PASS."""
     table: dict = {}
     memberships = {
         name: check_membership(alg, builtin_variety(name), table)
@@ -405,7 +368,7 @@ def audit(alg: FiniteDimAlgebra) -> AuditReport:
     lower = lower_central_fd(alg, s)
     index = commutator_ideal_nilpotency(alg, s)
 
-    in_equiv = [n for n in _EQUIVALENCE if memberships[n].member]
+    in_equiv = [n for n in _EQUIVALENCE if memberships[n]["member"]]
     if in_equiv:
         lie_nilpotent, finite_class = lie["class"] is not None, lower["class"] is not None
         equivalence = (
@@ -416,7 +379,7 @@ def audit(alg: FiniteDimAlgebra) -> AuditReport:
     else:
         equivalence = ("not-asserted", "not a member of a variety with the equivalence")
 
-    covered = [n for n in _COVERED if memberships[n].member]
+    covered = [n for n in _COVERED if memberships[n]["member"]]
     cls = lower["class"]
     if covered and cls is not None:
         ok = index is not None and index <= cls
@@ -433,7 +396,16 @@ def audit(alg: FiniteDimAlgebra) -> AuditReport:
             ("commutator-ideal-index-at-most-class", bound),
         )
     ]
-    return AuditReport(alg, memberships, lie, lower, index, checks)
+    return {
+        "field": alg.field.name,
+        "dim": alg.dim,
+        "memberships": memberships,
+        "lie_powers": lie,
+        "lower_central": lower,
+        "commutator_ideal_index": index,
+        "checks": checks,
+        "status": "PASS" if all(c["status"] != "FAIL" for c in checks) else "FAIL",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +465,7 @@ def generate_nilpotent_corpus(seed: int, per_variety: int = 25) -> dict:
             alg = None
             for attempt in range(400):
                 cand = _random_weighted(rng, weights, top_weight_zero=False)
-                if cand.products and check_membership(cand, spec).member:
+                if cand.products and check_membership(cand, spec)["member"]:
                     alg = cand
                     break
             if alg is None:

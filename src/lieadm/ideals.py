@@ -84,24 +84,6 @@ class GradedSubspace:
         return f"GradedSubspace(dim={self.total_dim()}, parts={len(self.parts)})"
 
 
-class InclusionVerdict:
-    """Outcome of one containment claim, with a canonical witness."""
-
-    __slots__ = ("label", "holds", "witness")
-
-    def __init__(self, label: str, holds: bool, witness: Optional[dict]):
-        self.label = label
-        self.holds = holds
-        self.witness = witness
-
-    def to_doc(self) -> dict:
-        return {
-            "claim": self.label,
-            "verdict": "verified" if self.holds else "violated",
-            "witness": self.witness,
-        }
-
-
 class AlgebraSlice:
     """All components of one relatively free algebra up to total degree D."""
 
@@ -342,16 +324,18 @@ class AlgebraSlice:
 
     def _chain_term(self, name: str, i: int, step: Callable) -> GradedSubspace:
         """Term i of the chain with first term full and term n+1 =
-        step(term n), each term past the first memoized under (name, n)."""
+        step(term n), each term past the first memoized under (name, n).
+        Steps on from the highest memoized term up to i, so walking a
+        chain term by term reads the memo a constant number of times
+        per term."""
         if i < 1:
             raise InputError("chain index must be at least 1")
-        term = self.full()
-        for n in range(2, i + 1):
-            key = (name, n)
-            nxt = self._memo.get(key)
-            if nxt is None:
-                nxt = self._memo[key] = step(term)
-            term = nxt
+        n = i
+        while n > 1 and (name, n) not in self._memo:
+            n -= 1
+        term = self._memo[(name, n)] if n > 1 else self.full()
+        for n in range(n + 1, i + 1):
+            term = self._memo[(name, n)] = step(term)
         return term
 
     def h_term(self, i: int) -> GradedSubspace:
@@ -368,9 +352,11 @@ class AlgebraSlice:
 
     def check_inclusion(
         self, U: GradedSubspace, V: GradedSubspace, label: str
-    ) -> InclusionVerdict:
-        """Containment per multidegree; on failure reports the first
-        violating multidegree and basis vector in canonical order."""
+    ) -> dict:
+        """The claim document of U <= V: ``claim`` (the label), ``verdict``
+        (``verified`` or ``violated``) and ``witness``, None when the claim
+        holds, else the first violating multidegree and basis vector in
+        canonical order with its residual modulo V."""
         self._same(U)
         self._same(V)
         for mu, basis in U.parts.items():
@@ -388,12 +374,13 @@ class AlgebraSlice:
                         "element": comp.render_coords(row),
                         "residual": comp.render_coords(residual),
                     }
-                    return InclusionVerdict(label, False, witness)
-        return InclusionVerdict(label, True, None)
+                    return {"claim": label, "verdict": "violated", "witness": witness}
+        return {"claim": label, "verdict": "verified", "witness": None}
 
     def check_equality(
         self, U: GradedSubspace, V: GradedSubspace, left: str, right: str
-    ) -> list[InclusionVerdict]:
+    ) -> list[dict]:
+        """The claim documents of U <= V and V <= U."""
         return [
             self.check_inclusion(U, V, f"{left} <= {right}"),
             self.check_inclusion(V, U, f"{right} <= {left}"),
@@ -486,10 +473,6 @@ class TheoremReport:
         }
 
 
-def _status_of(claims: list[dict]) -> str:
-    return "verified" if all(c["verdict"] == "verified" for c in claims) else "violated"
-
-
 def _need(params: dict, *names: str) -> list[int]:
     vals = []
     for n in names:
@@ -510,7 +493,11 @@ def _index_in_cap(s: AlgebraSlice, **named: int) -> None:
             )
 
 
-def _check_com_id(s: AlgebraSlice, params: dict) -> tuple[list[dict], str, Optional[str]]:
+# Each handler checks one statement on a slice and returns its claim
+# documents; check_theorem derives the status from them.
+
+
+def _check_com_id(s: AlgebraSlice, params: dict) -> list[dict]:
     cases = [("full", s.full())]
     i = params.get("i")
     if i is not None:
@@ -523,22 +510,15 @@ def _check_com_id(s: AlgebraSlice, params: dict) -> tuple[list[dict], str, Optio
         lhs = s.ideal_closure(br)
         rhs = s.sum(br, s.product_space(s.full(), br))
         g = f"[full,{blabel}]"
-        claims += [
-            v.to_doc() for v in s.check_equality(lhs, rhs, f"<{g}>", f"{g} + full*{g}")
-        ]
-    return claims, _status_of(claims), None
+        claims += s.check_equality(lhs, rhs, f"<{g}>", f"{g} + full*{g}")
+    return claims
 
 
 def _check_circ_pro(s, params):
     p, q = _need(params, "p", "q")
     _index_in_cap(s, p=p, q=q, **{"p+q": p + q})
-    verdict = s.check_inclusion(
-        s.commutator_ideal(s.h_term(p), s.h_term(q)),
-        s.h_term(p + q),
-        f"H_{p} o H_{q} <= H_{p + q}",
-    )
-    claims = [verdict.to_doc()]
-    return claims, _status_of(claims), None
+    circ = s.commutator_ideal(s.h_term(p), s.h_term(q))
+    return [s.check_inclusion(circ, s.h_term(p + q), f"H_{p} o H_{q} <= H_{p + q}")]
 
 
 def _check_th_pro(s, params):
@@ -555,7 +535,7 @@ def _check_th_pro(s, params):
                 s.product_space(s.h_term(p), s.h_term(q)),
                 s.h_term(p + q - 1),
                 f"H_{p}*H_{q} <= H_{p + q - 1}",
-            ).to_doc()
+            )
         )
     if m is not None:
         _index_in_cap(s, m=m, **{"m+1": m + 1})
@@ -564,31 +544,22 @@ def _check_th_pro(s, params):
                 s.power(s.h_term(2), m),
                 s.h_term(m + 1),
                 f"power(H_2,{m}) <= H_{m + 1}",
-            ).to_doc()
+            )
         )
-    return claims, _status_of(claims), None
+    return claims
 
 
 def _check_lem_mni1(s, params):
     (i,) = _need(params, "i")
     _index_in_cap(s, i=i, **{"i+1": i + 1})
-    verdict = s.check_inclusion(
-        s.product_space(s.a_term(2), s.a_term(i)),
-        s.ideal_closure(s.a_term(i + 1)),
-        f"A[2]*A[{i}] <= <A[{i + 1}]>",
-    )
-    claims = [verdict.to_doc()]
-    return claims, _status_of(claims), None
+    prod, closed = s.product_space(s.a_term(2), s.a_term(i)), s.ideal_closure(s.a_term(i + 1))
+    return [s.check_inclusion(prod, closed, f"A[2]*A[{i}] <= <A[{i + 1}]>")]
 
 
 def _check_prod_com_id(s, params):
     (i,) = _need(params, "i")
     _index_in_cap(s, i=i)
-    claims = [
-        v.to_doc()
-        for v in s.check_equality(s.ideal_closure(s.a_term(i)), s.h_term(i), f"<A[{i}]>", f"H_{i}")
-    ]
-    return claims, _status_of(claims), None
+    return s.check_equality(s.ideal_closure(s.a_term(i)), s.h_term(i), f"<A[{i}]>", f"H_{i}")
 
 
 def _check_lem_ideal(s, params):
@@ -603,7 +574,7 @@ def _check_lem_ideal(s, params):
                 s.associator_space(full, B, full),
                 rhs,
                 f"(full,{blabel},full) <= full*[{blabel},full] + [{blabel},full]",
-            ).to_doc()
+            )
         )
     for blabel, B in (("full", full), ("A[2]", s.a_term(2))):
         br = s.bracket_space(full, B)
@@ -611,9 +582,9 @@ def _check_lem_ideal(s, params):
         g = f"[full,{blabel}]"
         left = s.sum(br, s.product_space(full, br))
         right = s.sum(br, s.product_space(br, full))
-        claims += [v.to_doc() for v in s.check_equality(closed, left, f"<{g}>", f"{g} + full*{g}")]
-        claims += [v.to_doc() for v in s.check_equality(closed, right, f"<{g}>", f"{g} + {g}*full")]
-    return claims, _status_of(claims), None
+        claims += s.check_equality(closed, left, f"<{g}>", f"{g} + full*{g}")
+        claims += s.check_equality(closed, right, f"<{g}>", f"{g} + {g}*full")
+    return claims
 
 
 def _check_lem_ass_ap(s, params):
@@ -621,20 +592,17 @@ def _check_lem_ass_ap(s, params):
     _index_in_cap(s, p=p, q=q, **{"p+q": p + q})
     hp, hq = s.h_term(p), s.h_term(q)
     target = s.h_term(p + q)
-    claims = [
+    return [
         s.check_inclusion(
             s.product_space(hp, hq), s.h_term(p + q - 1), f"H_{p}*H_{q} <= H_{p + q - 1}"
-        ).to_doc(),
-        s.check_inclusion(
-            s.bracket_space(hp, hq), target, f"[H_{p},H_{q}] <= H_{p + q}"
-        ).to_doc(),
+        ),
+        s.check_inclusion(s.bracket_space(hp, hq), target, f"[H_{p},H_{q}] <= H_{p + q}"),
         s.check_inclusion(
             s.associator_space(hp, hq, s.full()),
             target,
             f"(H_{p},H_{q},full) <= H_{p + q}",
-        ).to_doc(),
+        ),
     ]
-    return claims, _status_of(claims), None
 
 
 def _check_lem_46(s, params):
@@ -644,13 +612,8 @@ def _check_lem_46(s, params):
     if s.field.char in (2, 3):
         raise InputError("this check assumes characteristic not 2 or 3")
     _index_in_cap(s, j=j, **{"j+1": j + 1})
-    verdict = s.check_inclusion(
-        s.bracket_space(s.ideal_closure(s.a_term(j)), s.full()),
-        s.a_term(j + 1),
-        f"[<A[{j}]>,full] <= A[{j + 1}]",
-    )
-    claims = [verdict.to_doc()]
-    return claims, _status_of(claims), None
+    br = s.bracket_space(s.ideal_closure(s.a_term(j)), s.full())
+    return [s.check_inclusion(br, s.a_term(j + 1), f"[<A[{j}]>,full] <= A[{j + 1}]")]
 
 
 def _check_cp_ass(s, params):
@@ -660,80 +623,75 @@ def _check_cp_ass(s, params):
     if s.field.char in (2, 3):
         raise InputError("this check assumes characteristic not 2 or 3")
     _index_in_cap(s, i=i, j=j, **{"i+j-1": i + j - 1})
-    verdict = s.check_inclusion(
-        s.product_space(s.ideal_closure(s.a_term(i)), s.ideal_closure(s.a_term(j))),
-        s.ideal_closure(s.a_term(i + j - 1)),
-        f"<A[{i}]>*<A[{j}]> <= <A[{i + j - 1}]>",
-    )
-    claims = [verdict.to_doc()]
-    return claims, _status_of(claims), None
+    prod = s.product_space(s.ideal_closure(s.a_term(i)), s.ideal_closure(s.a_term(j)))
+    closed = s.ideal_closure(s.a_term(i + j - 1))
+    return [s.check_inclusion(prod, closed, f"<A[{i}]>*<A[{j}]> <= <A[{i + j - 1}]>")]
 
 
 def _check_bicom_metabelian(s, params):
     b2 = s.bracket_space(s.full(), s.full())
-    verdict = s.check_inclusion(
-        s.bracket_space(b2, b2), s.zero(), "[[full,full],[full,full]] == 0"
-    )
-    claims = [verdict.to_doc()]
-    return claims, _status_of(claims), None
+    return [s.check_inclusion(s.bracket_space(b2, b2), s.zero(), "[[full,full],[full,full]] == 0")]
 
 
 def _check_bicom_right_nilpotency(s, params):
+    """One claim per step n = 1..D-1: the right power H_2 full...full with
+    n - 1 factors full is nonzero. A cap below 2 leaves no step to check."""
+    _index_in_cap(s, **{"2": 2})
     claims = []
     term = s.h_term(2)
-    step = 1
-    while 1 + step <= s.degree_cap:
-        doc = {
-            "claim": f"right_power_{step}(H_2) != 0",
-            "verdict": "verified" if not term.is_zero() else "violated",
-            "witness": None,
-            "total_dim": term.total_dim(),
-        }
-        claims.append(doc)
-        step += 1
-        if 1 + step > s.degree_cap:
-            break
-        term = s.product_space(term, s.full())
-    note = (
-        "nonzero right powers up to the cap rule out right nilpotency "
-        "at this cap only; no statement beyond the cap"
-    )
-    return claims, _status_of(claims), note
+    for step in range(1, s.degree_cap):
+        if step > 1:
+            term = s.product_space(term, s.full())
+        claims.append(
+            {
+                "claim": f"right_power_{step}(H_2) != 0",
+                "verdict": "verified" if not term.is_zero() else "violated",
+                "witness": None,
+                "total_dim": term.total_dim(),
+            }
+        )
+    return claims
 
 
 def _check_assoc_even_even(s, params):
     _index_in_cap(s, **{"3": 3})
-    verdict = s.check_inclusion(
-        s.product_space(s.ideal_closure(s.a_term(2)), s.ideal_closure(s.a_term(2))),
-        s.ideal_closure(s.a_term(3)),
-        "<A[2]>*<A[2]> <= <A[3]>",
-    )
-    claims = [verdict.to_doc()]
-    if verdict.holds:
-        status = "inconclusive"
-        note = (
-            "no violation up to the cap; exploratory search only, "
-            "not a verification of the inclusion"
-        )
-    else:
-        status = "violated"
-        note = "explicit violation of the even-even inclusion at this cap"
-    return claims, status, note
+    prod = s.product_space(s.ideal_closure(s.a_term(2)), s.ideal_closure(s.a_term(2)))
+    return [s.check_inclusion(prod, s.ideal_closure(s.a_term(3)), "<A[2]>*<A[2]> <= <A[3]>")]
 
 
-_THEOREMS: dict[str, Callable] = {
-    "com_id": _check_com_id,
-    "circ_pro": _check_circ_pro,
-    "th_pro": _check_th_pro,
-    "lem_mni1": _check_lem_mni1,
-    "prod_com_id": _check_prod_com_id,
-    "lem_ideal": _check_lem_ideal,
-    "lem_ass_ap": _check_lem_ass_ap,
-    "lem_46": _check_lem_46,
-    "cp_ass": _check_cp_ass,
-    "bicom_metabelian": _check_bicom_metabelian,
-    "bicom_not_right_nilpotent": _check_bicom_right_nilpotency,
-    "assoc_even_even": _check_assoc_even_even,
+# name -> (handler, status when every claim is verified, note by status).
+# Any violated claim makes the status "violated". The right-nilpotency scan
+# speaks of its cap only; the even-even scan is exploratory, so a clean
+# pass is "inconclusive", not "verified".
+_THEOREMS: dict[str, tuple[Callable, str, dict]] = {
+    "com_id": (_check_com_id, "verified", {}),
+    "circ_pro": (_check_circ_pro, "verified", {}),
+    "th_pro": (_check_th_pro, "verified", {}),
+    "lem_mni1": (_check_lem_mni1, "verified", {}),
+    "prod_com_id": (_check_prod_com_id, "verified", {}),
+    "lem_ideal": (_check_lem_ideal, "verified", {}),
+    "lem_ass_ap": (_check_lem_ass_ap, "verified", {}),
+    "lem_46": (_check_lem_46, "verified", {}),
+    "cp_ass": (_check_cp_ass, "verified", {}),
+    "bicom_metabelian": (_check_bicom_metabelian, "verified", {}),
+    "bicom_not_right_nilpotent": (
+        _check_bicom_right_nilpotency,
+        "verified",
+        dict.fromkeys(
+            ("verified", "violated"),
+            "nonzero right powers up to the cap rule out right nilpotency "
+            "at this cap only; no statement beyond the cap",
+        ),
+    ),
+    "assoc_even_even": (
+        _check_assoc_even_even,
+        "inconclusive",
+        {
+            "inconclusive": "no violation up to the cap; exploratory search only, "
+            "not a verification of the inclusion",
+            "violated": "explicit violation of the even-even inclusion at this cap",
+        },
+    ),
 }
 
 _ALLOWED_PARAMS = {"p", "q", "i", "j", "m"}
@@ -746,8 +704,11 @@ def theorem_names() -> tuple[str, ...]:
 def check_theorem(
     slice_: AlgebraSlice, name: str, params: Optional[dict] = None
 ) -> TheoremReport:
-    handler = _THEOREMS.get(name)
-    if handler is None:
+    """Run the named check on the slice. Its status is the check's own
+    status when every claim is verified, else ``violated``; its note is
+    the one the check gives for that status, if any."""
+    entry = _THEOREMS.get(name)
+    if entry is None:
         raise InputError(
             f"unknown check {name!r}; known: {', '.join(theorem_names())}"
         )
@@ -755,5 +716,7 @@ def check_theorem(
     stray = set(params) - _ALLOWED_PARAMS
     if stray:
         raise InputError(f"unknown parameters: {', '.join(sorted(stray))}")
-    claims, status, note = handler(slice_, params)
-    return TheoremReport(slice_, name, params, claims, status, note)
+    handler, held, notes = entry
+    claims = handler(slice_, params)
+    status = held if all(c["verdict"] == "verified" for c in claims) else "violated"
+    return TheoremReport(slice_, name, params, claims, status, notes.get(status))

@@ -398,31 +398,6 @@ def clear_caches():
 # identity verification
 
 
-class VerifyVerdict:
-    """Outcome of checking one identity against one variety."""
-
-    __slots__ = ("holds", "identity", "variety", "field", "multilinear", "witness")
-
-    def __init__(self, holds, identity, variety, field, multilinear, witness=None):
-        self.holds = holds
-        self.identity = identity
-        self.variety = variety
-        self.field = field
-        self.multilinear = multilinear
-        self.witness = witness
-
-    def to_doc(self) -> dict:
-        doc = {
-            "identity": self.identity,
-            "variety": self.variety,
-            "field": self.field,
-            "multilinear": self.multilinear,
-            "verdict": "holds" if self.holds else "fails",
-        }
-        doc["witness"] = self.witness
-        return doc
-
-
 # the most substitution tuples verify_identity tries for a non-multilinear identity
 MAX_SUBSTITUTIONS = 20000
 
@@ -433,8 +408,11 @@ def verify_identity(
     identity: Identity,
     cap: int = 3,
     max_monomials: Optional[int] = None,
-) -> VerifyVerdict:
-    """Check whether the identity holds in the variety.
+) -> dict:
+    """Check whether the identity holds in the variety, and return the
+    verify document: ``identity``, ``variety`` and ``field`` (names),
+    ``multilinear``, ``verdict`` (``holds`` or ``fails``) and ``witness``,
+    None when it holds.
 
     A multilinear identity is decided by the one assignment of variable i
     to generator i: the template vanishes in the relatively free algebra
@@ -449,6 +427,12 @@ def verify_identity(
     template = identity.template(field)
     nvars = len(identity.variables)
     multilinear = identity.multilinear(field)
+    doc = {
+        "identity": identity.name,
+        "variety": variety.name,
+        "field": field.name,
+        "multilinear": multilinear,
+    }
     if multilinear:
         tuples = [tuple(leaf(i) for i in range(nvars))]
     else:
@@ -490,7 +474,5 @@ def verify_identity(
                     "multidegree": format_multidegree(mu),
                     "residual": comp.render_coords(residual),
                 }
-                return VerifyVerdict(
-                    False, identity.name, variety.name, field.name, multilinear, witness
-                )
-    return VerifyVerdict(True, identity.name, variety.name, field.name, multilinear)
+                return {**doc, "verdict": "fails", "witness": witness}
+    return {**doc, "verdict": "holds", "witness": None}

@@ -112,7 +112,7 @@ def run_identity_suite():
     for name, ident, char in IDENTITY_SUITE:
         v = builtin_variety(name)
         field = field_of_char(char)
-        docs.append(verify_identity(v, field, builtin(ident)).to_doc())
+        docs.append(verify_identity(v, field, builtin(ident)))
     return docs
 
 
@@ -186,12 +186,12 @@ def run_bicom_remarks():
 def run_fd_audits():
     out = {}
     for stem in ("zero2", "sq2", "heis3", "nonmember2", "idem1"):
-        out[stem] = audit(FiniteDimAlgebra.load(DATA / f"{stem}.json")).to_doc()
+        out[stem] = audit(FiniteDimAlgebra.load(DATA / f"{stem}.json"))
     corpus = json.loads((DATA / "random_nilpotent.json").read_text())
     members = []
     for entry in corpus["algebras"]:
         alg = FiniteDimAlgebra.from_doc(entry["algebra"])
-        doc = audit(alg).to_doc()
+        doc = audit(alg)
         members.append(
             {
                 "variety": entry["variety"],

@@ -254,6 +254,18 @@ class TestChain:
         assert "H_1: dim 18" in out
         assert "vanishing index: none within cap" in out
 
+    def test_long_chain_walked_once(self, capsys):
+        # each term steps on from the last memoized one, so a chain of n
+        # terms reads the memo O(n) times, not O(n^2)
+        t0 = time.perf_counter()
+        code, doc, _ = run_json(
+            capsys,
+            "chain", "--variety", "novikov", "--gens", "1", "--degree", "1", "--terms", "10000",
+        )
+        assert time.perf_counter() - t0 < 1
+        assert code == 0
+        assert len(doc["terms"]) == 10000 and doc["vanishing_index"] == 2
+
 
 class TestCheck:
     def test_verified(self, capsys):
@@ -299,6 +311,17 @@ class TestCheck:
         )
         assert code == 0
         assert doc["status"] == "inconclusive"
+
+    def test_right_nilpotency_needs_cap_two(self, capsys):
+        # at cap 1 there is no right power to check, and no claim is no verdict
+        argv = ["check", "--theorem", "bicom_not_right_nilpotent", "--variety", "novikov",
+                "--gens", "2"]
+        code, out, err = run(capsys, *argv, "--degree", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "degree cap 1" in err
+        code, doc, _ = run_json(capsys, *argv, "--degree", "2")
+        assert code == 0 and doc["status"] == "verified"
+        assert [c["claim"] for c in doc["claims"]] == ["right_power_1(H_2) != 0"]
 
 
 class TestAlgebra:
@@ -357,6 +380,15 @@ class TestAlgebra:
         assert code == 0 and not err
         assert "    residual: 1" + "0" * 8000 + "*e1\n" in out
 
+    def test_exponent_coefficient_refused_at_once(self, capsys, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text('{"field": "Q", "dim": 1, "products": [[1, 1, 1, "1e99999999"]]}')
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "algebra", "--file", str(path))
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == ""
+        assert "bad coefficient" in err
+
     def test_table_and_json_agree(self, capsys):
         _, doc, _ = run_json(capsys, "algebra", "--file", str(DATA / "zero2.json"))
         code, out, _ = run(capsys, "algebra", "--file", str(DATA / "zero2.json"))
@@ -407,3 +439,26 @@ class TestSearch:
         assert code == 0
         assert doc["outcome"] == "INCONCLUSIVE-AT-CAP"
         assert all(cell["status"] != "verified" for cell in doc["grid"])
+
+    def test_assoc_even_even_smallest_grid_table(self, capsys):
+        code, out, _ = run(
+            capsys, "search", "--target", "assoc-even-even", "--gens", "2", "--degree", "4"
+        )
+        assert code == 0
+        assert out == "search assoc-even-even\n  k=2 D=4: inconclusive\noutcome: INCONCLUSIVE-AT-CAP\n"
+
+    @pytest.mark.parametrize("gens,degree", [(1, 3), (3, 2), (1, 4)])
+    def test_assoc_even_even_empty_grid_refused(self, capsys, gens, degree):
+        code, out, err = run(
+            capsys,
+            "search", "--target", "assoc-even-even", "--gens", str(gens), "--degree", str(degree),
+        )
+        assert code == 2 and out == ""
+        assert f"k = 2..{gens}, D = 4..{degree} is empty" in err
+
+    def test_bicom_right_nilpotency_needs_cap_two(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--target", "bicom-right-nilpotency", "--gens", "2", "--degree", "1"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:")

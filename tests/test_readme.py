@@ -1,10 +1,12 @@
-"""Every ``$ lieadm ...`` example in README.md prints exactly what it shows.
+"""Every ``$ lieadm ...`` example in README.md prints exactly what it shows,
+and so does its Python library block.
 
 An example is a fenced block whose first line is ``$ lieadm <args>``; the
 rest of the block is the expected stdout. Commands run in-process from
 the repository root, so relative paths in the examples resolve there.
 """
 
+import re
 import shlex
 from pathlib import Path
 
@@ -45,3 +47,17 @@ def test_readme_example_output(command, expected, capsys, monkeypatch):
     assert code in (0, 1), out.err
     assert out.err == ""
     assert out.out == expected
+
+
+def test_library_block_prints_what_its_comments_say(capsys):
+    # each ``print(...)  # value: remark`` line prints ``value``
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    expected = [
+        line.split("#", 1)[1].strip().split(": ", 1)[0]
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    assert expected
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
