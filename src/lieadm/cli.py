@@ -15,15 +15,13 @@ import sys
 from typing import Optional
 
 from .errors import WorkbenchError
-from .exprs import BUILTIN_SOURCES, Identity, builtin
+from .exprs import Identity, builtin, builtin_names
 from .fdalg import FiniteDimAlgebra, audit
 from .ideals import AlgebraSlice, check_theorem, lie_power_series, lower_central_chain, theorem_names
 from .linalg import field_of_char
 from .reports import canonical_json, with_schema
 from .terms import format_multidegree, multidegrees
 from .variety import builtin_variety, component_basis, custom_variety, variety_names, verify_identity
-
-_DEFAULT_MAX_MONOMIALS = 200000
 
 
 # ---------------------------------------------------------------------------
@@ -46,17 +44,6 @@ def _add_format(sp):
         choices=("table", "json"),
         default="table",
         help="output format (default table)",
-    )
-
-
-def _add_guard(sp):
-    sp.add_argument(
-        "--max-monomials",
-        type=int,
-        default=_DEFAULT_MAX_MONOMIALS,
-        metavar="N",
-        help="abort if a component's product space, the pairs of lower normal monomials "
-        f"it is built from, has more than N columns (default {_DEFAULT_MAX_MONOMIALS})",
     )
 
 
@@ -224,7 +211,7 @@ def cmd_basis(args) -> int:
         mus = multidegrees((cap,) * k, cap)
     dims = []
     for mu in mus:
-        comp = component_basis(variety, field, k, mu, args.max_monomials)
+        comp = component_basis(variety, field, k, mu)
         dims.append({"multidegree": format_multidegree(mu), "dim": comp.quotient_dim})
     doc = with_schema(
         {
@@ -247,7 +234,7 @@ def cmd_verify(args) -> int:
     if (args.builtin is None) == (args.expr is None):
         raise WorkbenchError("need exactly one of --builtin or --expr")
     ident = builtin(args.builtin) if args.builtin else Identity("expr", args.expr)
-    doc = verify_identity(variety, field, ident, cap=args.cap, max_monomials=args.max_monomials)
+    doc = verify_identity(variety, field, ident, cap=args.cap)
     doc = with_schema({"command": "verify", **doc})
     _emit(doc, args.format, _table_verify)
     return 1 if doc["verdict"] == "fails" else 0
@@ -256,9 +243,7 @@ def cmd_verify(args) -> int:
 def cmd_chain(args) -> int:
     field = field_of_char(args.char)
     variety = _variety_from(args)
-    slice_ = AlgebraSlice(
-        variety, field, args.gens, args.degree, max_monomials=args.max_monomials
-    )
+    slice_ = AlgebraSlice(variety, field, args.gens, args.degree)
     n = args.terms if args.terms is not None else args.degree
     if args.series == "lower-central":
         report = lower_central_chain(slice_, n)
@@ -272,9 +257,7 @@ def cmd_chain(args) -> int:
 def cmd_check(args) -> int:
     field = field_of_char(args.char)
     variety = _variety_from(args)
-    slice_ = AlgebraSlice(
-        variety, field, args.gens, args.degree, max_monomials=args.max_monomials
-    )
+    slice_ = AlgebraSlice(variety, field, args.gens, args.degree)
     params = {
         name: getattr(args, name)
         for name in ("p", "q", "i", "j", "m")
@@ -310,13 +293,7 @@ def cmd_search(args) -> int:
     field = field_of_char(args.char)
     grid = []
     if args.target == "bicom-right-nilpotency":
-        slice_ = AlgebraSlice(
-            builtin_variety("bicommutative"),
-            field,
-            args.gens,
-            args.degree,
-            max_monomials=args.max_monomials,
-        )
+        slice_ = AlgebraSlice(builtin_variety("bicommutative"), field, args.gens, args.degree)
         report = check_theorem(slice_, "bicom_not_right_nilpotent")
         cell = report.to_doc()
         grid.append(cell)
@@ -332,13 +309,7 @@ def cmd_search(args) -> int:
         found = False
         for k in range(2, args.gens + 1):
             for cap in range(4, args.degree + 1):
-                slice_ = AlgebraSlice(
-                    builtin_variety("associative"),
-                    field,
-                    k,
-                    cap,
-                    max_monomials=args.max_monomials,
-                )
+                slice_ = AlgebraSlice(builtin_variety("associative"), field, k, cap)
                 report = check_theorem(slice_, "assoc_even_even")
                 grid.append(report.to_doc())
                 if report.status == "violated":
@@ -380,12 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--multilinear", action="store_true", help="only the all-ones multidegree")
     _add_field(sp)
     _add_format(sp)
-    _add_guard(sp)
     sp.set_defaults(run=cmd_basis)
 
     sp = sub.add_parser("verify", help="check one identity against a variety")
     _add_variety(sp)
-    sp.add_argument("--builtin", choices=tuple(sorted(BUILTIN_SOURCES)), help="catalog identity")
+    sp.add_argument("--builtin", choices=builtin_names(), help="catalog identity")
     sp.add_argument("--expr", metavar="EXPR", help="identity written in the expression syntax")
     sp.add_argument(
         "--cap",
@@ -396,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_field(sp)
     _add_format(sp)
-    _add_guard(sp)
     sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("chain", help="lower central chain or Lie powers")
@@ -411,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--terms", type=int, metavar="N", help="number of terms (default: degree cap)")
     _add_field(sp)
     _add_format(sp)
-    _add_guard(sp)
     sp.set_defaults(run=cmd_chain)
 
     sp = sub.add_parser("check", help="run one named structural check")
@@ -423,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(f"--{name}", type=int, default=None)
     _add_field(sp)
     _add_format(sp)
-    _add_guard(sp)
     sp.set_defaults(run=cmd_check)
 
     sp = sub.add_parser("algebra", help="audit a structure-constant algebra file")
@@ -446,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, required=True, metavar="D")
     _add_field(sp)
     _add_format(sp)
-    _add_guard(sp)
     sp.set_defaults(run=cmd_search)
 
     return parser

@@ -348,7 +348,7 @@ def builtin(name: str) -> Identity:
         source = BUILTIN_SOURCES.get(name)
         if source is None:
             raise InputError(
-                f"unknown builtin identity {name!r}; known: {', '.join(sorted(BUILTIN_SOURCES))}"
+                f"unknown builtin identity {name!r}; known: {', '.join(builtin_names())}"
             )
         ident = _builtin_cache[name] = Identity(name, source)
     return ident

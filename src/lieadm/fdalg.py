@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
@@ -151,12 +150,9 @@ class FiniteDimAlgebra:
             seen.add((i, j, k))
             if not isinstance(text, (str, int)) or isinstance(text, bool):
                 raise SchemaError(f"products[{pos}]: coefficient must be text")
-            try:  # str() and int() refuse integers past the interpreter's digit limit
-                literal = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", str(text))
-                if literal is None:
-                    raise ValueError('not an integer or "num/den"')
-                c = field.from_fraction(Fraction(int(literal[1]), int(literal[2] or 1)))
-            except (ValueError, ZeroDivisionError, FieldError) as err:
+            try:  # str() refuses an integer past the interpreter's digit limit
+                c = field.parse(str(text))
+            except (ValueError, FieldError) as err:
                 raise SchemaError(f"products[{pos}]: bad coefficient: {err}") from None
             if c:
                 table.setdefault((i - 1, j - 1), []).append((k - 1, c))

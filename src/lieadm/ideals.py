@@ -97,14 +97,7 @@ class AlgebraSlice:
         "_memo",
     )
 
-    def __init__(
-        self,
-        variety: VarietySpec,
-        field: Field,
-        k: int,
-        degree_cap: int,
-        max_monomials: Optional[int] = None,
-    ):
+    def __init__(self, variety: VarietySpec, field: Field, k: int, degree_cap: int):
         if k < 1:
             raise InputError("need at least one generator")
         if degree_cap < 1:
@@ -112,7 +105,7 @@ class AlgebraSlice:
         self.variety = variety
         self.k = k
         components = {
-            mu: component_basis(variety, field, k, mu, max_monomials)
+            mu: component_basis(variety, field, k, mu)
             for mu in multidegrees((degree_cap,) * k, degree_cap)
         }
         self._init_spans(field, degree_cap, components)
@@ -659,23 +652,24 @@ def _check_assoc_even_even(s, params):
     return [s.check_inclusion(prod, s.ideal_closure(s.a_term(3)), "<A[2]>*<A[2]> <= <A[3]>")]
 
 
-# name -> (handler, status when every claim is verified, note by status).
-# Any violated claim makes the status "violated". The right-nilpotency scan
-# speaks of its cap only; the even-even scan is exploratory, so a clean
-# pass is "inconclusive", not "verified".
-_THEOREMS: dict[str, tuple[Callable, str, dict]] = {
-    "com_id": (_check_com_id, "verified", {}),
-    "circ_pro": (_check_circ_pro, "verified", {}),
-    "th_pro": (_check_th_pro, "verified", {}),
-    "lem_mni1": (_check_lem_mni1, "verified", {}),
-    "prod_com_id": (_check_prod_com_id, "verified", {}),
-    "lem_ideal": (_check_lem_ideal, "verified", {}),
-    "lem_ass_ap": (_check_lem_ass_ap, "verified", {}),
-    "lem_46": (_check_lem_46, "verified", {}),
-    "cp_ass": (_check_cp_ass, "verified", {}),
-    "bicom_metabelian": (_check_bicom_metabelian, "verified", {}),
+# name -> (handler, the parameters it reads, status when every claim is
+# verified, note by status). Any violated claim makes the status "violated".
+# The right-nilpotency scan speaks of its cap only; the even-even scan is
+# exploratory, so a clean pass is "inconclusive", not "verified".
+_THEOREMS: dict[str, tuple[Callable, tuple, str, dict]] = {
+    "com_id": (_check_com_id, ("i",), "verified", {}),
+    "circ_pro": (_check_circ_pro, ("p", "q"), "verified", {}),
+    "th_pro": (_check_th_pro, ("p", "q", "m"), "verified", {}),
+    "lem_mni1": (_check_lem_mni1, ("i",), "verified", {}),
+    "prod_com_id": (_check_prod_com_id, ("i",), "verified", {}),
+    "lem_ideal": (_check_lem_ideal, (), "verified", {}),
+    "lem_ass_ap": (_check_lem_ass_ap, ("p", "q"), "verified", {}),
+    "lem_46": (_check_lem_46, ("j",), "verified", {}),
+    "cp_ass": (_check_cp_ass, ("i", "j"), "verified", {}),
+    "bicom_metabelian": (_check_bicom_metabelian, (), "verified", {}),
     "bicom_not_right_nilpotent": (
         _check_bicom_right_nilpotency,
+        (),
         "verified",
         dict.fromkeys(
             ("verified", "violated"),
@@ -685,6 +679,7 @@ _THEOREMS: dict[str, tuple[Callable, str, dict]] = {
     ),
     "assoc_even_even": (
         _check_assoc_even_even,
+        (),
         "inconclusive",
         {
             "inconclusive": "no violation up to the cap; exploratory search only, "
@@ -694,8 +689,6 @@ _THEOREMS: dict[str, tuple[Callable, str, dict]] = {
     ),
 }
 
-_ALLOWED_PARAMS = {"p", "q", "i", "j", "m"}
-
 
 def theorem_names() -> tuple[str, ...]:
     return tuple(sorted(_THEOREMS))
@@ -704,19 +697,23 @@ def theorem_names() -> tuple[str, ...]:
 def check_theorem(
     slice_: AlgebraSlice, name: str, params: Optional[dict] = None
 ) -> TheoremReport:
-    """Run the named check on the slice. Its status is the check's own
-    status when every claim is verified, else ``violated``; its note is
-    the one the check gives for that status, if any."""
+    """Run the named check on the slice. A parameter the check does not
+    read is refused. Its status is the check's own status when every claim
+    is verified, else ``violated``; its note is the one the check gives for
+    that status, if any."""
     entry = _THEOREMS.get(name)
     if entry is None:
         raise InputError(
             f"unknown check {name!r}; known: {', '.join(theorem_names())}"
         )
     params = dict(params or {})
-    stray = set(params) - _ALLOWED_PARAMS
+    handler, reads, held, notes = entry
+    stray = sorted(set(params) - set(reads))
     if stray:
-        raise InputError(f"unknown parameters: {', '.join(sorted(stray))}")
-    handler, held, notes = entry
+        raise InputError(
+            f"check {name!r} does not read {', '.join(stray)}; "
+            f"it reads {', '.join(reads) or 'no parameters'}"
+        )
     claims = handler(slice_, params)
     status = held if all(c["verdict"] == "verified" for c in claims) else "violated"
     return TheoremReport(slice_, name, params, claims, status, notes.get(status))

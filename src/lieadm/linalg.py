@@ -28,6 +28,7 @@ otherwise only the larger basis's rows and the leftovers are eliminated.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Optional, Union
@@ -35,6 +36,10 @@ from typing import Iterable, Iterator, Optional, Union
 from .errors import FieldError, InputError
 
 Scalar = Union[Fraction, int]
+
+
+# the scalar literal Field.parse reads: n or n/d in ASCII digits, optional minus
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 # Miller-Rabin with these bases decides primality exactly below 3.3e24
@@ -118,12 +123,19 @@ class Field:
         return (q.numerator % self.char) * self.inv(q.denominator % self.char) % self.char
 
     def parse(self, text: str) -> Scalar:
-        """Read a scalar from "n" or "n/d" text."""
+        """Read a scalar from text of the form -?[0-9]+(/[0-9]+)?, with no
+        blanks, plus signs, points, underscores or exponents. A FieldError for
+        anything else quotes at most the first 40 characters of the text."""
+        literal = _SCALAR.fullmatch(text)
+        if literal is None:
+            raise FieldError(f'{_excerpt(text)} is not an integer or "num/den"')
         try:
-            q = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FieldError(f"bad scalar text {text!r}") from exc
-        return self.from_fraction(q)
+            num, den = int(literal[1]), int(literal[2] or 1)
+        except ValueError:  # int() refuses text past the interpreter's digit limit
+            raise FieldError(f"{_excerpt(text)} has too many digits") from None
+        if not den:
+            raise FieldError(f"{_excerpt(text)} has a zero denominator")
+        return self.from_fraction(Fraction(num, den))
 
     def render(self, a: Scalar) -> str:
         if self.char == 0:
@@ -131,6 +143,11 @@ class Field:
             num = _decimal(q.numerator)
             return num if q.denominator == 1 else f"{num}/{_decimal(q.denominator)}"
         return str(a % self.char)
+
+
+def _excerpt(text: str, limit: int = 40) -> str:
+    """The repr of text cut after ``limit`` characters, for error messages."""
+    return repr(text[:limit]) + ("..." if len(text) > limit else "")
 
 
 def _decimal(n: int) -> str:

@@ -28,7 +28,11 @@ block in descending lead order, which cuts the work of keeping the pivot
 rows reduced; the order changes only the work, never the basis.
 
 Components are memoized per (variety, field, generators, multidegree) and
-immutable once built; lower components come from the same cache.
+immutable once built; lower components come from the same cache. Every
+component is built under one guard, MAX_COLUMNS product-space columns,
+counted from the lower dimensions before any column is formed, so no
+cached component is over it and a call gives the same answer whatever
+was built before.
 """
 
 from __future__ import annotations
@@ -56,6 +60,13 @@ from .terms import (
     render_polynomial,
     substitute,
 )
+
+# The resource guards, for library and CLI calls alike. The most
+# product-space columns a component may have: the free magma on one
+# generator passes it up to degree 12 (58786 columns), not at 13 (208012).
+MAX_COLUMNS = 200000
+# the most substitution tuples verify_identity tries for a non-multilinear identity
+MAX_SUBSTITUTIONS = 20000
 
 
 class VarietySpec:
@@ -106,25 +117,23 @@ def custom_variety(sources: Iterable[str], name: str = "custom") -> VarietySpec:
 # product spaces and relation rows
 
 
-def _product_space(variety, field, k, mu, max_monomials=None) -> tuple[dict, list]:
+def _product_space(variety, field, k, mu) -> tuple[dict, list]:
     """The lower components (every proper nonzero part of mu) and the
     product-space columns at mu in canonical order, as (key, monomial):
     key (a, p, q) is the product of normal monomial p of degree a and
     normal monomial q of degree mu - a, and key () the generator itself
-    in degree 1."""
+    in degree 1. A ResourceError if there are more than MAX_COLUMNS."""
     if len(mu) != k or any(c < 0 for c in mu) or mdeg_total(mu) < 1:
         raise InputError(f"multidegree {mu} is not a nonzero multidegree over {k} generators")
     n = mdeg_total(mu)
-    lower = {
-        a: component_basis(variety, field, k, a, max_monomials) for a in multidegrees(mu, n - 1)
-    }
+    lower = {a: component_basis(variety, field, k, a) for a in multidegrees(mu, n - 1)}
     count = (n == 1) + sum(
         left.quotient_dim * lower[mdeg_sub(mu, a)].quotient_dim for a, left in lower.items()
     )
-    if max_monomials is not None and count > max_monomials:
+    if count > MAX_COLUMNS:
         raise ResourceError(
             f"component at {format_multidegree(mu)} has {count} product-space "
-            f"columns, over the guard of {max_monomials}"
+            f"columns, over the guard of {MAX_COLUMNS}"
         )
     cols = [((), leaf(mu.index(1)))] if n == 1 else []
     for a, left in lower.items():
@@ -276,19 +285,12 @@ class FreeAlgebraComponent:
         "quotient_dim",
     )
 
-    def __init__(
-        self,
-        variety: VarietySpec,
-        field: Field,
-        k: int,
-        mu: tuple[int, ...],
-        max_monomials: Optional[int] = None,
-    ):
+    def __init__(self, variety: VarietySpec, field: Field, k: int, mu: tuple[int, ...]):
         self.variety = variety
         self.field = field
         self.k = k
         self.mu = mu
-        self.lower, cols = _product_space(variety, field, k, mu, max_monomials)
+        self.lower, cols = _product_space(variety, field, k, mu)
         self.column_count = len(cols)
         rows = relation_rows(variety, field, k, mu, (self.lower, cols))
         basis = rref(field, self.column_count, rows)
@@ -367,20 +369,17 @@ _clear_monomial_table = enumerate_monomials.cache_clear
 
 
 def component_basis(
-    variety: VarietySpec,
-    field: Field,
-    k: int,
-    mu: tuple[int, ...],
-    max_monomials: Optional[int] = None,
+    variety: VarietySpec, field: Field, k: int, mu: tuple[int, ...]
 ) -> FreeAlgebraComponent:
     """Memoized component construction. Lower components are built first,
-    through this same function; ``max_monomials`` bounds the product-space
-    columns of every component this call builds."""
+    through this same function, and each one built is refused with a
+    ResourceError when its product space has more than MAX_COLUMNS
+    columns; a cached component was built under the same guard."""
     key = (variety.key(), field.char, k, mu)
     comp = _component_cache.get(key)
     if comp is not None:
         return comp
-    comp = FreeAlgebraComponent(variety, field, k, mu, max_monomials)
+    comp = FreeAlgebraComponent(variety, field, k, mu)
     _component_cache[key] = comp
     return comp
 
@@ -398,17 +397,7 @@ def clear_caches():
 # identity verification
 
 
-# the most substitution tuples verify_identity tries for a non-multilinear identity
-MAX_SUBSTITUTIONS = 20000
-
-
-def verify_identity(
-    variety: VarietySpec,
-    field: Field,
-    identity: Identity,
-    cap: int = 3,
-    max_monomials: Optional[int] = None,
-) -> dict:
+def verify_identity(variety: VarietySpec, field: Field, identity: Identity, cap: int = 3) -> dict:
     """Check whether the identity holds in the variety, and return the
     verify document: ``identity``, ``variety`` and ``field`` (names),
     ``multilinear``, ``verdict`` (``holds`` or ``fails``) and ``witness``,
@@ -461,7 +450,7 @@ def verify_identity(
             piece = by_mu.setdefault(mu, Polynomial(field))
             piece.terms[mono] = c
         for mu in sorted(by_mu, key=lambda t: (mdeg_total(t), t)):
-            comp = component_basis(variety, field, nvars, mu, max_monomials)
+            comp = component_basis(variety, field, nvars, mu)
             residual = comp.normal_form(by_mu[mu])
             if residual:
                 witness = {

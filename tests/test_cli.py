@@ -11,9 +11,11 @@ import pytest
 
 import lieadm
 from lieadm.cli import main
+from lieadm.errors import ResourceError
 from lieadm.exprs import MAX_TEMPLATE_TERMS, Identity
 from lieadm.fdalg import MAX_DIM
 from lieadm.linalg import QQ
+from lieadm.variety import builtin_variety, clear_caches, component_basis
 
 DATA = Path(lieadm.__file__).parent / "data"
 
@@ -82,12 +84,29 @@ class TestBasis:
         assert "variety" in err
 
     def test_guard_exceeded(self, capsys):
-        code, _, err = run(
-            capsys,
-            "basis", "--variety", "magma", "--gens", "3", "--degree", "6",
-            "--max-monomials", "1000",
-        )
-        assert code == 2
+        # the free magma on one generator has 208012 columns at degree 13
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "basis", "--variety", "magma", "--gens", "1", "--degree", "13")
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and not out
+        assert "208012" in err and "200000" in err
+        clear_caches()
+
+    def test_guard_holds_after_a_library_call(self, capsys):
+        # the guard is the same for library and CLI calls, so a library
+        # call made first caches nothing the CLI call could skip it with
+        with pytest.raises(ResourceError):
+            component_basis(builtin_variety("magma"), QQ, 1, (13,))
+        code, out, err = run(capsys, "basis", "--variety", "magma", "--gens", "1", "--degree", "13")
+        assert code == 2 and not out
+        assert "208012" in err
+        clear_caches()
+
+    @pytest.mark.parametrize("command", ["basis", "verify", "chain", "check", "search"])
+    def test_help_lists_no_guard_option(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--max" not in capsys.readouterr().out
 
     def test_table_output(self, capsys):
         code, out, _ = run(
@@ -293,6 +312,15 @@ class TestCheck:
             "--gens", "2", "--degree", "3", "--p", "1",
         )
         assert code == 2
+
+    def test_param_the_check_does_not_read(self, capsys):
+        code, out, err = run(
+            capsys,
+            "check", "--theorem", "circ_pro", "--variety", "novikov",
+            "--gens", "2", "--degree", "3", "--p", "1", "--q", "1", "--m", "7", "--j", "99",
+        )
+        assert code == 2 and not out
+        assert "does not read j, m" in err
 
     def test_param_beyond_cap(self, capsys):
         code, _, err = run(

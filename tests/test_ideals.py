@@ -467,6 +467,13 @@ class TestTheoremDispatch:
         with pytest.raises(InputError):
             check_theorem(s, "circ_pro", {"p": 1, "q": 1, "r": 1})
 
+    def test_param_the_check_does_not_read_rejected(self):
+        s = make_slice(cap=3)
+        with pytest.raises(InputError, match="'circ_pro' does not read m; it reads p, q"):
+            check_theorem(s, "circ_pro", {"p": 1, "q": 1, "m": 2})
+        with pytest.raises(InputError, match="does not read i; it reads no parameters"):
+            check_theorem(s, "bicom_metabelian", {"i": 1})
+
     def test_missing_param_rejected(self):
         s = make_slice(cap=3)
         with pytest.raises(InputError):

@@ -188,7 +188,7 @@ class TestExpansion:
         p = (
             commutator(x, y)
             .scaled(2)
-            .add(multiply(x, x).scaled(QQ.parse("-1/3")))
+            .add(multiply(x, x).scaled(QQ.from_fraction(Fraction(-1, 3))))
         )
         text = render_polynomial(p, key_gens=2)
         assert poly(text) == p

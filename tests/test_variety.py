@@ -140,30 +140,33 @@ class TestComponentDimensions:
         v = builtin_variety("novikov")
         assert component_basis(v, QQ, 2, (1, 1)) is component_basis(v, QQ, 2, (1, 1))
 
-    def test_monomial_guard(self):
-        with pytest.raises(ResourceError):
-            component_basis(builtin_variety("magma"), QQ, 4, (2, 2, 2, 2), max_monomials=100)
-
-    def test_guard_counts_product_space_columns(self):
-        # the free magma component (1,1,1) has 12 columns: a generator times
-        # one of the two products of the other two, on either side. A cached
-        # component was paid for already and skips the guard.
+    def test_monomial_guard(self, monkeypatch):
         clear_caches()
+        monkeypatch.setattr(variety_module, "MAX_COLUMNS", 100)
+        with pytest.raises(ResourceError):
+            component_basis(builtin_variety("magma"), QQ, 4, (2, 2, 2, 2))
+
+    def test_guard_counts_product_space_columns(self, monkeypatch):
+        # the free magma component (1,1,1) has 12 columns: a generator times
+        # one of the two products of the other two, on either side
+        clear_caches()
+        monkeypatch.setattr(variety_module, "MAX_COLUMNS", 11)
         with pytest.raises(ResourceError) as err:
-            component_basis(builtin_variety("magma"), QQ, 3, (1, 1, 1), max_monomials=11)
+            component_basis(builtin_variety("magma"), QQ, 3, (1, 1, 1))
         assert "(1,1,1)" in str(err.value)
         assert "12 product-space columns" in str(err.value)
         assert "guard of 11" in str(err.value)
 
-    def test_guard_checks_lower_components(self):
+    def test_guard_checks_lower_components(self, monkeypatch):
         # (2,2) itself has 30 columns, but its part (1,2) already has 6
         clear_caches()
+        monkeypatch.setattr(variety_module, "MAX_COLUMNS", 5)
         with pytest.raises(ResourceError, match=r"\(1,2\) has 6 product-space columns"):
-            component_basis(builtin_variety("magma"), QQ, 2, (2, 2), max_monomials=5)
+            component_basis(builtin_variety("magma"), QQ, 2, (2, 2))
 
     def test_refused_component_builds_no_column(self, monkeypatch):
         # the count is taken from the lower dimensions before any column
-        # monomial is formed; the lower components are built unguarded first
+        # monomial is formed; the lower components are built first
         clear_caches()
         magma = builtin_variety("magma")
         for d in range(1, 6):
@@ -177,19 +180,28 @@ class TestComponentDimensions:
             return node_(left, right)
 
         monkeypatch.setattr(variety_module, "node", counted)
+        monkeypatch.setattr(variety_module, "MAX_COLUMNS", 41)
         # 1*14 + 1*5 + 2*2 + 5*1 + 14*1 = 42 columns at degree 6
         with pytest.raises(ResourceError, match=r"\(6\) has 42 product-space columns, over .* 41"):
-            component_basis(magma, QQ, 1, (6,), max_monomials=41)
+            component_basis(magma, QQ, 1, (6,))
         assert calls == 0
         clear_caches()
 
-    def test_guard_ignores_free_magma_size(self):
+    def test_guard_ignores_free_magma_size(self, monkeypatch):
         # 1680 free magma monomials, but only 380 product-space columns
         clear_caches()
+        monkeypatch.setattr(variety_module, "MAX_COLUMNS", 400)
         v = builtin_variety("bicommutative")
-        comp = component_basis(v, QQ, 5, (1,) * 5, max_monomials=400)
+        comp = component_basis(v, QQ, 5, (1,) * 5)
         assert comp.column_count == 380
         assert len(enumerate_monomials(5, (1,) * 5)) == 1680
+
+    def test_library_call_is_guarded(self):
+        # the free magma on one generator has C_12 = 208012 (Catalan) product-space
+        # columns at degree 13; every degree below it passes
+        with pytest.raises(ResourceError, match=r"\(13\) has 208012 .* guard of 200000"):
+            component_basis(builtin_variety("magma"), QQ, 1, (13,))
+        clear_caches()
 
 
 class TestClosedForms:
