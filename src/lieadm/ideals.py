@@ -35,12 +35,15 @@ import itertools
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .exprs import builtin
 from .linalg import Field, identity_basis, member, reduced, rref
 from .linalg import sum_bases as _sum_bases
 from .terms import evaluate, format_multidegree, mdeg_add, mdeg_total, multidegrees
 from .variety import FreeAlgebraComponent, VarietySpec, component_basis
+
+# the most terms a chain report may list; every term is kept in the report
+MAX_CHAIN_TERMS = 10000
 
 
 def _mu_order(mu: tuple[int, ...]) -> tuple:
@@ -355,16 +358,12 @@ class AlgebraSlice:
         for mu, basis in U.parts.items():
             target = V.parts.get(mu)
             for row in basis.rows:
-                if target is None:
-                    inside, residual = False, row
-                else:
-                    got = member(target, row)
-                    inside, residual = got.inside, got.residual
-                if not inside:
+                residual = row.entries if target is None else member(target, row)
+                if residual:
                     comp = self.component(mu)
                     witness = {
                         "multidegree": format_multidegree(mu),
-                        "element": comp.render_coords(row),
+                        "element": comp.render_coords(row.entries),
                         "residual": comp.render_coords(residual),
                     }
                     return {"claim": label, "verdict": "violated", "witness": witness}
@@ -424,16 +423,21 @@ class ChainReport:
         }
 
 
-def lower_central_chain(slice_: AlgebraSlice, n: int) -> ChainReport:
+def _chain_report(slice_: AlgebraSlice, kind: str, term: Callable, n: int) -> ChainReport:
+    """The report of term(1) .. term(n), n checked before any term is built."""
     if n < 1:
         raise InputError("chain length must be at least 1")
-    return ChainReport(slice_, "lower-central", [slice_.h_term(i) for i in range(1, n + 1)])
+    if n > MAX_CHAIN_TERMS:
+        raise ResourceError(f"chain of {n} terms is over the guard of {MAX_CHAIN_TERMS}")
+    return ChainReport(slice_, kind, [term(i) for i in range(1, n + 1)])
+
+
+def lower_central_chain(slice_: AlgebraSlice, n: int) -> ChainReport:
+    return _chain_report(slice_, "lower-central", slice_.h_term, n)
 
 
 def lie_power_series(slice_: AlgebraSlice, n: int) -> ChainReport:
-    if n < 1:
-        raise InputError("chain length must be at least 1")
-    return ChainReport(slice_, "lie-powers", [slice_.a_term(i) for i in range(1, n + 1)])
+    return _chain_report(slice_, "lie-powers", slice_.a_term, n)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ on integer rows for both fields, reducing mod p and making each row monic
 over F_p, or making it primitive with a positive lead over Q, where a
 non-integral ``Fraction`` appears only in the finished basis.
 
+Only ``rref`` makes a vector canonical, and its basis rows
+(``SparseVector``) are the only canonical vectors. Rows reach it as plain
+dicts in any scaling; a normal form or residual is a sorted tuple of
+(index, scalar) pairs (``vector``).
+
 A basis computes its hash once and, when first reduced against, a map
 from each pivot column to its row. Since every row vanishes at the other
 pivots, ``member`` clears only the pivot columns present in a vector, in
@@ -31,7 +36,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import FieldError, InputError
 
@@ -197,26 +202,13 @@ def field_of_char(char: int) -> Field:
 
 
 class SparseVector:
-    """Immutable sparse vector: sorted (index, coefficient) pairs, no zeros."""
+    """A row of an ``EchelonBasis``: sorted (index, scalar) pairs, no
+    zeros; immutable and hashable, so bases and memo keys hold it."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[tuple[int, Scalar]]):
         self.entries: tuple[tuple[int, Scalar], ...] = tuple(sorted(entries))
-
-    @classmethod
-    def from_dict(cls, d: dict[int, Scalar], p: int = 0) -> "SparseVector":
-        """The vector of an index->scalar dict, through ``reduced(p, d)``."""
-        return cls(reduced(p, d).items())
-
-    def __iter__(self) -> Iterator[tuple[int, Scalar]]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseVector) and self.entries == other.entries
@@ -227,10 +219,10 @@ class SparseVector:
     def __repr__(self) -> str:
         return f"SparseVector({list(self.entries)!r})"
 
-    def leading(self) -> tuple[int, Scalar]:
-        if not self.entries:
-            raise InputError("zero vector has no leading entry")
-        return self.entries[0]
+
+def vector(p: int, d: dict) -> tuple[tuple[int, Scalar], ...]:
+    """The sorted (index, scalar) pairs of ``reduced(p, d)``."""
+    return tuple(sorted(reduced(p, d).items()))
 
 
 def _row_as_dict(row, ambient_dim: int, p: int) -> dict[int, int]:
@@ -296,7 +288,7 @@ class EchelonBasis:
         self.field = field
         self.ambient_dim = ambient_dim
         self.rows = rows
-        self.pivots = tuple(r.leading()[0] for r in rows)
+        self.pivots = tuple(r.entries[0][0] for r in rows)
         self._hash: Optional[int] = None
         self._index: Optional[dict[int, tuple]] = None
 
@@ -337,8 +329,9 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
     """Reduced row-echelon basis of the span of ``rows``.
 
     Pivots take the first nonzero column; the result is the canonical
-    basis of the span, independent of input order. Rows may be
-    SparseVector values or plain index->scalar dicts.
+    basis of the span, independent of input order and of the scaling of
+    each row. Rows may be SparseVector values or plain index->scalar
+    dicts, with int or ``Fraction`` scalars; zero rows are skipped.
 
     The pivot rows are kept fully reduced after every insertion, so each
     holds no pivot column but its own (LaMacchia & Odlyzko, CRYPTO '90).
@@ -441,16 +434,6 @@ def _normalized(p: int, row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def canonical_row(p: int, row: dict) -> dict[int, int]:
-    """The representative of the line of ``row`` that ``rref`` stores
-    (``_normalized``), for a row the engine built: int or ``Fraction``
-    scalars, zeros allowed, indices not checked. Two rows span the same
-    line exactly when their canonical rows are equal."""
-    if not p:
-        row = _integral(0, reduced(0, row).items())
-    return _normalized(p, row)
-
-
 def _strip_content(row: dict[int, int]) -> None:
     g = 0
     for v in row.values():
@@ -460,21 +443,6 @@ def _strip_content(row: dict[int, int]) -> None:
     if g > 1:
         for j in row:
             row[j] //= g
-
-
-class MemberResult:
-    """Outcome of reducing a vector against a basis.
-
-    ``inside`` tells whether the residual vanished; ``residual`` is the
-    leftover, scaled monic at its leading entry so that equal residual
-    lines compare equal.
-    """
-
-    __slots__ = ("inside", "residual")
-
-    def __init__(self, inside: bool, residual: SparseVector):
-        self.inside = inside
-        self.residual = residual
 
 
 def _residual(p: int, row: dict, index: dict[int, tuple]) -> dict:
@@ -491,15 +459,16 @@ def _residual(p: int, row: dict, index: dict[int, tuple]) -> dict:
     return reduced(p, row)
 
 
-def member(basis: EchelonBasis, v) -> MemberResult:
-    """Reduce ``v`` against the basis rows."""
+def member(basis: EchelonBasis, v) -> tuple:
+    """The residual of ``v`` (an ``rref`` row) modulo the basis, as sorted
+    pairs (``vector``) monic at the lead, so equal residual lines compare
+    equal; empty exactly when ``v`` lies in the span."""
     p = basis.field.char
     row = _residual(p, _row_as_dict(v, basis.ambient_dim, p), basis.pivot_index())
     if not row:
-        return MemberResult(True, SparseVector(()))
+        return ()
     ic = basis.field.inv(row[min(row)])
-    residual = SparseVector.from_dict({j: c * ic for j, c in row.items()}, p)
-    return MemberResult(False, residual)
+    return vector(p, {j: c * ic for j, c in row.items()})
 
 
 def sum_bases(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
@@ -507,8 +476,8 @@ def sum_bases(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
 
     The rows of the smaller basis (``b`` on a tie) are reduced against the
     larger one. When none is left over, the sum is the larger basis, and
-    that very object is returned; otherwise only the larger basis's rows
-    and the leftovers are eliminated. The rows of a basis are read
+    that very object is returned; otherwise ``rref``'s elimination
+    (``_rref``) takes only the larger basis's rows and the leftovers, read
     unchecked (``_integral``); the field and ambient dimension are
     checked here."""
     if a.field != b.field or a.ambient_dim != b.ambient_dim:

@@ -124,13 +124,21 @@ def multidegrees(bound: tuple[int, ...], max_total: Optional[int] = None) -> lis
     lists the proper nonzero parts of mu.
     """
     top = mdeg_total(bound) if max_total is None else max_total
-    # prefixes in lexicographic order, each extended only within the total
-    out = [()]
-    for c in bound:
-        out = [nu + (e,) for nu in out for e in range(min(c, top - mdeg_total(nu)) + 1)]
-    out = [nu for nu in out if any(nu)]
-    out.sort(key=lambda nu: (mdeg_total(nu), nu))
-    return out
+    if top < 1:
+        return []
+    # prefixes in lexicographic order, each as (total, nonzero (position,
+    # exponent) pairs), extended only within the total; the stable sort
+    # by total keeps that order within each total, and the zero comes first
+    prefixes = [(0, ())]
+    for i, c in enumerate(bound):
+        prefixes = [
+            (t + e, nz + ((i, e),) if e else nz)
+            for t, nz in prefixes
+            for e in range(min(c, top - t) + 1)
+        ]
+    prefixes.sort(key=operator.itemgetter(0))
+    zeros = (0,) * len(bound)
+    return [tuple(map(dict(nz).get, range(len(bound)), zeros)) for _, nz in prefixes[1:]]
 
 
 @lru_cache(maxsize=None)

@@ -23,9 +23,10 @@ an audit evaluates identities on basis vectors.
 An identity antisymmetric in two variables gives the same relation line
 (up to sign) for a substitution and for its swap, so only one of the
 two, the orbit representative that comes first, is evaluated.
-The relation rows reach the elimination one identity at a time, each
-block in descending lead order, which cuts the work of keeping the pivot
-rows reduced; the order changes only the work, never the basis.
+The relation rows reach ``rref`` as evaluated, one identity at a time,
+each block in descending lead order, which cuts the work of keeping the
+pivot rows reduced; ``rref`` alone makes them canonical, so neither order
+nor scaling changes the basis.
 
 Components are memoized per (variety, field, generators, multidegree) and
 immutable once built; lower components come from the same cache. Every
@@ -44,7 +45,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError, ResourceError, UnsupportedVarietyError
 from .exprs import Identity, builtin
-from .linalg import Field, SparseVector, canonical_row, rref
+from .linalg import Field, reduced, rref, vector
 from .terms import (
     Monomial,
     Polynomial,
@@ -172,11 +173,10 @@ def _antisymmetric_pair(ident: Identity, field: Field) -> Optional[tuple[int, in
 
 def relation_rows(
     variety: VarietySpec, field: Field, k: int, mu: tuple[int, ...], space=None
-) -> list[dict[int, int]]:
-    """Deduplicated top-level relation rows at mu, as column->coefficient
+) -> list[dict]:
+    """The nonzero top-level relation rows at mu, as column->coefficient
     dicts over the product space (``space``, from ``_product_space``),
-    each the representative ``rref`` stores (``linalg.canonical_row``):
-    monic over F_p, primitive integers with a positive lead over Q.
+    as evaluated (``reduced``): ``rref`` makes them canonical.
 
     For each identity term g*h, g and h are evaluated on the lower normal
     monomials, keyed (part, pick), through ``terms.evaluate`` with one table
@@ -188,14 +188,16 @@ def relation_rows(
     j give zero outside characteristic 2. Keys are enumerated in the order
     of (total degree of part, part, pick), so a substitution is evaluated
     only when its key at i ranks below its key at j, or equals it over
-    F_2: exactly the first of each pair, which is the one the duplicate
-    check would keep, so the rows are the same in the same order.
+    F_2: exactly the first of each pair. No builtin identity has another
+    symmetry, so no builtin component repeats a line; the repeats a custom
+    one gives (a symmetric swap, a cyclic sum) ``rref`` reduces to zero.
 
     The rows come in one block per identity, in the variety's identity
     order. Within a block they are stably sorted by descending lead
-    column, the sparsest first on ties. A pivot row holds no column left
-    of its lead, so ``rref`` then makes fewer pivots that older pivot
-    rows hold and has fewer of them to clear: on assosymmetric
+    column, the sparsest first on ties: a key of the support, which no
+    scaling changes. A pivot row holds no column left of its lead, so
+    ``rref`` then makes fewer pivots that older pivot rows hold and has
+    fewer of them to clear: on assosymmetric
     (1,1,1,1,1) that nearly halves its work. One sort across all
     identities is faster still on assosymmetric but slower on Novikov.
     """
@@ -205,8 +207,7 @@ def relation_rows(
     keep = le if p == 2 else lt  # equal picks at a swapped pair give a row only over F_2
     units = {((a, q),): (a, ((q, 1),)) for a, c in lower.items() for q in range(c.quotient_dim)}
     table = {(1,): units}
-    seen = set()
-    rows: list[dict[int, int]] = []
+    rows: list[dict] = []
     for ident in variety.identities:
         template = ident.template(field)
         if not ident.multilinear(field):
@@ -221,7 +222,7 @@ def relation_rows(
             # c*x = 0 kills every element, so every column is a relation
             rows += [{j: 1} for j in reversed(range(len(cols)))]
             continue
-        block: list[dict[int, int]] = []
+        block: list[dict] = []
         # a term has m >= 2 leaves, so itemgetter gives a tuple
         terms = [
             (t.left, t.right, t.left.degree, itemgetter(*t.leaves), c)
@@ -250,12 +251,9 @@ def relation_rows(
                         for q2, yq in y:
                             j = columns[(a, q1, q2)]
                             row[j] = row.get(j, 0) + cx * yq
-                row = canonical_row(p, row)
+                row = reduced(p, row)
                 if row:
-                    fingerprint = tuple(sorted(row.items()))
-                    if fingerprint not in seen:
-                        seen.add(fingerprint)
-                        block.append(row)
+                    block.append(row)
         block.sort(key=lambda row: (-min(row), len(row)))
         rows += block
     return rows
@@ -269,8 +267,8 @@ class FreeAlgebraComponent:
     """One multidegree slice of the relatively free algebra.
 
     ``products`` maps each product-space column key to the normal form of
-    that column, in quotient coordinates; ``quotient_monomials`` are the
-    normal monomials.
+    that column, sorted (quotient index, scalar) pairs; ``quotient_monomials``
+    are the normal monomials.
     """
 
     __slots__ = (
@@ -301,12 +299,9 @@ class FreeAlgebraComponent:
         self.quotient_dim = len(quotient_ids)
         qpos = {j: q for q, j in enumerate(quotient_ids)}
 
-        p = field.char
-        nf: list[SparseVector] = [None] * self.column_count
-        for j in quotient_ids:
-            nf[j] = SparseVector(((qpos[j], 1),))
+        nf = {j: ((q, 1),) for j, q in qpos.items()}
         for pivot, row in zip(basis.pivots, basis.rows):
-            nf[pivot] = SparseVector.from_dict({qpos[j]: -c for j, c in row.entries[1:]}, p)
+            nf[pivot] = vector(field.char, {qpos[j]: -c for j, c in row.entries[1:]})
         self.products = {key: nf[j] for j, (key, _) in enumerate(cols)}
 
     # -- quotient arithmetic -------------------------------------------------
@@ -319,18 +314,18 @@ class FreeAlgebraComponent:
         for p, xp in x:
             for q, yq in y:
                 c = scale * xp * yq
-                for j, w in products[(a, p, q)].entries:
+                for j, w in products[(a, p, q)]:
                     acc[j] = acc.get(j, 0) + c * w
 
-    def normal_form(self, p: Polynomial) -> SparseVector:
-        """Quotient coordinates of p; the zero vector iff p lies in the
-        relation space. Each monomial is evaluated (``terms.evaluate``) on
-        the classes of its generators."""
+    def normal_form(self, p: Polynomial) -> tuple:
+        """Quotient coordinates of p as sorted pairs (``vector``), empty iff
+        p lies in the relation space. Each monomial is evaluated
+        (``terms.evaluate``) on the classes of its generators."""
         if p.field != self.field:
             raise InputError("polynomial field does not match component field")
         components = {**self.lower, self.mu: self}
         units = [(e, c) for e, c in components.items() if sum(e) == 1]
-        table = {(1,): {(e.index(1),): (e, c.products[()].entries) for e, c in units}}
+        table = {(1,): {(e.index(1),): (e, c.products[()]) for e, c in units}}
         acc: dict[int, object] = {}
         for mono, c in p.terms.items():
             try:
@@ -344,15 +339,14 @@ class FreeAlgebraComponent:
             _, entries = evaluate(mono, mono.leaves, table, components, self.field.char)
             for j, w in entries:
                 acc[j] = acc.get(j, 0) + c * w
-        return SparseVector.from_dict(acc, self.field.char)
+        return vector(self.field.char, acc)
 
-    def coords_to_polynomial(self, vec: SparseVector) -> Polynomial:
-        """The canonical representative with the given quotient coordinates."""
-        return Polynomial(
-            self.field, {self.quotient_monomials[q]: c for q, c in vec.entries}
-        )
+    def coords_to_polynomial(self, vec) -> Polynomial:
+        """The canonical representative with the quotient coordinates
+        ``vec``, (index, scalar) pairs."""
+        return Polynomial(self.field, {self.quotient_monomials[q]: c for q, c in vec})
 
-    def render_coords(self, vec: SparseVector) -> str:
+    def render_coords(self, vec) -> str:
         return render_polynomial(self.coords_to_polynomial(vec), key_gens=self.k)
 
     def __repr__(self) -> str:

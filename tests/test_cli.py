@@ -14,6 +14,7 @@ from lieadm.cli import main
 from lieadm.errors import ResourceError
 from lieadm.exprs import MAX_TEMPLATE_TERMS, Identity
 from lieadm.fdalg import MAX_DIM
+from lieadm.ideals import MAX_CHAIN_TERMS
 from lieadm.linalg import QQ
 from lieadm.variety import builtin_variety, clear_caches, component_basis
 
@@ -100,6 +101,18 @@ class TestBasis:
         code, out, err = run(capsys, "basis", "--variety", "magma", "--gens", "1", "--degree", "13")
         assert code == 2 and not out
         assert "208012" in err
+        clear_caches()
+
+    def test_many_generators_at_degree_one(self, capsys):
+        # multidegrees costs what it returns: 2000 generator classes, each
+        # of dim 1, without walking every prefix sum again per call
+        t0 = time.perf_counter()
+        code, doc, _ = run_json(
+            capsys, "basis", "--variety", "novikov", "--gens", "2000", "--degree", "1"
+        )
+        assert time.perf_counter() - t0 < 2
+        assert code == 0
+        assert len(doc["dims"]) == 2000 and {r["dim"] for r in doc["dims"]} == {1}
         clear_caches()
 
     @pytest.mark.parametrize("command", ["basis", "verify", "chain", "check", "search"])
@@ -284,6 +297,18 @@ class TestChain:
         assert time.perf_counter() - t0 < 1
         assert code == 0
         assert len(doc["terms"]) == 10000 and doc["vanishing_index"] == 2
+
+    @pytest.mark.parametrize("series", ["lower-central", "lie-powers"])
+    def test_chain_length_guard(self, capsys, series):
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "chain", "--variety", "novikov", "--gens", "1", "--degree", "1",
+            "--series", series, "--terms", str(MAX_CHAIN_TERMS + 1),
+        )
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and not out
+        assert "10001" in err and "10000" in err
 
 
 class TestCheck:

@@ -6,7 +6,7 @@ import pytest
 
 from lieadm import ideals as ideals_module
 from lieadm import linalg
-from lieadm.errors import InputError
+from lieadm.errors import InputError, ResourceError
 from lieadm.ideals import (
     AlgebraSlice,
     check_theorem,
@@ -14,7 +14,7 @@ from lieadm.ideals import (
     lower_central_chain,
     theorem_names,
 )
-from lieadm.linalg import GF, QQ, SparseVector, rref
+from lieadm.linalg import GF, QQ, rref
 from lieadm.terms import Polynomial, associator, evaluate, leaf, node
 from lieadm.variety import FreeAlgebraComponent, builtin_variety
 
@@ -98,7 +98,7 @@ class TestSliceBasics:
                         assert nu == mu
                         if mu not in oracles:
                             oracles[mu] = naive_reducer(sources, 2, mu)
-                        found = s.component(mu).coords_to_polynomial(SparseVector(got))
+                        found = s.component(mu).coords_to_polynomial(got)
                         product = Polynomial.of(QQ, node(m1, m2))
                         assert naive_is_zero(oracles[mu], product.sub(found))
                         checked += 1
@@ -206,11 +206,11 @@ class TestAssociatorSpace:
                         for v in b2.rows:
                             for w in b3.rows:
                                 value = associator(
-                                    s.component(mu1).coords_to_polynomial(u),
-                                    s.component(mu2).coords_to_polynomial(v),
-                                    s.component(mu3).coords_to_polynomial(w),
+                                    s.component(mu1).coords_to_polynomial(u.entries),
+                                    s.component(mu2).coords_to_polynomial(v.entries),
+                                    s.component(mu3).coords_to_polynomial(w.entries),
                                 )
-                                rows.setdefault(mu, []).append(comp.normal_form(value))
+                                rows.setdefault(mu, []).append(dict(comp.normal_form(value)))
         want = {}
         for mu, vecs in rows.items():
             basis = rref(field, s.component(mu).quotient_dim, vecs)
@@ -438,6 +438,15 @@ class TestChains:
         mus = [row["multidegree"] for row in doc["terms"][0]["dims"]]
         assert mus == ["(0,1)", "(1,0)", "(0,2)", "(1,1)", "(2,0)",
                        "(0,3)", "(1,2)", "(2,1)", "(3,0)"]
+
+
+    @pytest.mark.parametrize("chain", [lower_central_chain, lie_power_series])
+    def test_length_guard_refused_before_any_term(self, chain):
+        s = make_slice("novikov", k=1, cap=1)
+        with pytest.raises(ResourceError, match="10001.*10000"):
+            chain(s, ideals_module.MAX_CHAIN_TERMS + 1)
+        assert not s._memo
+        assert len(chain(s, ideals_module.MAX_CHAIN_TERMS).terms) == 10000
 
 
 class TestTheoremDispatch:

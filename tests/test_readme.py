@@ -6,6 +6,7 @@ rest of the block is the expected stdout. Commands run in-process from
 the repository root, so relative paths in the examples resolve there.
 """
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -61,3 +62,21 @@ def test_library_block_prints_what_its_comments_say(capsys):
     assert expected
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_limits_section_names_every_guard():
+    # every module-level MAX_* constant of the package is a resource guard,
+    # and the Limits section names each one as ``module.NAME``
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    limits = text.split("\n## Limits\n", 1)[1].split("\n## ", 1)[0]
+    guards = []
+    for path in sorted((ROOT / "src" / "lieadm").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                guards += [
+                    f"{path.stem}.{t.id}"
+                    for t in node.targets
+                    if isinstance(t, ast.Name) and t.id.startswith("MAX_")
+                ]
+    assert guards
+    assert [g for g in guards if f"`{g}`" not in limits] == []

@@ -11,7 +11,7 @@ from lieadm.errors import InputError, ResourceError, UnsupportedVarietyError
 from lieadm.exprs import Identity, builtin
 from lieadm import linalg
 from lieadm import variety as variety_module
-from lieadm.linalg import GF, QQ, SparseVector, reduced, rref
+from lieadm.linalg import GF, QQ, reduced, rref, vector
 from lieadm.terms import (
     Polynomial,
     enumerate_monomials,
@@ -251,7 +251,8 @@ class TestDerivedViews:
         comp = component_basis(v, QQ, 3, (1, 1, 1))
         rows = relation_rows(v, QQ, 3, (1, 1, 1))
         assert rows and all(j < comp.column_count for row in rows for j in row)
-        assert all(row[min(row)] == 1 for row in rows)
+        # rows come as evaluated, not monic: nonzero and without zeros
+        assert all(row and row == reduced(0, row) for row in rows)
 
 
 class TestEliminationFeed:
@@ -278,7 +279,7 @@ class TestEliminationFeed:
         for row in bases[0].rows:
             acc = {}
             for j, c in row.entries:
-                for q, w in comp.products[cols[j][0]].entries:
+                for q, w in comp.products[cols[j][0]]:
                     acc[q] = acc.get(q, 0) + c * w
             assert not reduced(field.char, acc)
 
@@ -327,9 +328,27 @@ FIELDS = [QQ, GF(5), GF(3), GF(2)]
 FIELD_IDS = ["Q", "F5", "F3", "F2"]
 
 
+def line(field, row):
+    """The line of a nonzero row, as its monic sorted pairs."""
+    inv = field.inv(row[min(row)])
+    return vector(field.char, {j: c * inv for j, c in row.items()})
+
+
+def first_of_each_line(field, rows):
+    """``rows`` with every row whose line came before dropped."""
+    seen, out = set(), []
+    for row in rows:
+        key = line(field, row)
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
+
+
 class TestRelationPlan:
     """relation_rows evaluates one substitution per antisymmetric pair:
-    the rows, and their order, are those of evaluating every one."""
+    the rows, and their order, are those of evaluating every one, less
+    the repeated lines the skipped swaps give."""
 
     @staticmethod
     def rows_both_ways(monkeypatch, v, field, k, mu):
@@ -338,7 +357,20 @@ class TestRelationPlan:
         with monkeypatch.context() as m:
             m.setattr(variety_module, "_antisymmetric_pair", lambda ident, field: None)
             every = relation_rows(v, field, k, mu, space)
-        return planned, every
+        return planned, first_of_each_line(field, every)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("name", variety_names())
+    def test_builtin_rows_repeat_no_line(self, name, field):
+        # relation_rows drops no repeated line, so a builtin variety must
+        # give none: checked on every component of the k=3, D=4 slice and
+        # on the multilinear degree-5 cell
+        v = builtin_variety(name)
+        cells = [(3, mu) for mu in multidegrees((4, 4, 4), 4)] + [(5, (1,) * 5)]
+        for k, mu in cells:
+            rows = relation_rows(v, field, k, mu)
+            lines = {line(field, row) for row in rows}
+            assert len(lines) == len(rows), (mu, len(rows) - len(lines))
 
     @pytest.mark.parametrize(
         "source, field, pair",
@@ -433,10 +465,10 @@ class TestNormalForm:
         ms = enumerate_monomials(2, (2, 1))
         p, q = P(QQ, ms[0]), P(QQ, ms[3])
         lhs = comp.normal_form(p.add(q.scaled(2)))
-        rhs_d = dict(comp.normal_form(p).entries)
-        for j, c in comp.normal_form(q).entries:
+        rhs_d = dict(comp.normal_form(p))
+        for j, c in comp.normal_form(q):
             rhs_d[j] = rhs_d.get(j, 0) + c * 2
-        assert dict(lhs.entries) == {j: c for j, c in rhs_d.items() if c}
+        assert dict(lhs) == {j: c for j, c in rhs_d.items() if c}
 
     def test_integral_products_are_ints(self):
         # the fast path over Q: an integral scalar is a plain int, never a
@@ -447,7 +479,7 @@ class TestNormalForm:
             for mu in ((1, 1, 1), (1, 1, 1, 1)):
                 comp = component_basis(v, QQ, len(mu), mu)
                 for vec in comp.products.values():
-                    for _, c in vec.entries:
+                    for _, c in vec:
                         want = int if Fraction(c).denominator == 1 else Fraction
                         assert type(c) is want
                         seen.add(want)
@@ -504,14 +536,11 @@ def test_normal_form_is_linear_projection(case):
     comp, p, q, a, b, coords = case
     char = comp.field.char
 
-    def vector(d):
-        return {j: c % char if char else c for j, c in d.items() if (c % char if char else c)}
-
-    nf_p, nf_q = dict(comp.normal_form(p).entries), dict(comp.normal_form(q).entries)
+    nf_p, nf_q = dict(comp.normal_form(p)), dict(comp.normal_form(q))
     combo = {j: a * nf_p.get(j, 0) + b * nf_q.get(j, 0) for j in set(nf_p) | set(nf_q)}
     got = comp.normal_form(p.scaled(a).add(q.scaled(b)))
-    assert dict(got.entries) == vector(combo)
-    for v in (comp.normal_form(p), SparseVector(vector(coords).items())):
+    assert got == vector(char, combo)
+    for v in (comp.normal_form(p), vector(char, coords)):
         assert comp.normal_form(comp.coords_to_polynomial(v)) == v
 
 
