@@ -17,7 +17,8 @@ from typing import Optional
 from .errors import WorkbenchError
 from .exprs import Identity, builtin, builtin_names
 from .fdalg import FiniteDimAlgebra, audit
-from .ideals import AlgebraSlice, check_theorem, lie_power_series, lower_central_chain, theorem_names
+from .ideals import AlgebraSlice, check_chain_length, check_params, check_theorem
+from .ideals import lie_power_series, lower_central_chain, theorem_names, theorem_params
 from .linalg import field_of_char
 from .reports import canonical_json, with_schema
 from .terms import format_multidegree, multidegrees
@@ -241,28 +242,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    if args.terms is not None:  # the default, the degree cap, is the slice's to check
+        check_chain_length(args.terms)
     field = field_of_char(args.char)
     variety = _variety_from(args)
     slice_ = AlgebraSlice(variety, field, args.gens, args.degree)
-    n = args.terms if args.terms is not None else args.degree
-    if args.series == "lower-central":
-        report = lower_central_chain(slice_, n)
-    else:
-        report = lie_power_series(slice_, n)
+    chain = lower_central_chain if args.series == "lower-central" else lie_power_series
+    report = chain(slice_, args.degree if args.terms is None else args.terms)
     doc = with_schema({"command": "chain", **report.to_doc()})
     _emit(doc, args.format, _table_chain)
     return 0
 
 
 def cmd_check(args) -> int:
+    params = {n: getattr(args, n) for n in theorem_params() if getattr(args, n) is not None}
+    check_params(args.theorem, params)
     field = field_of_char(args.char)
     variety = _variety_from(args)
     slice_ = AlgebraSlice(variety, field, args.gens, args.degree)
-    params = {
-        name: getattr(args, name)
-        for name in ("p", "q", "i", "j", "m")
-        if getattr(args, name) is not None
-    }
     report = check_theorem(slice_, args.theorem, params)
     doc = with_schema({"command": "check", **report.to_doc()})
     _emit(doc, args.format, _table_check)
@@ -387,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_variety(sp)
     sp.add_argument("--gens", type=int, required=True, metavar="K")
     sp.add_argument("--degree", type=int, required=True, metavar="D")
-    for name in ("p", "q", "i", "j", "m"):
+    for name in theorem_params():
         sp.add_argument(f"--{name}", type=int, default=None)
     _add_field(sp)
     _add_format(sp)

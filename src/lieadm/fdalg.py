@@ -297,6 +297,9 @@ class _FdSlice(AlgebraSlice):
     def __init__(self, alg: FiniteDimAlgebra):
         self._init_spans(alg.field, 0, {(): alg})
 
+    def __repr__(self) -> str:
+        return f"_FdSlice({self.field.name}, dim={self.components[()].dim})"
+
 
 def _iterate_chain(kind: str, term) -> dict:
     """The chain document of terms term(1), term(2), ... up to the first

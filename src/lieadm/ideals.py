@@ -423,12 +423,16 @@ class ChainReport:
         }
 
 
-def _chain_report(slice_: AlgebraSlice, kind: str, term: Callable, n: int) -> ChainReport:
-    """The report of term(1) .. term(n), n checked before any term is built."""
+def check_chain_length(n: int) -> None:
+    """Refuse a length outside 1..MAX_CHAIN_TERMS; nothing is built first."""
     if n < 1:
         raise InputError("chain length must be at least 1")
     if n > MAX_CHAIN_TERMS:
         raise ResourceError(f"chain of {n} terms is over the guard of {MAX_CHAIN_TERMS}")
+
+
+def _chain_report(slice_: AlgebraSlice, kind: str, term: Callable, n: int) -> ChainReport:
+    check_chain_length(n)
     return ChainReport(slice_, kind, [term(i) for i in range(1, n + 1)])
 
 
@@ -470,16 +474,6 @@ class TheoremReport:
         }
 
 
-def _need(params: dict, *names: str) -> list[int]:
-    vals = []
-    for n in names:
-        v = params.get(n)
-        if v is None:
-            raise InputError(f"check needs parameter {n!r}")
-        vals.append(v)
-    return vals
-
-
 def _index_in_cap(s: AlgebraSlice, **named: int) -> None:
     for name, idx in named.items():
         if idx < 1:
@@ -491,119 +485,107 @@ def _index_in_cap(s: AlgebraSlice, **named: int) -> None:
 
 
 # Each handler checks one statement on a slice and returns its claim
-# documents; check_theorem derives the status from them.
+# documents; check_theorem derives the status from them. A handler's
+# parameters are what the check reads: one without a default is one the
+# check needs. A statement two checks share has one claim builder.
 
 
-def _check_com_id(s: AlgebraSlice, params: dict) -> list[dict]:
-    cases = [("full", s.full())]
-    i = params.get("i")
-    if i is not None:
-        _index_in_cap(s, i=i)
-        _index_in_cap(s, **{"i+1": i + 1})
-        cases.append((f"A[{i}]", s.a_term(i)))
-    claims = []
-    for blabel, B in cases:
-        br = s.bracket_space(s.full(), B)
-        lhs = s.ideal_closure(br)
-        rhs = s.sum(br, s.product_space(s.full(), br))
-        g = f"[full,{blabel}]"
-        claims += s.check_equality(lhs, rhs, f"<{g}>", f"{g} + full*{g}")
+def _product_rule(s: AlgebraSlice, p: int, q: int) -> dict:
+    prod = s.product_space(s.h_term(p), s.h_term(q))
+    return s.check_inclusion(prod, s.h_term(p + q - 1), f"H_{p}*H_{q} <= H_{p + q - 1}")
+
+
+def _closed_product(s: AlgebraSlice, i: int, j: int) -> dict:
+    prod = s.product_space(s.ideal_closure(s.a_term(i)), s.ideal_closure(s.a_term(j)))
+    closed = s.ideal_closure(s.a_term(i + j - 1))
+    return s.check_inclusion(prod, closed, f"<A[{i}]>*<A[{j}]> <= <A[{i + j - 1}]>")
+
+
+def _bracket_ideal(s: AlgebraSlice, blabel: str, B: GradedSubspace, two_sided=False) -> list[dict]:
+    """<[full,B]> = [full,B] + full*[full,B], and if ``two_sided`` also
+    <[full,B]> = [full,B] + [full,B]*full."""
+    full = s.full()
+    br = s.bracket_space(full, B)
+    closed = s.ideal_closure(br)
+    g = f"[full,{blabel}]"
+    left = s.sum(br, s.product_space(full, br))
+    claims = s.check_equality(closed, left, f"<{g}>", f"{g} + full*{g}")
+    if two_sided:
+        right = s.sum(br, s.product_space(br, full))
+        claims += s.check_equality(closed, right, f"<{g}>", f"{g} + {g}*full")
     return claims
 
 
-def _check_circ_pro(s, params):
-    p, q = _need(params, "p", "q")
+def _check_com_id(s: AlgebraSlice, i=None) -> list[dict]:
+    cases = [("full", s.full())]
+    if i is not None:
+        _index_in_cap(s, i=i, **{"i+1": i + 1})
+        cases.append((f"A[{i}]", s.a_term(i)))
+    return [c for blabel, B in cases for c in _bracket_ideal(s, blabel, B)]
+
+
+def _check_circ_pro(s, p, q):
     _index_in_cap(s, p=p, q=q, **{"p+q": p + q})
     circ = s.commutator_ideal(s.h_term(p), s.h_term(q))
     return [s.check_inclusion(circ, s.h_term(p + q), f"H_{p} o H_{q} <= H_{p + q}")]
 
 
-def _check_th_pro(s, params):
+def _check_th_pro(s, p=None, q=None, m=None):
     claims = []
-    p, q, m = params.get("p"), params.get("q"), params.get("m")
     if p is None and q is None and m is None:
         raise InputError("check needs p and q, or m")
     if (p is None) != (q is None):
         raise InputError("parameters p and q come together")
     if p is not None:
         _index_in_cap(s, p=p, q=q, **{"p+q-1": p + q - 1})
-        claims.append(
-            s.check_inclusion(
-                s.product_space(s.h_term(p), s.h_term(q)),
-                s.h_term(p + q - 1),
-                f"H_{p}*H_{q} <= H_{p + q - 1}",
-            )
-        )
+        claims.append(_product_rule(s, p, q))
     if m is not None:
         _index_in_cap(s, m=m, **{"m+1": m + 1})
-        claims.append(
-            s.check_inclusion(
-                s.power(s.h_term(2), m),
-                s.h_term(m + 1),
-                f"power(H_2,{m}) <= H_{m + 1}",
-            )
-        )
+        power = s.power(s.h_term(2), m)
+        claims.append(s.check_inclusion(power, s.h_term(m + 1), f"power(H_2,{m}) <= H_{m + 1}"))
     return claims
 
 
-def _check_lem_mni1(s, params):
-    (i,) = _need(params, "i")
+def _check_lem_mni1(s, i):
     _index_in_cap(s, i=i, **{"i+1": i + 1})
     prod, closed = s.product_space(s.a_term(2), s.a_term(i)), s.ideal_closure(s.a_term(i + 1))
     return [s.check_inclusion(prod, closed, f"A[2]*A[{i}] <= <A[{i + 1}]>")]
 
 
-def _check_prod_com_id(s, params):
-    (i,) = _need(params, "i")
+def _check_prod_com_id(s, i):
     _index_in_cap(s, i=i)
     return s.check_equality(s.ideal_closure(s.a_term(i)), s.h_term(i), f"<A[{i}]>", f"H_{i}")
 
 
-def _check_lem_ideal(s, params):
+def _check_lem_ideal(s):
     _index_in_cap(s, **{"2": 2})
     full = s.full()
+    cases = (("full", full), ("A[2]", s.a_term(2)))
     claims = []
-    for blabel, B in (("full", full), ("A[2]", s.a_term(2))):
+    for blabel, B in cases:
         br = s.bracket_space(B, full)
         rhs = s.sum(s.product_space(full, br), br)
-        claims.append(
-            s.check_inclusion(
-                s.associator_space(full, B, full),
-                rhs,
-                f"(full,{blabel},full) <= full*[{blabel},full] + [{blabel},full]",
-            )
-        )
-    for blabel, B in (("full", full), ("A[2]", s.a_term(2))):
-        br = s.bracket_space(full, B)
-        closed = s.ideal_closure(br)
-        g = f"[full,{blabel}]"
-        left = s.sum(br, s.product_space(full, br))
-        right = s.sum(br, s.product_space(br, full))
-        claims += s.check_equality(closed, left, f"<{g}>", f"{g} + full*{g}")
-        claims += s.check_equality(closed, right, f"<{g}>", f"{g} + {g}*full")
+        label = f"(full,{blabel},full) <= full*[{blabel},full] + [{blabel},full]"
+        claims.append(s.check_inclusion(s.associator_space(full, B, full), rhs, label))
+    for blabel, B in cases:
+        claims += _bracket_ideal(s, blabel, B, two_sided=True)
     return claims
 
 
-def _check_lem_ass_ap(s, params):
-    p, q = _need(params, "p", "q")
+def _check_lem_ass_ap(s, p, q):
     _index_in_cap(s, p=p, q=q, **{"p+q": p + q})
     hp, hq = s.h_term(p), s.h_term(q)
     target = s.h_term(p + q)
     return [
-        s.check_inclusion(
-            s.product_space(hp, hq), s.h_term(p + q - 1), f"H_{p}*H_{q} <= H_{p + q - 1}"
-        ),
+        _product_rule(s, p, q),
         s.check_inclusion(s.bracket_space(hp, hq), target, f"[H_{p},H_{q}] <= H_{p + q}"),
         s.check_inclusion(
-            s.associator_space(hp, hq, s.full()),
-            target,
-            f"(H_{p},H_{q},full) <= H_{p + q}",
+            s.associator_space(hp, hq, s.full()), target, f"(H_{p},H_{q},full) <= H_{p + q}"
         ),
     ]
 
 
-def _check_lem_46(s, params):
-    (j,) = _need(params, "j")
+def _check_lem_46(s, j):
     if j % 2 == 0:
         raise InputError("this check is stated for odd j only")
     if s.field.char in (2, 3):
@@ -613,24 +595,21 @@ def _check_lem_46(s, params):
     return [s.check_inclusion(br, s.a_term(j + 1), f"[<A[{j}]>,full] <= A[{j + 1}]")]
 
 
-def _check_cp_ass(s, params):
-    i, j = _need(params, "i", "j")
+def _check_cp_ass(s, i, j):
     if i % 2 == 0 and j % 2 == 0:
         raise InputError("this check is stated for i or j odd")
     if s.field.char in (2, 3):
         raise InputError("this check assumes characteristic not 2 or 3")
     _index_in_cap(s, i=i, j=j, **{"i+j-1": i + j - 1})
-    prod = s.product_space(s.ideal_closure(s.a_term(i)), s.ideal_closure(s.a_term(j)))
-    closed = s.ideal_closure(s.a_term(i + j - 1))
-    return [s.check_inclusion(prod, closed, f"<A[{i}]>*<A[{j}]> <= <A[{i + j - 1}]>")]
+    return [_closed_product(s, i, j)]
 
 
-def _check_bicom_metabelian(s, params):
+def _check_bicom_metabelian(s):
     b2 = s.bracket_space(s.full(), s.full())
     return [s.check_inclusion(s.bracket_space(b2, b2), s.zero(), "[[full,full],[full,full]] == 0")]
 
 
-def _check_bicom_right_nilpotency(s, params):
+def _check_bicom_right_nilpotency(s):
     """One claim per step n = 1..D-1: the right power H_2 full...full with
     n - 1 factors full is nonzero. A cap below 2 leaves no step to check."""
     _index_in_cap(s, **{"2": 2})
@@ -650,30 +629,31 @@ def _check_bicom_right_nilpotency(s, params):
     return claims
 
 
-def _check_assoc_even_even(s, params):
+def _check_assoc_even_even(s):
     _index_in_cap(s, **{"3": 3})
-    prod = s.product_space(s.ideal_closure(s.a_term(2)), s.ideal_closure(s.a_term(2)))
-    return [s.check_inclusion(prod, s.ideal_closure(s.a_term(3)), "<A[2]>*<A[2]> <= <A[3]>")]
+    return [_closed_product(s, 2, 2)]
 
 
-# name -> (handler, the parameters it reads, status when every claim is
-# verified, note by status). Any violated claim makes the status "violated".
-# The right-nilpotency scan speaks of its cap only; the even-even scan is
-# exploratory, so a clean pass is "inconclusive", not "verified".
-_THEOREMS: dict[str, tuple[Callable, tuple, str, dict]] = {
-    "com_id": (_check_com_id, ("i",), "verified", {}),
-    "circ_pro": (_check_circ_pro, ("p", "q"), "verified", {}),
-    "th_pro": (_check_th_pro, ("p", "q", "m"), "verified", {}),
-    "lem_mni1": (_check_lem_mni1, ("i",), "verified", {}),
-    "prod_com_id": (_check_prod_com_id, ("i",), "verified", {}),
-    "lem_ideal": (_check_lem_ideal, (), "verified", {}),
-    "lem_ass_ap": (_check_lem_ass_ap, ("p", "q"), "verified", {}),
-    "lem_46": (_check_lem_46, ("j",), "verified", {}),
-    "cp_ass": (_check_cp_ass, ("i", "j"), "verified", {}),
-    "bicom_metabelian": (_check_bicom_metabelian, (), "verified", {}),
+_THEOREMS: dict[str, Callable] = {
+    "com_id": _check_com_id,
+    "circ_pro": _check_circ_pro,
+    "th_pro": _check_th_pro,
+    "lem_mni1": _check_lem_mni1,
+    "prod_com_id": _check_prod_com_id,
+    "lem_ideal": _check_lem_ideal,
+    "lem_ass_ap": _check_lem_ass_ap,
+    "lem_46": _check_lem_46,
+    "cp_ass": _check_cp_ass,
+    "bicom_metabelian": _check_bicom_metabelian,
+    "bicom_not_right_nilpotent": _check_bicom_right_nilpotency,
+    "assoc_even_even": _check_assoc_even_even,
+}
+
+# name -> (status when every claim is verified, note by status) for the
+# checks whose clean pass is not plain "verified": the right-nilpotency scan
+# speaks of its cap only; the even-even scan is exploratory ("inconclusive").
+_OWN_STATUS: dict[str, tuple[str, dict]] = {
     "bicom_not_right_nilpotent": (
-        _check_bicom_right_nilpotency,
-        (),
         "verified",
         dict.fromkeys(
             ("verified", "violated"),
@@ -682,8 +662,6 @@ _THEOREMS: dict[str, tuple[Callable, tuple, str, dict]] = {
         ),
     ),
     "assoc_even_even": (
-        _check_assoc_even_even,
-        (),
         "inconclusive",
         {
             "inconclusive": "no violation up to the cap; exploratory search only, "
@@ -694,30 +672,50 @@ _THEOREMS: dict[str, tuple[Callable, tuple, str, dict]] = {
 }
 
 
+def _reads(handler: Callable) -> tuple[str, ...]:
+    code = handler.__code__
+    return code.co_varnames[1 : code.co_argcount]
+
+
 def theorem_names() -> tuple[str, ...]:
     return tuple(sorted(_THEOREMS))
 
 
-def check_theorem(
-    slice_: AlgebraSlice, name: str, params: Optional[dict] = None
-) -> TheoremReport:
-    """Run the named check on the slice. A parameter the check does not
-    read is refused. Its status is the check's own status when every claim
-    is verified, else ``violated``; its note is the one the check gives for
-    that status, if any."""
-    entry = _THEOREMS.get(name)
-    if entry is None:
-        raise InputError(
-            f"unknown check {name!r}; known: {', '.join(theorem_names())}"
-        )
-    params = dict(params or {})
-    handler, reads, held, notes = entry
+def theorem_params() -> tuple[str, ...]:
+    """Every parameter some named check reads, sorted."""
+    return tuple(sorted({n for h in _THEOREMS.values() for n in _reads(h)}))
+
+
+def check_params(name: str, params: dict) -> None:
+    """Refuse an unknown check, then a parameter it does not read, then a
+    missing one it needs (a handler parameter without a default). Nothing
+    is built, so a caller can run this before it builds the slice."""
+    handler = _THEOREMS.get(name)
+    if handler is None:
+        raise InputError(f"unknown check {name!r}; known: {', '.join(theorem_names())}")
+    reads = _reads(handler)
     stray = sorted(set(params) - set(reads))
     if stray:
         raise InputError(
             f"check {name!r} does not read {', '.join(stray)}; "
             f"it reads {', '.join(reads) or 'no parameters'}"
         )
-    claims = handler(slice_, params)
+    for n in reads[: len(reads) - len(handler.__defaults__ or ())]:
+        if params.get(n) is None:
+            raise InputError(f"check needs parameter {n!r}")
+
+
+def check_theorem(
+    slice_: AlgebraSlice, name: str, params: Optional[dict] = None
+) -> TheoremReport:
+    """Run the named check on the slice. A handler's parameters are what
+    the check reads, and ``check_params`` refuses any other request. Its
+    status is the check's own status when every claim is verified, else
+    ``violated``; its note is the one the check gives for that status, if
+    any."""
+    params = dict(params or {})
+    check_params(name, params)
+    claims = _THEOREMS[name](slice_, **params)
+    held, notes = _OWN_STATUS.get(name, ("verified", {}))
     status = held if all(c["verdict"] == "verified" for c in claims) else "violated"
     return TheoremReport(slice_, name, params, claims, status, notes.get(status))

@@ -277,6 +277,36 @@ class TestChain:
         assert doc["chain"] == "lie-powers"
         assert len(doc["terms"]) == 3
 
+    def test_table_vanishing_and_stable(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "chain", "--variety", "novikov", "--gens", "1", "--degree", "3", "--terms", "4",
+        )
+        assert code == 0
+        assert out.endswith("H_4: dim 0\nvanishing index: 3 (class 2)\nstabilized at: 3\n")
+
+    @pytest.mark.parametrize(
+        "terms,message",
+        [
+            (str(MAX_CHAIN_TERMS + 1), "error: chain of 10001 terms is over the guard of 10000\n"),
+            ("0", "error: chain length must be at least 1\n"),
+        ],
+        ids=["over-guard", "zero"],
+    )
+    def test_chain_length_refused_before_the_slice(self, capsys, terms, message):
+        # the slice of 3000 generators takes seconds to build
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "chain", "--variety", "novikov", "--gens", "3000", "--degree", "1", "--terms", terms,
+        )
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out, err) == (2, "", message)
+
+    def test_degree_cap_below_one_named(self, capsys):
+        code, out, err = run(capsys, "chain", "--variety", "novikov", "--gens", "1", "--degree", "0")
+        assert (code, out, err) == (2, "", "error: degree cap must be at least 1\n")
+
     def test_table_output(self, capsys):
         code, out, _ = run(
             capsys,
@@ -347,6 +377,50 @@ class TestCheck:
         assert code == 2 and not out
         assert "does not read j, m" in err
 
+    @pytest.mark.parametrize(
+        "param,message",
+        [
+            ("--m", "error: check 'circ_pro' does not read m; it reads p, q\n"),
+            ("--q", "error: check needs parameter 'p'\n"),
+        ],
+        ids=["unread", "missing"],
+    )
+    def test_params_refused_before_the_slice(self, capsys, param, message):
+        # the slice of 3000 generators takes seconds to build
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "check", "--theorem", "circ_pro", "--variety", "novikov",
+            "--gens", "3000", "--degree", "1", param, "1",
+        )
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out, err) == (2, "", message)
+
+    def test_lem_mni1_violated_in_magma(self, capsys):
+        code, doc, _ = run_json(
+            capsys,
+            "check", "--theorem", "lem_mni1", "--variety", "magma",
+            "--gens", "2", "--degree", "4", "--i", "2",
+        )
+        assert code == 1 and doc["status"] == "violated"
+        (claim,) = doc["claims"]
+        assert claim["claim"] == "A[2]*A[2] <= <A[3]>"
+        assert claim["verdict"] == "violated"
+        assert claim["witness"]["multidegree"] == "(2,2)"
+
+    def test_table_note(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "check", "--theorem", "bicom_not_right_nilpotent", "--variety", "bicommutative",
+            "--gens", "2", "--degree", "3",
+        )
+        assert code == 0
+        assert out.endswith(
+            "status: verified\n"
+            "note: nonzero right powers up to the cap rule out right nilpotency "
+            "at this cap only; no statement beyond the cap\n"
+        )
+
     def test_param_beyond_cap(self, capsys):
         code, _, err = run(
             capsys,
@@ -400,6 +474,19 @@ class TestAlgebra:
             "--variety", "novikov",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "name,variety,code,last",
+        [
+            ("nonmember2.json", "bicommutative", 1, "asserted membership bicommutative: NO"),
+            ("heis3.json", "novikov", 0, "asserted membership novikov: yes"),
+        ],
+        ids=["no", "yes"],
+    )
+    def test_table_asserted_membership(self, capsys, name, variety, code, last):
+        got, out, _ = run(capsys, "algebra", "--file", str(DATA / name), "--variety", variety)
+        assert got == code
+        assert out.endswith(f"{last}\naudit: PASS\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "algebra", "--file", "no_such.json")

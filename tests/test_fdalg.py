@@ -289,6 +289,9 @@ class TestArithmetic:
         span = s.bracket_space(s.span({(): [e1]}), s.span({(): [e2]}))
         assert span.parts[()].rows == (SparseVector(((2, 1),)),)
 
+    def test_slice_repr(self):
+        assert repr(_FdSlice(load("heis3.json"))) == "_FdSlice(Q, dim=3)"
+
     def test_associator_span(self):
         # e1e1 = e2, e2e1 = e1: (e1,e1,e1) = e2e1 - e1e2 = e1 and
         # (e2,e1,e1) = e1e1 - e2e2 = e2, so the associators span the algebra;

@@ -13,6 +13,7 @@ from lieadm.ideals import (
     lie_power_series,
     lower_central_chain,
     theorem_names,
+    theorem_params,
 )
 from lieadm.linalg import GF, QQ, rref
 from lieadm.terms import Polynomial, associator, evaluate, leaf, node
@@ -483,6 +484,18 @@ class TestTheoremDispatch:
         with pytest.raises(InputError, match="does not read i; it reads no parameters"):
             check_theorem(s, "bicom_metabelian", {"i": 1})
 
+    def test_params_read_from_the_handler_signature(self):
+        # the stray message lists what the check reads in its signature's
+        # order, and the union of all signatures is what the CLI offers
+        s = make_slice(cap=3)
+        with pytest.raises(InputError, match="'th_pro' does not read i; it reads p, q, m$"):
+            check_theorem(s, "th_pro", {"i": 1})
+        with pytest.raises(InputError, match="'cp_ass' does not read p; it reads i, j$"):
+            check_theorem(s, "cp_ass", {"p": 1})
+        with pytest.raises(InputError, match="^check needs parameter 'j'$"):
+            check_theorem(s, "cp_ass", {"i": 1})
+        assert theorem_params() == ("i", "j", "m", "p", "q")
+
     def test_missing_param_rejected(self):
         s = make_slice(cap=3)
         with pytest.raises(InputError):
@@ -517,6 +530,14 @@ class TestTheoremDispatch:
             for i in (2, 3):
                 rep = check_theorem(s, "prod_com_id", {"i": i})
                 assert rep.status == "verified", (name, i)
+
+    @pytest.mark.parametrize("name", ["novikov", "bicommutative", "assosymmetric"])
+    def test_lem_mni1_verified(self, name):
+        s = make_slice(name, cap=5)
+        for i in (1, 2, 3):
+            rep = check_theorem(s, "lem_mni1", {"i": i})
+            assert [c["claim"] for c in rep.claims] == [f"A[2]*A[{i}] <= <A[{i + 1}]>"]
+            assert rep.status == "verified", (name, i)
 
     def test_lem46_refuses_bad_characteristic(self):
         s = make_slice("assosymmetric", field=GF(3), cap=4)

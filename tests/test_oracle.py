@@ -78,7 +78,7 @@ class TestZeroTestAgreement:
 
     @pytest.mark.parametrize("name", VARIETIES)
     def test_membership_agreement(self, name):
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(f"zero-test/{name}")
         v = builtin_variety(name)
         srcs = sources_of(name)
         for mu in ((2, 1), (2, 2)):
