@@ -29,7 +29,13 @@ through ``terms.evaluate`` with the basis vectors as leaves. One audit
 keeps that evaluation table of monomial values keyed by (shape, basis
 arguments), shared by the terms, identities and varieties it checks, so
 each subproduct such as (e_1 e_2) e_3 is multiplied out once per audit;
-the table is dropped with the audit and never stored on the algebra.
+the table also keeps each identity's witness, so an identity two
+varieties share (``rightcom``, ``leftsym``) is scanned once per audit:
+five scans for the seven identities of the builtin varieties. The table
+is dropped with the audit and never stored on the algebra. An identity
+that a swap of two variables negates is scanned only on the tuples that
+come first in their orbit under that swap, as ``variety`` evaluates its
+substitutions; the first failing tuple is the same.
 
 The scan grows at least as dim^3, so from_doc refuses dim above MAX_DIM
 with a ResourceError. At MAX_DIM = 32, on a 2-core x86-64 box with
@@ -58,14 +64,14 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, le, lt
 from typing import Optional
 
 from .errors import FieldError, ResourceError, SchemaError
 from .ideals import AlgebraSlice
 from .linalg import Field, GF, QQ, reduced
 from .terms import evaluate
-from .variety import VarietySpec, builtin_variety, variety_names
+from .variety import VarietySpec, _antisymmetric_pair, builtin_variety, variety_names
 
 # largest dim and audit cost estimate from_doc accepts (see the module docstring)
 MAX_DIM = 32
@@ -237,48 +243,70 @@ def check_membership(
     (identity, tuple) in order is the witness, None for a member.
     ``table`` is the ``terms.evaluate`` table of monomial values on basis
     arguments; pass the same dict to several calls on one algebra to
-    share them, as ``audit`` does.
+    share them, as ``audit`` does. The table also keeps each identity's
+    witness (None when it holds) under the identity, so an identity that
+    several varieties share is scanned once per table.
     """
-    f = alg.field
-    p = f.char
     if table is None:
         table = {}
     table.setdefault((1,), {(i,): ((), ((i, 1),)) for i in range(alg.dim)})
-    components = {(): alg}
     for ident in variety.identities:
-        # (values of the monomial's shape, its leaf arguments, monomial, coefficient)
-        terms = [
-            (
-                table.setdefault(m.shape, {}),
-                itemgetter(*m.leaves) if m.degree > 1 else lambda combo, g=m.gen: (combo[g],),
-                m,
-                c,
-            )
-            for m, c in ident.template(f).terms.items()
-        ]
-        nvars = len(ident.variables)
-        for combo in itertools.product(range(alg.dim), repeat=nvars):
-            acc: dict = {}
-            for by_args, leaves_of, m, coeff in terms:
-                args = leaves_of(combo)
-                value = by_args.get(args)
-                if value is None:
-                    value = evaluate(m, args, table, components, p)
-                for k, c in value[1]:
-                    acc[k] = acc.get(k, 0) + coeff * c
-            if acc:
-                acc = reduced(p, acc)
-            if acc:
-                witness = {
-                    "identity": ident.name,
-                    "arguments": {
-                        name: f"e{combo[pos] + 1}"
-                        for pos, name in enumerate(ident.variables)
-                    },
-                    "residual": _render_fd(f, acc.items()),
-                }
-                return {"member": False, "witness": witness}
+        if ident not in table:
+            table[ident] = _first_failure(alg, ident, table)
+        if table[ident] is not None:
+            return {"member": False, "witness": table[ident]}
     return {"member": True, "witness": None}
+
+
+def _first_failure(alg: FiniteDimAlgebra, ident, table: dict) -> Optional[dict]:
+    """The witness of the first basis tuple, in lexicographic order, on
+    which the identity fails, or None.
+
+    When swapping variables i < j negates the identity
+    (``variety._antisymmetric_pair``), f(swap c) = -f(c), and swap c comes
+    before c when c[i] > c[j]; c[i] = c[j] gives f(c) = -f(c), so zero
+    outside characteristic 2. Only the tuples with c[i] < c[j] (c[i] <=
+    c[j] over F_2) are scanned, and the first failing one is the same.
+    """
+    f = alg.field
+    p = f.char
+    components = {(): alg}
+    # (values of the monomial's shape, its leaf arguments, monomial, coefficient)
+    terms = [
+        (
+            table.setdefault(m.shape, {}),
+            itemgetter(*m.leaves) if m.degree > 1 else lambda combo, g=m.gen: (combo[g],),
+            m,
+            c,
+        )
+        for m, c in ident.template(f).terms.items()
+    ]
+    combos = itertools.product(range(alg.dim), repeat=len(ident.variables))
+    pair = _antisymmetric_pair(ident, f)
+    if pair is not None:
+        i, j = pair
+        keep = le if p == 2 else lt
+        combos = (combo for combo in combos if keep(combo[i], combo[j]))
+    for combo in combos:
+        acc: dict = {}
+        for by_args, leaves_of, m, coeff in terms:
+            args = leaves_of(combo)
+            value = by_args.get(args)
+            if value is None:
+                value = evaluate(m, args, table, components, p)
+            for k, c in value[1]:
+                acc[k] = acc.get(k, 0) + coeff * c
+        if acc:
+            acc = reduced(p, acc)
+        if acc:
+            return {
+                "identity": ident.name,
+                "arguments": {
+                    name: f"e{combo[pos] + 1}" for pos, name in enumerate(ident.variables)
+                },
+                "residual": _render_fd(f, acc.items()),
+            }
+    return None
 
 
 # ---------------------------------------------------------------------------

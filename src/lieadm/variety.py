@@ -29,8 +29,14 @@ pivot rows reduced; ``rref`` alone makes them canonical, so neither order
 nor scaling changes the basis.
 
 Components are memoized per (variety, field, generators, multidegree) and
-immutable once built; lower components come from the same cache. Every
-component is built under one guard, MAX_COLUMNS product-space columns,
+immutable once built; lower components come from the same cache. Only a
+multidegree with every entry nonzero is eliminated. One with a zero entry
+is the component over its support (its nonzero entries, over that many
+generators) with generator i renamed to the i-th generator of the
+support: the renaming keeps the order of generators, hence of leaf words
+and multidegrees, so columns, rows, basis and normal monomials
+correspond in order, and each support pattern is eliminated once. Every
+component is reached under one guard, MAX_COLUMNS product-space columns,
 counted from the lower dimensions before any column is formed, so no
 cached component is over it and a call gives the same answer whatever
 was built before.
@@ -118,12 +124,10 @@ def custom_variety(sources: Iterable[str], name: str = "custom") -> VarietySpec:
 # product spaces and relation rows
 
 
-def _product_space(variety, field, k, mu) -> tuple[dict, list]:
-    """The lower components (every proper nonzero part of mu) and the
-    product-space columns at mu in canonical order, as (key, monomial):
-    key (a, p, q) is the product of normal monomial p of degree a and
-    normal monomial q of degree mu - a, and key () the generator itself
-    in degree 1. A ResourceError if there are more than MAX_COLUMNS."""
+def _lower_components(variety, field, k, mu) -> dict:
+    """The lower components of mu (every proper nonzero part), from
+    ``component_basis``. A ResourceError if mu's product space has more
+    than MAX_COLUMNS columns, counted from their dimensions."""
     if len(mu) != k or any(c < 0 for c in mu) or mdeg_total(mu) < 1:
         raise InputError(f"multidegree {mu} is not a nonzero multidegree over {k} generators")
     n = mdeg_total(mu)
@@ -136,6 +140,16 @@ def _product_space(variety, field, k, mu) -> tuple[dict, list]:
             f"component at {format_multidegree(mu)} has {count} product-space "
             f"columns, over the guard of {MAX_COLUMNS}"
         )
+    return lower
+
+
+def _product_space(variety, field, k, mu) -> tuple[dict, list]:
+    """The lower components (``_lower_components``) and the product-space
+    columns at mu in canonical order, as (key, monomial): key (a, p, q)
+    is the product of normal monomial p of degree a and normal monomial q
+    of degree mu - a, and key () the generator itself in degree 1."""
+    lower = _lower_components(variety, field, k, mu)
+    n = mdeg_total(mu)
     cols = [((), leaf(mu.index(1)))] if n == 1 else []
     for a, left in lower.items():
         right = lower[mdeg_sub(mu, a)]
@@ -207,6 +221,7 @@ def relation_rows(
     keep = le if p == 2 else lt  # equal picks at a swapped pair give a row only over F_2
     units = {((a, q),): (a, ((q, 1),)) for a, c in lower.items() for q in range(c.quotient_dim)}
     table = {(1,): units}
+    compositions: dict[int, list] = {}  # by arity, shared by the identities
     rows: list[dict] = []
     for ident in variety.identities:
         template = ident.template(field)
@@ -229,7 +244,9 @@ def relation_rows(
             for t, c in template.terms.items()
         ]
         pair = _antisymmetric_pair(ident, field)
-        for parts in _compositions(mu, m):
+        if m not in compositions:
+            compositions[m] = _compositions(mu, m)
+        for parts in compositions[m]:
             pools = [[(part, pick) for pick in range(lower[part].quotient_dim)] for part in parts]
             substitutions = itertools.product(*pools)
             if pair is not None:
@@ -356,6 +373,40 @@ class FreeAlgebraComponent:
         )
 
 
+def _relabeled(variety: VarietySpec, field: Field, k: int, mu: tuple[int, ...]):
+    """The component at mu, which has a zero entry, read off the component
+    over its support: generator i there is generator support[i] here.
+
+    That relabeling preserves the order of generators, so it preserves the
+    canonical order of leaf words and multidegrees: the product-space
+    columns, relation rows, reduced basis and normal monomials of the two
+    components correspond one to one, in order. Column keys get their
+    part back over k generators, normal forms are shared, and each normal
+    monomial is the product of the relabeled lower normal monomials it
+    was formed from. The lower components over k come first, under the
+    same guard and in the same order as for a build at mu."""
+    lower = _lower_components(variety, field, k, mu)
+    support = list(itertools.compress(range(k), mu))
+    base = component_basis(variety, field, len(support), tuple(mu[g] for g in support))
+    comp = FreeAlgebraComponent.__new__(FreeAlgebraComponent)
+    comp.variety, comp.field, comp.k, comp.mu, comp.lower = variety, field, k, mu, lower
+    comp.column_count, comp.quotient_dim = base.column_count, base.quotient_dim
+    if mdeg_total(mu) == 1:
+        comp.products = base.products
+        comp.quotient_monomials = (leaf(support[0]),)
+        return comp
+    # both lower dicts list the parts of mu in the same order
+    part = dict(zip(base.lower, lower))
+    names = {}
+    for below, here in zip(base.lower.values(), lower.values()):
+        names.update(zip(below.quotient_monomials, here.quotient_monomials))
+    comp.products = {(part[a], p, q): nf for (a, p, q), nf in base.products.items()}
+    comp.quotient_monomials = tuple(
+        node(names[m.left], names[m.right]) for m in base.quotient_monomials
+    )
+    return comp
+
+
 _component_cache: dict[tuple, FreeAlgebraComponent] = {}
 # bound at import, so a wrapper later set over the module attribute (a
 # profiler or tracer) does not hide the table from clear_caches
@@ -368,12 +419,17 @@ def component_basis(
     """Memoized component construction. Lower components are built first,
     through this same function, and each one built is refused with a
     ResourceError when its product space has more than MAX_COLUMNS
-    columns; a cached component was built under the same guard."""
+    columns; a cached component was built under the same guard. Only a
+    multidegree with every entry nonzero is eliminated; one with a zero
+    entry is the relabeled component over its support (``_relabeled``)."""
     key = (variety.key(), field.char, k, mu)
     comp = _component_cache.get(key)
     if comp is not None:
         return comp
-    comp = FreeAlgebraComponent(variety, field, k, mu)
+    if 0 in mu:
+        comp = _relabeled(variety, field, k, mu)
+    else:
+        comp = FreeAlgebraComponent(variety, field, k, mu)
     _component_cache[key] = comp
     return comp
 

@@ -15,11 +15,14 @@ import lieadm
 from lieadm.cli import main
 from lieadm.errors import ResourceError, SchemaError
 from lieadm.ideals import AlgebraSlice
+from lieadm import fdalg
 from lieadm.fdalg import (
+    _COVERED,
     MAX_AUDIT_COST,
     MAX_DIM,
     FiniteDimAlgebra,
     _FdSlice,
+    _render_fd,
     audit,
     audit_cost,
     check_membership,
@@ -28,10 +31,10 @@ from lieadm.fdalg import (
     lie_series_fd,
     lower_central_fd,
 )
-from lieadm.linalg import QQ, SparseVector
+from lieadm.linalg import QQ, SparseVector, reduced
 from lieadm.reports import canonical_json
 from lieadm.terms import Polynomial, commutator, evaluate, leaf, multiply
-from lieadm.variety import builtin_variety, custom_variety, variety_names
+from lieadm.variety import VarietySpec, builtin_variety, custom_variety, variety_names
 
 DATA = Path(lieadm.__file__).parent / "data"
 BENCH_CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
@@ -446,6 +449,97 @@ class TestAudit:
         for name in variety_names():
             alone = check_membership(a, builtin_variety(name))
             assert report["memberships"][name] == alone
+
+
+def plain_membership(alg, variety):
+    """The membership document by the plain scan: every identity of the
+    variety on every basis tuple, each monomial multiplied out afresh."""
+    f = alg.field
+
+    def value(m, combo):
+        if m.is_leaf:
+            return ((combo[m.gen], 1),)
+        acc = {}
+        alg.add_product(acc, (), value(m.left, combo), value(m.right, combo))
+        return tuple(sorted(reduced(f.char, acc).items()))
+
+    for ident in variety.identities:
+        for combo in itertools.product(range(alg.dim), repeat=len(ident.variables)):
+            acc = {}
+            for m, c in ident.template(f).terms.items():
+                for k, x in value(m, combo):
+                    acc[k] = acc.get(k, 0) + c * x
+            acc = reduced(f.char, acc)
+            if acc:
+                arguments = {name: f"e{combo[i] + 1}" for i, name in enumerate(ident.variables)}
+                residual = _render_fd(f, acc.items())
+                witness = {"identity": ident.name, "arguments": arguments, "residual": residual}
+                return {"member": False, "witness": witness}
+    return {"member": True, "witness": None}
+
+
+def random_algebra(seed, p):
+    """Constants on a random third of the slots, dim 2 to 4: rarely a
+    member of anything but the magma variety."""
+    rng = random.Random(f"witness-{p}-{seed}")
+    n = rng.choice((2, 3, 4))
+    coeffs = ("1", "-1", "2", "1/2", "-3/2") if p == 0 else tuple(map(str, range(1, p)))
+    products = [
+        [i, j, k, rng.choice(coeffs)]
+        for i, j, k in itertools.product(range(1, n + 1), repeat=3)
+        if rng.random() < 0.3
+    ]
+    return make(n, products, "Q" if p == 0 else {"p": p})
+
+
+WITNESS_CASES = [
+    FiniteDimAlgebra.from_doc(entry["algebra"])
+    for entry in generate_nilpotent_corpus(seed=19, per_variety=6)["algebras"]
+] + [random_algebra(seed, p) for p in (0, 2, 3) for seed in range(8)]
+
+
+class TestMembershipWitness:
+    """An audit scans each distinct identity once and an antisymmetric one
+    only on the first tuple of each swapped pair; its witnesses are those
+    of the plain scan."""
+
+    def test_audit_memberships_equal_the_plain_scan(self):
+        flags = {name: set() for name in variety_names()}
+        for alg in WITNESS_CASES:
+            memberships = audit(alg)["memberships"]
+            for name in variety_names():
+                want = plain_membership(alg, builtin_variety(name))
+                assert memberships[name] == want, (alg.to_doc(), name)
+                flags[name].add(want["member"])
+        # members and non-members of every variety but the magma one
+        assert all(flags[name] == {True, False} for name in _COVERED + ("associative",))
+
+    def test_each_identity_scanned_once_per_audit(self, monkeypatch):
+        scanned = []
+        first_failure = fdalg._first_failure
+
+        def counted(alg, ident, table):
+            scanned.append(ident.name)
+            return first_failure(alg, ident, table)
+
+        monkeypatch.setattr(fdalg, "_first_failure", counted)
+        audit(make(2, []))
+        assert sorted(scanned) == ["assoc", "leftcom", "leftsym", "rightcom", "rightsym"]
+
+    def test_equal_arguments_at_the_swapped_pair_over_f2(self):
+        # Over F_2 the swap of x and y fixes x*y + y*x + z*z, so it counts as
+        # negated; with e1*e1 = e1 the first failing tuple is (e1, e1, e1),
+        # where x and y are equal. Multilinear identities, such as every
+        # builtin one, vanish whenever the swapped arguments are equal.
+        alg = make(2, [[1, 1, 1, 1]], {"p": 2})
+        spec = custom_variety(["x*y + y*x + z*z"], name="sq")
+        table = {}
+        got = check_membership(alg, spec, table)
+        assert got == plain_membership(alg, spec)
+        assert got["witness"]["arguments"] == {"x": "e1", "y": "e1", "z": "e1"}
+        # the second call on the table reads the witness kept there
+        again = check_membership(alg, VarietySpec("again", spec.identities), table)
+        assert again == got
 
 
 @st.composite

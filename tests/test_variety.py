@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lieadm.errors import InputError, ResourceError, UnsupportedVarietyError
 from lieadm.exprs import Identity, builtin
 from lieadm import linalg
+from lieadm.ideals import AlgebraSlice
 from lieadm import variety as variety_module
 from lieadm.linalg import GF, QQ, reduced, rref, vector
 from lieadm.terms import (
@@ -21,6 +22,7 @@ from lieadm.terms import (
     substitute,
 )
 from lieadm.variety import (
+    FreeAlgebraComponent,
     VarietySpec,
     builtin_variety,
     clear_caches,
@@ -196,12 +198,90 @@ class TestComponentDimensions:
         assert comp.column_count == 380
         assert len(enumerate_monomials(5, (1,) * 5)) == 1680
 
+    @pytest.mark.parametrize(
+        "mu, guard, message",
+        [
+            ((0, 6), 41, r"\(0,6\) has 42 product-space columns, over the guard of 41"),
+            ((0, 7), 41, r"\(0,6\) has 42 product-space columns"),
+            ((2, 0, 2), 5, r"\(1,0,2\) has 6 product-space columns, over the guard of 5"),
+        ],
+    )
+    def test_relabeled_component_guard_names_its_multidegree(self, monkeypatch, mu, guard, message):
+        # a multidegree with a zero entry is refused as if it were built
+        # there: the message names the requested multidegree or its part,
+        # never the multidegree over the support
+        clear_caches()
+        monkeypatch.setattr(variety_module, "MAX_COLUMNS", guard)
+        with pytest.raises(ResourceError, match=message):
+            component_basis(builtin_variety("magma"), QQ, len(mu), mu)
+        clear_caches()
+
     def test_library_call_is_guarded(self):
         # the free magma on one generator has C_12 = 208012 (Catalan) product-space
         # columns at degree 13; every degree below it passes
         with pytest.raises(ResourceError, match=r"\(13\) has 208012 .* guard of 200000"):
             component_basis(builtin_variety("magma"), QQ, 1, (13,))
         clear_caches()
+
+
+ZERO_ENTRY_MULTIDEGREES = [mu for mu in multidegrees((5, 5, 5), 5) if 0 in mu]
+
+
+class TestRelabeling:
+    """A multidegree with a zero entry is read off the component over its
+    support, never eliminated: it must equal the component eliminated
+    there, and only full-support components are built."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["Q", "F2", "F5"])
+    @pytest.mark.parametrize("name", variety_names())
+    def test_equals_component_built_at_the_multidegree(self, name, field):
+        v = builtin_variety(name)
+        rng = random.Random(f"relabel-{name}-{field.char}")
+        for mu in ZERO_ENTRY_MULTIDEGREES:
+            got = component_basis(v, field, 3, mu)
+            want = FreeAlgebraComponent(v, field, 3, mu)
+            assert got.column_count == want.column_count, mu
+            assert got.quotient_dim == want.quotient_dim, mu
+            assert got.quotient_monomials == want.quotient_monomials, mu
+            assert list(got.products.items()) == list(want.products.items()), mu
+            assert list(got.lower) == list(want.lower), mu
+            monos = enumerate_monomials(3, mu)
+            for _ in range(3):
+                picks = rng.sample(monos, min(4, len(monos)))
+                poly = Polynomial(field, {m: rng.randrange(-3, 4) for m in picks})
+                assert got.normal_form(poly) == want.normal_form(poly), mu
+
+    def test_keeps_the_callers_multidegree(self):
+        # a component over 2000 generators must not hold a second
+        # 2000-entry tuple of its own
+        mu = tuple([0] * 1999 + [1])
+        assert component_basis(builtin_variety("novikov"), QQ, 2000, mu).mu is mu
+
+    @pytest.mark.parametrize(
+        "build, count",
+        [
+            (lambda: AlgebraSlice(builtin_variety("novikov"), QQ, 3, 5), 25),
+            (lambda: component_basis(builtin_variety("assosymmetric"), QQ, 5, (1,) * 5), 5),
+        ],
+        ids=["novikov-k3-D5", "assosymmetric-multilinear-5"],
+    )
+    def test_each_support_pattern_eliminated_once(self, monkeypatch, build, count):
+        # the k=3, D=5 slice has 55 components: 10 with full support over
+        # three generators, 10 over two and 5 over one; the multilinear
+        # cell needs (1,)*s for s = 1..5 and no other elimination
+        built = []
+        init = FreeAlgebraComponent.__init__
+
+        def counted(self, variety, field, k, mu):
+            built.append(mu)
+            init(self, variety, field, k, mu)
+
+        monkeypatch.setattr(FreeAlgebraComponent, "__init__", counted)
+        clear_caches()
+        build()
+        clear_caches()
+        assert len(built) == count
+        assert all(0 not in mu for mu in built)
 
 
 class TestClosedForms:
