@@ -17,7 +17,7 @@ from typing import Optional
 from .errors import WorkbenchError
 from .exprs import Identity, builtin, builtin_names
 from .fdalg import FiniteDimAlgebra, audit
-from .ideals import AlgebraSlice, check_chain_length, check_params, check_theorem
+from .ideals import AlgebraSlice, check_params, check_theorem, index_in_cap
 from .ideals import lie_power_series, lower_central_chain, theorem_names, theorem_params
 from .linalg import field_of_char
 from .reports import canonical_json, with_schema
@@ -243,7 +243,7 @@ def cmd_verify(args) -> int:
 
 def cmd_chain(args) -> int:
     if args.terms is not None:  # the default, the degree cap, is the slice's to check
-        check_chain_length(args.terms)
+        index_in_cap(args.degree, terms=args.terms)
     field = field_of_char(args.char)
     variety = _variety_from(args)
     slice_ = AlgebraSlice(variety, field, args.gens, args.degree)
@@ -290,6 +290,8 @@ def cmd_search(args) -> int:
     field = field_of_char(args.char)
     grid = []
     if args.target == "bicom-right-nilpotency":
+        if args.degree < 2:
+            raise WorkbenchError("bicom-right-nilpotency needs --degree at least 2")
         slice_ = AlgebraSlice(builtin_variety("bicommutative"), field, args.gens, args.degree)
         report = check_theorem(slice_, "bicom_not_right_nilpotent")
         cell = report.to_doc()
@@ -374,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("lower-central", "lie-powers"),
         default="lower-central",
     )
-    sp.add_argument("--terms", type=int, metavar="N", help="number of terms (default: degree cap)")
+    sp.add_argument(
+        "--terms", type=int, metavar="N", help="number of terms, 1 to the degree cap (default: the cap)"
+    )
     _add_field(sp)
     _add_format(sp)
     sp.set_defaults(run=cmd_chain)

@@ -28,7 +28,11 @@ no denominator of a rational literal, every coefficient met while
 expanding is a p-integral rational, and reduction mod p is a ring map on
 those, so it commutes with expansion. When p divides one, that literal
 has no image in F_p, and the template over F_p is a FieldError naming the
-first such literal, even where the literal cancels out over Q.
+first such literal, even where the literal cancels out over Q. Next to
+each field's template it keeps the first pair of variables whose swap
+negates it, by which ``Identity.representatives`` halves every scan of
+argument tuples: the relation rows of ``variety`` and the membership
+scans of ``fdalg``.
 
 Each product is checked before it is formed. Its term count is |p||q|
 for p*q, 2|p||q| for [p,q] and {p,q}, and 2|p||q||r| for <p,q,r>, and
@@ -40,13 +44,15 @@ at most 12 terms.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import prod
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import ExprSyntaxError, FieldError, InputError, ResourceError
+from .errors import UnsupportedVarietyError
 from .linalg import QQ, Field
-from .terms import Polynomial, associator, commutator, jordan, leaf, multiply
+from .terms import Polynomial, associator, commutator, jordan, leaf, multiply, substitute
 
 # Deepest expression tree the parser reads. Each bracket level and each
 # chained binary operator counts one level. Only parsing recurses, three
@@ -270,9 +276,10 @@ def is_multilinear(template: Polynomial, nvars: int) -> bool:
 
 class Identity:
     """A named identity: source text, variables in sorted order, and its
-    template, parsed once over Q and reduced per field."""
+    template, parsed once over Q and reduced per field, with the swapped
+    pair of each field (``representatives``)."""
 
-    __slots__ = ("name", "source", "variables", "_fractions", "_cache")
+    __slots__ = ("name", "source", "variables", "_fractions", "_cache", "_pairs")
 
     def __init__(self, name: str, source: str):
         self.name = name
@@ -282,6 +289,7 @@ class Identity:
         self.variables = parser.variables
         self._fractions = tuple(parser.fractions)
         self._cache: dict[Field, Polynomial] = {QQ: template}
+        self._pairs: dict[Field, Optional[tuple[int, int]]] = {}
 
     def __repr__(self) -> str:
         return f"Identity({self.name}: {self.source})"
@@ -306,6 +314,40 @@ class Identity:
 
     def multilinear(self, field: Field) -> bool:
         return is_multilinear(self.template(field), len(self.variables))
+
+    def representatives(self, field: Field, tuples: Iterable[tuple]) -> Iterable[tuple]:
+        """The argument tuples that evaluating the identity over ``field``
+        needs, in their order: UnsupportedVarietyError when the identity is
+        not multilinear.
+
+        When swapping variables i < j negates the template (the first such
+        pair, found once per field), f(swap t) = -f(t), so only the tuples
+        with t[i] < t[j] are kept: one of each swapped pair, under any total
+        order of the arguments. Each monomial of a multilinear template
+        holds i and j once, so the swap pairs it with another monomial of
+        opposite coefficient, and equal arguments at i and j give zero in
+        every characteristic. Without such a pair every tuple is kept."""
+        if field not in self._pairs:  # kept only for a multilinear identity
+            if not self.multilinear(field):
+                raise UnsupportedVarietyError(
+                    f"identity {self.name!r} is not multilinear; "
+                    "only multilinear defining identities are supported"
+                )
+            template = self.template(field)
+            negated = template.scaled(-1)
+            m = len(self.variables)
+            self._pairs[field] = None
+            for i, j in itertools.combinations(range(m), 2):
+                swap = {v: leaf(v) for v in range(m)}
+                swap[i], swap[j] = swap[j], swap[i]
+                if substitute(template, swap) == negated:
+                    self._pairs[field] = i, j
+                    break
+        pair = self._pairs[field]
+        if pair is None:
+            return tuples
+        i, j = pair
+        return (t for t in tuples if t[i] < t[j])
 
 
 # ---------------------------------------------------------------------------

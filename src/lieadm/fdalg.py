@@ -32,10 +32,9 @@ each subproduct such as (e_1 e_2) e_3 is multiplied out once per audit;
 the table also keeps each identity's witness, so an identity two
 varieties share (``rightcom``, ``leftsym``) is scanned once per audit:
 five scans for the seven identities of the builtin varieties. The table
-is dropped with the audit and never stored on the algebra. An identity
-that a swap of two variables negates is scanned only on the tuples that
-come first in their orbit under that swap, as ``variety`` evaluates its
-substitutions; the first failing tuple is the same.
+is dropped with the audit and never stored on the algebra. Each scan
+reads only the tuples ``Identity.representatives`` keeps, as ``variety``
+evaluates its substitutions, so a non-multilinear identity is refused.
 
 The scan grows at least as dim^3, so from_doc refuses dim above MAX_DIM
 with a ResourceError. At MAX_DIM = 32, on a 2-core x86-64 box with
@@ -64,14 +63,14 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from operator import itemgetter, le, lt
+from operator import itemgetter
 from typing import Optional
 
 from .errors import FieldError, ResourceError, SchemaError
 from .ideals import AlgebraSlice
 from .linalg import Field, GF, QQ, reduced
 from .terms import evaluate
-from .variety import VarietySpec, _antisymmetric_pair, builtin_variety, variety_names
+from .variety import VarietySpec, builtin_variety, variety_names
 
 # largest dim and audit cost estimate from_doc accepts (see the module docstring)
 MAX_DIM = 32
@@ -239,8 +238,10 @@ def check_membership(
     """The membership document ``{"member", "witness"}``: evaluate every
     defining identity on every basis tuple.
 
-    Multilinearity makes basis tuples sufficient; the first failing
-    (identity, tuple) in order is the witness, None for a member.
+    Multilinearity makes basis tuples sufficient, so a non-multilinear
+    identity is refused (UnsupportedVarietyError, from
+    ``Identity.representatives``); the first failing (identity, tuple) in
+    order is the witness, None for a member.
     ``table`` is the ``terms.evaluate`` table of monomial values on basis
     arguments; pass the same dict to several calls on one algebra to
     share them, as ``audit`` does. The table also keeps each identity's
@@ -260,14 +261,10 @@ def check_membership(
 
 def _first_failure(alg: FiniteDimAlgebra, ident, table: dict) -> Optional[dict]:
     """The witness of the first basis tuple, in lexicographic order, on
-    which the identity fails, or None.
-
-    When swapping variables i < j negates the identity
-    (``variety._antisymmetric_pair``), f(swap c) = -f(c), and swap c comes
-    before c when c[i] > c[j]; c[i] = c[j] gives f(c) = -f(c), so zero
-    outside characteristic 2. Only the tuples with c[i] < c[j] (c[i] <=
-    c[j] over F_2) are scanned, and the first failing one is the same.
-    """
+    which the identity fails, or None. Only the tuples
+    ``Identity.representatives`` keeps are scanned: a skipped tuple is the
+    swap of a kept one that comes before it, or gives zero, so the first
+    failing tuple is the same."""
     f = alg.field
     p = f.char
     components = {(): alg}
@@ -282,12 +279,7 @@ def _first_failure(alg: FiniteDimAlgebra, ident, table: dict) -> Optional[dict]:
         for m, c in ident.template(f).terms.items()
     ]
     combos = itertools.product(range(alg.dim), repeat=len(ident.variables))
-    pair = _antisymmetric_pair(ident, f)
-    if pair is not None:
-        i, j = pair
-        keep = le if p == 2 else lt
-        combos = (combo for combo in combos if keep(combo[i], combo[j]))
-    for combo in combos:
+    for combo in ident.representatives(f, combos):
         acc: dict = {}
         for by_args, leaves_of, m, coeff in terms:
             args = leaves_of(combo)

@@ -35,15 +35,12 @@ import itertools
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .errors import InputError, ResourceError
+from .errors import InputError
 from .exprs import builtin
 from .linalg import Field, identity_basis, member, reduced, rref
 from .linalg import sum_bases as _sum_bases
 from .terms import evaluate, format_multidegree, mdeg_add, mdeg_total, multidegrees
 from .variety import FreeAlgebraComponent, VarietySpec, component_basis
-
-# the most terms a chain report may list; every term is kept in the report
-MAX_CHAIN_TERMS = 10000
 
 
 def _mu_order(mu: tuple[int, ...]) -> tuple:
@@ -423,16 +420,8 @@ class ChainReport:
         }
 
 
-def check_chain_length(n: int) -> None:
-    """Refuse a length outside 1..MAX_CHAIN_TERMS; nothing is built first."""
-    if n < 1:
-        raise InputError("chain length must be at least 1")
-    if n > MAX_CHAIN_TERMS:
-        raise ResourceError(f"chain of {n} terms is over the guard of {MAX_CHAIN_TERMS}")
-
-
 def _chain_report(slice_: AlgebraSlice, kind: str, term: Callable, n: int) -> ChainReport:
-    check_chain_length(n)
+    index_in_cap(slice_.degree_cap, terms=n)
     return ChainReport(slice_, kind, [term(i) for i in range(1, n + 1)])
 
 
@@ -474,13 +463,17 @@ class TheoremReport:
         }
 
 
-def _index_in_cap(s: AlgebraSlice, **named: int) -> None:
+def index_in_cap(cap: int, **named: int) -> None:
+    """Refuse a chain index below 1 or above the degree cap: H_i and A_[i]
+    live in degrees >= i, so past the cap they are zero by truncation.
+    Nothing is built, so a caller can run this before it builds the
+    slice."""
     for name, idx in named.items():
         if idx < 1:
             raise InputError(f"parameter {name}={idx} must be at least 1")
-        if idx > s.degree_cap:
+        if idx > cap:
             raise InputError(
-                f"parameter {name}={idx} references chain index beyond degree cap {s.degree_cap}"
+                f"parameter {name}={idx} references chain index beyond degree cap {cap}"
             )
 
 
@@ -519,13 +512,13 @@ def _bracket_ideal(s: AlgebraSlice, blabel: str, B: GradedSubspace, two_sided=Fa
 def _check_com_id(s: AlgebraSlice, i=None) -> list[dict]:
     cases = [("full", s.full())]
     if i is not None:
-        _index_in_cap(s, i=i, **{"i+1": i + 1})
+        index_in_cap(s.degree_cap, i=i, **{"i+1": i + 1})
         cases.append((f"A[{i}]", s.a_term(i)))
     return [c for blabel, B in cases for c in _bracket_ideal(s, blabel, B)]
 
 
 def _check_circ_pro(s, p, q):
-    _index_in_cap(s, p=p, q=q, **{"p+q": p + q})
+    index_in_cap(s.degree_cap, p=p, q=q, **{"p+q": p + q})
     circ = s.commutator_ideal(s.h_term(p), s.h_term(q))
     return [s.check_inclusion(circ, s.h_term(p + q), f"H_{p} o H_{q} <= H_{p + q}")]
 
@@ -537,28 +530,28 @@ def _check_th_pro(s, p=None, q=None, m=None):
     if (p is None) != (q is None):
         raise InputError("parameters p and q come together")
     if p is not None:
-        _index_in_cap(s, p=p, q=q, **{"p+q-1": p + q - 1})
+        index_in_cap(s.degree_cap, p=p, q=q, **{"p+q-1": p + q - 1})
         claims.append(_product_rule(s, p, q))
     if m is not None:
-        _index_in_cap(s, m=m, **{"m+1": m + 1})
+        index_in_cap(s.degree_cap, m=m, **{"m+1": m + 1})
         power = s.power(s.h_term(2), m)
         claims.append(s.check_inclusion(power, s.h_term(m + 1), f"power(H_2,{m}) <= H_{m + 1}"))
     return claims
 
 
 def _check_lem_mni1(s, i):
-    _index_in_cap(s, i=i, **{"i+1": i + 1})
+    index_in_cap(s.degree_cap, i=i, **{"i+1": i + 1})
     prod, closed = s.product_space(s.a_term(2), s.a_term(i)), s.ideal_closure(s.a_term(i + 1))
     return [s.check_inclusion(prod, closed, f"A[2]*A[{i}] <= <A[{i + 1}]>")]
 
 
 def _check_prod_com_id(s, i):
-    _index_in_cap(s, i=i)
+    index_in_cap(s.degree_cap, i=i)
     return s.check_equality(s.ideal_closure(s.a_term(i)), s.h_term(i), f"<A[{i}]>", f"H_{i}")
 
 
 def _check_lem_ideal(s):
-    _index_in_cap(s, **{"2": 2})
+    index_in_cap(s.degree_cap, **{"2": 2})
     full = s.full()
     cases = (("full", full), ("A[2]", s.a_term(2)))
     claims = []
@@ -573,7 +566,7 @@ def _check_lem_ideal(s):
 
 
 def _check_lem_ass_ap(s, p, q):
-    _index_in_cap(s, p=p, q=q, **{"p+q": p + q})
+    index_in_cap(s.degree_cap, p=p, q=q, **{"p+q": p + q})
     hp, hq = s.h_term(p), s.h_term(q)
     target = s.h_term(p + q)
     return [
@@ -590,7 +583,7 @@ def _check_lem_46(s, j):
         raise InputError("this check is stated for odd j only")
     if s.field.char in (2, 3):
         raise InputError("this check assumes characteristic not 2 or 3")
-    _index_in_cap(s, j=j, **{"j+1": j + 1})
+    index_in_cap(s.degree_cap, j=j, **{"j+1": j + 1})
     br = s.bracket_space(s.ideal_closure(s.a_term(j)), s.full())
     return [s.check_inclusion(br, s.a_term(j + 1), f"[<A[{j}]>,full] <= A[{j + 1}]")]
 
@@ -600,7 +593,7 @@ def _check_cp_ass(s, i, j):
         raise InputError("this check is stated for i or j odd")
     if s.field.char in (2, 3):
         raise InputError("this check assumes characteristic not 2 or 3")
-    _index_in_cap(s, i=i, j=j, **{"i+j-1": i + j - 1})
+    index_in_cap(s.degree_cap, i=i, j=j, **{"i+j-1": i + j - 1})
     return [_closed_product(s, i, j)]
 
 
@@ -612,7 +605,7 @@ def _check_bicom_metabelian(s):
 def _check_bicom_right_nilpotency(s):
     """One claim per step n = 1..D-1: the right power H_2 full...full with
     n - 1 factors full is nonzero. A cap below 2 leaves no step to check."""
-    _index_in_cap(s, **{"2": 2})
+    index_in_cap(s.degree_cap, **{"2": 2})
     claims = []
     term = s.h_term(2)
     for step in range(1, s.degree_cap):
@@ -630,7 +623,7 @@ def _check_bicom_right_nilpotency(s):
 
 
 def _check_assoc_even_even(s):
-    _index_in_cap(s, **{"3": 3})
+    index_in_cap(s.degree_cap, **{"3": 3})
     return [_closed_product(s, 2, 2)]
 
 

@@ -20,9 +20,9 @@ canonical ones, whichever way the component is built. A product of two
 normal monomials is a column, so its normal form is a table look-up.
 Substitutions and normal forms are evaluated by ``terms.evaluate``, as
 an audit evaluates identities on basis vectors.
-An identity antisymmetric in two variables gives the same relation line
-(up to sign) for a substitution and for its swap, so only one of the
-two, the orbit representative that comes first, is evaluated.
+An identity that a swap of two variables negates gives the same
+relation line (up to sign) for a substitution and for its swap, so only
+the substitutions ``Identity.representatives`` keeps are evaluated.
 The relation rows reach ``rref`` as evaluated, one identity at a time,
 each block in descending lead order, which cuts the work of keeping the
 pivot rows reduced; ``rref`` alone makes them canonical, so neither order
@@ -45,11 +45,10 @@ was built before.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from operator import itemgetter, le, lt
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Iterable
 
-from .errors import InputError, ResourceError, UnsupportedVarietyError
+from .errors import InputError, ResourceError
 from .exprs import Identity, builtin
 from .linalg import Field, reduced, rref, vector
 from .terms import (
@@ -170,21 +169,6 @@ def _compositions(mu: tuple[int, ...], m: int) -> list[tuple[tuple[int, ...], ..
     ]
 
 
-@lru_cache(maxsize=None)
-def _antisymmetric_pair(ident: Identity, field: Field) -> Optional[tuple[int, int]]:
-    """The first pair i < j of variables whose swap negates the identity's
-    template over the field (coefficients mod p), or None."""
-    template = ident.template(field)
-    negated = Polynomial(field, {t: -c for t, c in template.terms.items()})
-    m = len(ident.variables)
-    for i, j in itertools.combinations(range(m), 2):
-        swap = {v: leaf(v) for v in range(m)}
-        swap[i], swap[j] = swap[j], swap[i]
-        if substitute(template, swap) == negated:
-            return i, j
-    return None
-
-
 def relation_rows(
     variety: VarietySpec, field: Field, k: int, mu: tuple[int, ...], space=None
 ) -> list[dict]:
@@ -193,18 +177,15 @@ def relation_rows(
     as evaluated (``reduced``): ``rref`` makes them canonical.
 
     For each identity term g*h, g and h are evaluated on the lower normal
-    monomials, keyed (part, pick), through ``terms.evaluate`` with one table
-    per call, and their classes are placed into the product-space columns.
-
-    Only orbit representatives are evaluated. When the identity is
-    antisymmetric in variables i < j (``_antisymmetric_pair``), a
-    substitution and its swap give the same line, and equal keys at i and
-    j give zero outside characteristic 2. Keys are enumerated in the order
-    of (total degree of part, part, pick), so a substitution is evaluated
-    only when its key at i ranks below its key at j, or equals it over
-    F_2: exactly the first of each pair. No builtin identity has another
-    symmetry, so no builtin component repeats a line; the repeats a custom
-    one gives (a symmetric swap, a cyclic sum) ``rref`` reduces to zero.
+    monomials through ``terms.evaluate``, with one table per call, and
+    their classes are placed into the product-space columns. Each lower
+    normal monomial is keyed by its position in the order of (total
+    degree of part, part, pick), so ``<`` on keys is that order, and only
+    the substitutions ``Identity.representatives`` keeps are evaluated
+    (a non-multilinear identity is refused there, before the c*x = 0
+    case). No builtin identity has another symmetry, so no builtin
+    component repeats a line; the repeats a custom one gives (a symmetric
+    swap, a cyclic sum) ``rref`` reduces to zero.
 
     The rows come in one block per identity, in the variety's identity
     order. Within a block they are stably sorted by descending lead
@@ -218,21 +199,23 @@ def relation_rows(
     lower, cols = space or _product_space(variety, field, k, mu)
     columns = {key: j for j, (key, _) in enumerate(cols)}
     p = field.char
-    keep = le if p == 2 else lt  # equal picks at a swapped pair give a row only over F_2
-    units = {((a, q),): (a, ((q, 1),)) for a, c in lower.items() for q in range(c.quotient_dim)}
+    # the keys of each part, which ``lower`` lists by total degree, then part
+    units, pools = {}, {}
+    for a, c in lower.items():
+        pools[a] = range(len(units), len(units) + c.quotient_dim)
+        units.update(((key,), (a, ((q, 1),))) for q, key in enumerate(pools[a]))
     table = {(1,): units}
     compositions: dict[int, list] = {}  # by arity, shared by the identities
     rows: list[dict] = []
     for ident in variety.identities:
+        m = len(ident.variables)
+        if m not in compositions:
+            compositions[m] = _compositions(mu, m)
+        every = (itertools.product(*(pools[a] for a in parts)) for parts in compositions[m])
+        substitutions = ident.representatives(field, itertools.chain.from_iterable(every))
         template = ident.template(field)
-        if not ident.multilinear(field):
-            raise UnsupportedVarietyError(
-                f"identity {ident.name!r} is not multilinear; "
-                "only multilinear defining identities are supported"
-            )
         if not template.terms:
             continue
-        m = len(ident.variables)
         if m == 1:
             # c*x = 0 kills every element, so every column is a relation
             rows += [{j: 1} for j in reversed(range(len(cols)))]
@@ -243,34 +226,20 @@ def relation_rows(
             (t.left, t.right, t.left.degree, itemgetter(*t.leaves), c)
             for t, c in template.terms.items()
         ]
-        pair = _antisymmetric_pair(ident, field)
-        if m not in compositions:
-            compositions[m] = _compositions(mu, m)
-        for parts in compositions[m]:
-            pools = [[(part, pick) for pick in range(lower[part].quotient_dim)] for part in parts]
-            substitutions = itertools.product(*pools)
-            if pair is not None:
-                u, v = pair
-                rank_u = (mdeg_total(parts[u]), parts[u])
-                rank_v = (mdeg_total(parts[v]), parts[v])
-                if rank_u > rank_v:
-                    continue
-                if rank_u == rank_v:
-                    substitutions = (s for s in substitutions if keep(s[u][1], s[v][1]))
-            for keys in substitutions:
-                row: dict[int, object] = {}
-                for left, right, d, leaves_of, c in terms:
-                    args = leaves_of(keys)
-                    a, x = evaluate(left, args[:d], table, lower, p)
-                    _, y = evaluate(right, args[d:], table, lower, p)
-                    for q1, xq in x:
-                        cx = c * xq
-                        for q2, yq in y:
-                            j = columns[(a, q1, q2)]
-                            row[j] = row.get(j, 0) + cx * yq
-                row = reduced(p, row)
-                if row:
-                    block.append(row)
+        for keys in substitutions:
+            row: dict[int, object] = {}
+            for left, right, d, leaves_of, c in terms:
+                args = leaves_of(keys)
+                a, x = evaluate(left, args[:d], table, lower, p)
+                _, y = evaluate(right, args[d:], table, lower, p)
+                for q1, xq in x:
+                    cx = c * xq
+                    for q2, yq in y:
+                        j = columns[(a, q1, q2)]
+                        row[j] = row.get(j, 0) + cx * yq
+            row = reduced(p, row)
+            if row:
+                block.append(row)
         block.sort(key=lambda row: (-min(row), len(row)))
         rows += block
     return rows
@@ -435,12 +404,10 @@ def component_basis(
 
 
 def clear_caches():
-    """Drop memoized components, the monomial enumeration table and the
-    antisymmetric pairs of identities (used by determinism tests and
-    cold-start measurements)."""
+    """Drop memoized components and the monomial enumeration table (used
+    by determinism tests and cold-start measurements)."""
     _component_cache.clear()
     _clear_monomial_table()
-    _antisymmetric_pair.cache_clear()
 
 
 # ---------------------------------------------------------------------------

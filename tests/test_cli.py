@@ -14,7 +14,6 @@ from lieadm.cli import main
 from lieadm.errors import ResourceError
 from lieadm.exprs import MAX_TEMPLATE_TERMS, Identity
 from lieadm.fdalg import MAX_DIM
-from lieadm.ideals import MAX_CHAIN_TERMS
 from lieadm.linalg import QQ
 from lieadm.variety import builtin_variety, clear_caches, component_basis
 
@@ -278,18 +277,22 @@ class TestChain:
         assert len(doc["terms"]) == 3
 
     def test_table_vanishing_and_stable(self, capsys):
+        # one generator of an associative algebra commutes with itself:
+        # H_2 = <[full, full]> is 0, and so is H_3
         code, out, _ = run(
             capsys,
-            "chain", "--variety", "novikov", "--gens", "1", "--degree", "3", "--terms", "4",
+            "chain", "--variety", "associative", "--gens", "1", "--degree", "3", "--terms", "3",
         )
         assert code == 0
-        assert out.endswith("H_4: dim 0\nvanishing index: 3 (class 2)\nstabilized at: 3\n")
+        assert out.endswith(
+            "H_2: dim 0\nH_3: dim 0\nvanishing index: 2 (class 1)\nstabilized at: 2\n"
+        )
 
     @pytest.mark.parametrize(
         "terms,message",
         [
-            (str(MAX_CHAIN_TERMS + 1), "error: chain of 10001 terms is over the guard of 10000\n"),
-            ("0", "error: chain length must be at least 1\n"),
+            ("2", "error: parameter terms=2 references chain index beyond degree cap 1\n"),
+            ("0", "error: parameter terms=0 must be at least 1\n"),
         ],
         ids=["over-guard", "zero"],
     )
@@ -316,29 +319,16 @@ class TestChain:
         assert "H_1: dim 18" in out
         assert "vanishing index: none within cap" in out
 
-    def test_long_chain_walked_once(self, capsys):
-        # each term steps on from the last memoized one, so a chain of n
-        # terms reads the memo O(n) times, not O(n^2)
-        t0 = time.perf_counter()
-        code, doc, _ = run_json(
-            capsys,
-            "chain", "--variety", "novikov", "--gens", "1", "--degree", "1", "--terms", "10000",
-        )
-        assert time.perf_counter() - t0 < 1
-        assert code == 0
-        assert len(doc["terms"]) == 10000 and doc["vanishing_index"] == 2
-
     @pytest.mark.parametrize("series", ["lower-central", "lie-powers"])
     def test_chain_length_guard(self, capsys, series):
-        t0 = time.perf_counter()
+        # H_i and A_[i] live in degrees >= i: past the cap every term is 0
         code, out, err = run(
             capsys,
-            "chain", "--variety", "novikov", "--gens", "1", "--degree", "1",
-            "--series", series, "--terms", str(MAX_CHAIN_TERMS + 1),
+            "chain", "--variety", "novikov", "--gens", "2", "--degree", "3",
+            "--series", series, "--terms", "4",
         )
-        assert time.perf_counter() - t0 < 1
-        assert code == 2 and not out
-        assert "10001" in err and "10000" in err
+        assert (code, out) == (2, "")
+        assert err == "error: parameter terms=4 references chain index beyond degree cap 3\n"
 
 
 class TestCheck:
@@ -602,3 +592,14 @@ class TestSearch:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+    def test_bicom_right_nilpotency_degree_refused_before_the_slice(self, capsys):
+        # the slice of 3000 generators takes seconds to build
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "search", "--target", "bicom-right-nilpotency", "--gens", "3000", "--degree", "1",
+        )
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (2, "")
+        assert err == "error: bicom-right-nilpotency needs --degree at least 2\n"

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import lieadm
 from lieadm.cli import main
-from lieadm.errors import ResourceError, SchemaError
+from lieadm.errors import ResourceError, SchemaError, UnsupportedVarietyError
 from lieadm.ideals import AlgebraSlice
 from lieadm import fdalg
 from lieadm.fdalg import (
@@ -34,7 +34,7 @@ from lieadm.fdalg import (
 from lieadm.linalg import QQ, SparseVector, reduced
 from lieadm.reports import canonical_json
 from lieadm.terms import Polynomial, commutator, evaluate, leaf, multiply
-from lieadm.variety import VarietySpec, builtin_variety, custom_variety, variety_names
+from lieadm.variety import builtin_variety, custom_variety, variety_names
 
 DATA = Path(lieadm.__file__).parent / "data"
 BENCH_CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
@@ -526,20 +526,12 @@ class TestMembershipWitness:
         audit(make(2, []))
         assert sorted(scanned) == ["assoc", "leftcom", "leftsym", "rightcom", "rightsym"]
 
-    def test_equal_arguments_at_the_swapped_pair_over_f2(self):
-        # Over F_2 the swap of x and y fixes x*y + y*x + z*z, so it counts as
-        # negated; with e1*e1 = e1 the first failing tuple is (e1, e1, e1),
-        # where x and y are equal. Multilinear identities, such as every
-        # builtin one, vanish whenever the swapped arguments are equal.
-        alg = make(2, [[1, 1, 1, 1]], {"p": 2})
-        spec = custom_variety(["x*y + y*x + z*z"], name="sq")
-        table = {}
-        got = check_membership(alg, spec, table)
-        assert got == plain_membership(alg, spec)
-        assert got["witness"]["arguments"] == {"x": "e1", "y": "e1", "z": "e1"}
-        # the second call on the table reads the witness kept there
-        again = check_membership(alg, VarietySpec("again", spec.identities), table)
-        assert again == got
+    def test_non_multilinear_identity_refused(self):
+        # (e1+e2)*(e1+e2) = e3, so x*x fails here, though it vanishes on
+        # every basis vector; basis tuples decide only multilinear identities
+        alg = make(3, [[1, 2, 3, "1"]])
+        with pytest.raises(UnsupportedVarietyError, match="'sq_1' is not multilinear"):
+            check_membership(alg, custom_variety(["x*x"], name="sq"))
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 
 from lieadm import ideals as ideals_module
 from lieadm import linalg
-from lieadm.errors import InputError, ResourceError
+from lieadm.errors import InputError
 from lieadm.ideals import (
     AlgebraSlice,
     check_theorem,
@@ -443,11 +443,14 @@ class TestChains:
 
     @pytest.mark.parametrize("chain", [lower_central_chain, lie_power_series])
     def test_length_guard_refused_before_any_term(self, chain):
-        s = make_slice("novikov", k=1, cap=1)
-        with pytest.raises(ResourceError, match="10001.*10000"):
-            chain(s, ideals_module.MAX_CHAIN_TERMS + 1)
+        # the degree cap bounds the length: past it every term is 0
+        s = make_slice("novikov", k=1, cap=3)
+        with pytest.raises(InputError, match="terms=4 references chain index beyond degree cap"):
+            chain(s, 4)
+        with pytest.raises(InputError, match="terms=0 must be at least 1"):
+            chain(s, 0)
         assert not s._memo
-        assert len(chain(s, ideals_module.MAX_CHAIN_TERMS).terms) == 10000
+        assert len(chain(s, 3).terms) == 3
 
 
 class TestTheoremDispatch:

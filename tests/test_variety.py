@@ -1,5 +1,6 @@
 """Relatively free algebra components: relation spans, normal forms, verify."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -425,17 +426,23 @@ def first_of_each_line(field, rows):
     return out
 
 
+def every_tuple(ident, field, tuples):
+    """``Identity.representatives`` with no plan: every tuple kept."""
+    return tuples
+
+
 class TestRelationPlan:
     """relation_rows evaluates one substitution per antisymmetric pair:
     the rows, and their order, are those of evaluating every one, less
-    the repeated lines the skipped swaps give."""
+    the repeated lines the skipped swaps give. Over F_2 too, only the
+    substitutions with key i < key j are kept: equal keys give zero."""
 
     @staticmethod
     def rows_both_ways(monkeypatch, v, field, k, mu):
         space = variety_module._product_space(v, field, k, mu)
         planned = relation_rows(v, field, k, mu, space)
         with monkeypatch.context() as m:
-            m.setattr(variety_module, "_antisymmetric_pair", lambda ident, field: None)
+            m.setattr(Identity, "representatives", every_tuple)
             every = relation_rows(v, field, k, mu, space)
         return planned, first_of_each_line(field, every)
 
@@ -467,7 +474,10 @@ class TestRelationPlan:
         ],
     )
     def test_pair_found_from_template(self, source, field, pair):
-        assert variety_module._antisymmetric_pair(Identity("t", source), field) == pair
+        ident = Identity("t", source)
+        tuples = list(itertools.product(range(3), repeat=len(ident.variables)))
+        kept = list(ident.representatives(field, tuples))
+        assert kept == (tuples if pair is None else [t for t in tuples if t[pair[0]] < t[pair[1]]])
 
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("name", ["novikov", "bicommutative", "assosymmetric"])
@@ -509,7 +519,7 @@ class TestRelationPlan:
         relation_rows(v, field, 4, mu, space)
         planned = len(calls)
         calls.clear()
-        monkeypatch.setattr(variety_module, "_antisymmetric_pair", lambda ident, field: None)
+        monkeypatch.setattr(Identity, "representatives", every_tuple)
         relation_rows(v, field, 4, mu, space)
         assert 2 * planned == len(calls)
 
@@ -771,12 +781,6 @@ class TestCaches:
         assert enumerate_monomials.cache_info().currsize > 0
         clear_caches()
         assert enumerate_monomials.cache_info().currsize == 0
-
-    def test_clear_caches_drops_antisymmetric_pairs(self):
-        component_basis(custom_variety(["x*y - y*x"]), QQ, 2, (1, 1))
-        assert variety_module._antisymmetric_pair.cache_info().currsize > 0
-        clear_caches()
-        assert variety_module._antisymmetric_pair.cache_info().currsize == 0
 
     def test_lower_components_are_shared(self):
         v = builtin_variety("assosymmetric")
