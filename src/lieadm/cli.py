@@ -256,7 +256,7 @@ def cmd_chain(args) -> int:
 
 def cmd_check(args) -> int:
     params = {n: getattr(args, n) for n in theorem_params() if getattr(args, n) is not None}
-    check_params(args.theorem, params)
+    check_params(args.theorem, params, args.degree, args.char)
     field = field_of_char(args.char)
     variety = _variety_from(args)
     slice_ = AlgebraSlice(variety, field, args.gens, args.degree)

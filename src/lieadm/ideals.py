@@ -27,6 +27,19 @@ named checks, which combine the same chain terms, closures and brackets
 over and over, compute each distinct one once per slice. [v, u] = -[u, v]
 spans the same subspace as [u, v], so a bracket is stored under both
 operand orders.
+
+Spans stop once their answer is known. A span operation hands ``span``
+one lazy row generator per target multidegree, and ``rref`` stops reading
+rows once they span the whole component, so no further row is generated
+there. A bracket of two operands with equal parts takes each unordered
+pair of rows once, since [v, u] = -[u, v] and [u, u] = 0. An inclusion
+check reduces no row of a part whose target part equals it or is the
+whole component: every such row is a member.
+
+Each named check is declared once, by a handler in ``_THEOREMS``, in two
+stages: the refusals that read only the degree cap, the characteristic
+and the parameters come first (``check_params``), so the CLI runs them
+before it builds the slice, and the claims are built on the slice after.
 """
 
 from __future__ import annotations
@@ -165,7 +178,11 @@ class AlgebraSlice:
         Memoized on the slice by ``(bracket, parts of U, parts of V)`` for
         the slice's lifetime; see the module docstring. Operands from
         another slice are refused before the lookup, even with equal parts.
-        A bracket span is stored under both operand orders."""
+        A bracket span is stored under both operand orders.
+
+        Each target multidegree gets one lazy row generator. A bracket of
+        operands with equal parts takes, of the rows keyed (part number,
+        row index), only the pairs whose first key is below the second."""
         self._same(U)
         self._same(V)
         a, b = tuple(U.parts.items()), tuple(V.parts.items())
@@ -173,26 +190,34 @@ class AlgebraSlice:
         got = self._memo.get(key)
         if got is not None:
             return got
-        p = self.field.char
-        rows: dict[tuple, list] = {}
-        for mu1, b1 in a:
+        half = bracket and a == b
+        pairs: dict[tuple, list] = {}  # target multidegree -> pairs of parts
+        for n1, (mu1, b1) in enumerate(a):
             room = self.degree_cap - mdeg_total(mu1)
-            for mu2, b2 in b:
+            for n2 in range(n1 if half else 0, len(b)):
+                mu2, b2 = b[n2]
                 if mdeg_total(mu2) > room:
                     break  # parts come in ascending total degree
-                mu = mdeg_add(mu1, mu2)
-                add = self.components[mu].add_product
-                bucket = rows.setdefault(mu, [])
-                for v1 in b1.rows:
-                    for v2 in b2.rows:
+                pairs.setdefault(mdeg_add(mu1, mu2), []).append(
+                    (mu1, b1.rows, mu2, b2.rows, half and n1 == n2)
+                )
+        p = self.field.char
+
+        def rows(mu, plan):
+            add = self.components[mu].add_product
+            for mu1, rows1, mu2, rows2, diagonal in plan:
+                for i, v1 in enumerate(rows1):
+                    # a part paired with itself: only the rows after v1
+                    for v2 in rows2[i + 1 :] if diagonal else rows2:
                         acc: dict = {}
                         add(acc, mu1, v1.entries, v2.entries)
                         if bracket:
                             add(acc, mu2, v2.entries, v1.entries, -1)
                         acc = reduced(p, acc)
                         if acc:
-                            bucket.append(acc)
-        got = self._memo[key] = self.span(rows)
+                            yield acc
+
+        got = self._memo[key] = self.span({mu: rows(mu, plan) for mu, plan in pairs.items()})
         if bracket:
             self._memo[(True, b, a)] = got
         return got
@@ -210,7 +235,8 @@ class AlgebraSlice:
         v of V and w of W: the catalog ``assoc`` template evaluated by
         ``terms.evaluate`` on rows keyed (part number, row index), each
         distinct part of the operands numbered once, so each product of
-        two rows is formed once per call, even across operands."""
+        two rows is formed once per call, even across operands. Each
+        target multidegree gets one lazy row generator."""
         operands = (U, V, W)
         for X in operands:
             self._same(X)
@@ -232,7 +258,7 @@ class AlgebraSlice:
         template = builtin("assoc").template(self.field)
         terms = [(m, itemgetter(*m.leaves), c) for m, c in template.terms.items()]
         cap = self.degree_cap
-        rows: dict[tuple, list] = {}
+        triples: dict[tuple, list] = {}  # target multidegree -> triples of parts
         for mu1, keys1 in legs[0]:
             for mu2, keys2 in legs[1]:
                 room = cap - mdeg_total(mu1) - mdeg_total(mu2)
@@ -242,16 +268,20 @@ class AlgebraSlice:
                     if mdeg_total(mu3) > room:
                         continue
                     mu = mdeg_add(mdeg_add(mu1, mu2), mu3)
-                    bucket = rows.setdefault(mu, [])
-                    for keys in itertools.product(keys1, keys2, keys3):
-                        acc: dict = {}
-                        for m, leaves_of, c in terms:
-                            for j, w in evaluate(m, leaves_of(keys), table, self.components, p)[1]:
-                                acc[j] = acc.get(j, 0) + c * w
-                        acc = reduced(p, acc)
-                        if acc:
-                            bucket.append(acc)
-        return self.span(rows)
+                    triples.setdefault(mu, []).append((keys1, keys2, keys3))
+
+        def rows(plan):
+            for legs_keys in plan:
+                for keys in itertools.product(*legs_keys):
+                    acc: dict = {}
+                    for m, leaves_of, c in terms:
+                        for j, w in evaluate(m, leaves_of(keys), table, self.components, p)[1]:
+                            acc[j] = acc.get(j, 0) + c * w
+                    acc = reduced(p, acc)
+                    if acc:
+                        yield acc
+
+        return self.span({mu: rows(plan) for mu, plan in triples.items()})
 
     def sum(self, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
         self._same(U)
@@ -349,11 +379,15 @@ class AlgebraSlice:
         """The claim document of U <= V: ``claim`` (the label), ``verdict``
         (``verified`` or ``violated``) and ``witness``, None when the claim
         holds, else the first violating multidegree and basis vector in
-        canonical order with its residual modulo V."""
+        canonical order with its residual modulo V. A part of U whose part
+        of V is equal to it or is the whole component lies in V row by row,
+        so its rows are not reduced."""
         self._same(U)
         self._same(V)
         for mu, basis in U.parts.items():
             target = V.parts.get(mu)
+            if target is not None and (target == basis or target.rank == target.ambient_dim):
+                continue
             for row in basis.rows:
                 residual = row.entries if target is None else member(target, row)
                 if residual:
@@ -477,10 +511,14 @@ def index_in_cap(cap: int, **named: int) -> None:
             )
 
 
-# Each handler checks one statement on a slice and returns its claim
-# documents; check_theorem derives the status from them. A handler's
-# parameters are what the check reads: one without a default is one the
-# check needs. A statement two checks share has one claim builder.
+# Each handler states one check in two stages. Called with the degree cap,
+# the characteristic and the parameters, it refuses what the check cannot
+# take there (cap, parity and characteristic rules) and builds nothing, so
+# a caller can run it before it builds the slice; it returns the function
+# that checks the statement on a slice and returns its claim documents, from
+# which check_theorem derives the status. A handler's parameters after the
+# cap and the characteristic are what the check reads: one without a default
+# is one the check needs. A statement two checks share has one claim builder.
 
 
 def _product_rule(s: AlgebraSlice, p: int, q: int) -> dict:
@@ -509,122 +547,174 @@ def _bracket_ideal(s: AlgebraSlice, blabel: str, B: GradedSubspace, two_sided=Fa
     return claims
 
 
-def _check_com_id(s: AlgebraSlice, i=None) -> list[dict]:
-    cases = [("full", s.full())]
+def _check_com_id(cap, char, i=None):
     if i is not None:
-        index_in_cap(s.degree_cap, i=i, **{"i+1": i + 1})
-        cases.append((f"A[{i}]", s.a_term(i)))
-    return [c for blabel, B in cases for c in _bracket_ideal(s, blabel, B)]
+        index_in_cap(cap, i=i, **{"i+1": i + 1})
+
+    def claims(s):
+        cases = [("full", s.full())]
+        if i is not None:
+            cases.append((f"A[{i}]", s.a_term(i)))
+        return [c for blabel, B in cases for c in _bracket_ideal(s, blabel, B)]
+
+    return claims
 
 
-def _check_circ_pro(s, p, q):
-    index_in_cap(s.degree_cap, p=p, q=q, **{"p+q": p + q})
-    circ = s.commutator_ideal(s.h_term(p), s.h_term(q))
-    return [s.check_inclusion(circ, s.h_term(p + q), f"H_{p} o H_{q} <= H_{p + q}")]
+def _check_circ_pro(cap, char, p, q):
+    index_in_cap(cap, p=p, q=q, **{"p+q": p + q})
+
+    def claims(s):
+        circ = s.commutator_ideal(s.h_term(p), s.h_term(q))
+        return [s.check_inclusion(circ, s.h_term(p + q), f"H_{p} o H_{q} <= H_{p + q}")]
+
+    return claims
 
 
-def _check_th_pro(s, p=None, q=None, m=None):
-    claims = []
+def _check_th_pro(cap, char, p=None, q=None, m=None):
     if p is None and q is None and m is None:
         raise InputError("check needs p and q, or m")
     if (p is None) != (q is None):
         raise InputError("parameters p and q come together")
     if p is not None:
-        index_in_cap(s.degree_cap, p=p, q=q, **{"p+q-1": p + q - 1})
-        claims.append(_product_rule(s, p, q))
+        index_in_cap(cap, p=p, q=q, **{"p+q-1": p + q - 1})
     if m is not None:
-        index_in_cap(s.degree_cap, m=m, **{"m+1": m + 1})
-        power = s.power(s.h_term(2), m)
-        claims.append(s.check_inclusion(power, s.h_term(m + 1), f"power(H_2,{m}) <= H_{m + 1}"))
+        index_in_cap(cap, m=m, **{"m+1": m + 1})
+
+    def claims(s):
+        out = []
+        if p is not None:
+            out.append(_product_rule(s, p, q))
+        if m is not None:
+            power = s.power(s.h_term(2), m)
+            out.append(s.check_inclusion(power, s.h_term(m + 1), f"power(H_2,{m}) <= H_{m + 1}"))
+        return out
+
     return claims
 
 
-def _check_lem_mni1(s, i):
-    index_in_cap(s.degree_cap, i=i, **{"i+1": i + 1})
-    prod, closed = s.product_space(s.a_term(2), s.a_term(i)), s.ideal_closure(s.a_term(i + 1))
-    return [s.check_inclusion(prod, closed, f"A[2]*A[{i}] <= <A[{i + 1}]>")]
+def _check_lem_mni1(cap, char, i):
+    index_in_cap(cap, i=i, **{"i+1": i + 1})
 
+    def claims(s):
+        prod = s.product_space(s.a_term(2), s.a_term(i))
+        closed = s.ideal_closure(s.a_term(i + 1))
+        return [s.check_inclusion(prod, closed, f"A[2]*A[{i}] <= <A[{i + 1}]>")]
 
-def _check_prod_com_id(s, i):
-    index_in_cap(s.degree_cap, i=i)
-    return s.check_equality(s.ideal_closure(s.a_term(i)), s.h_term(i), f"<A[{i}]>", f"H_{i}")
-
-
-def _check_lem_ideal(s):
-    index_in_cap(s.degree_cap, **{"2": 2})
-    full = s.full()
-    cases = (("full", full), ("A[2]", s.a_term(2)))
-    claims = []
-    for blabel, B in cases:
-        br = s.bracket_space(B, full)
-        rhs = s.sum(s.product_space(full, br), br)
-        label = f"(full,{blabel},full) <= full*[{blabel},full] + [{blabel},full]"
-        claims.append(s.check_inclusion(s.associator_space(full, B, full), rhs, label))
-    for blabel, B in cases:
-        claims += _bracket_ideal(s, blabel, B, two_sided=True)
     return claims
 
 
-def _check_lem_ass_ap(s, p, q):
-    index_in_cap(s.degree_cap, p=p, q=q, **{"p+q": p + q})
-    hp, hq = s.h_term(p), s.h_term(q)
-    target = s.h_term(p + q)
-    return [
-        _product_rule(s, p, q),
-        s.check_inclusion(s.bracket_space(hp, hq), target, f"[H_{p},H_{q}] <= H_{p + q}"),
-        s.check_inclusion(
-            s.associator_space(hp, hq, s.full()), target, f"(H_{p},H_{q},full) <= H_{p + q}"
-        ),
-    ]
+def _check_prod_com_id(cap, char, i):
+    index_in_cap(cap, i=i)
+
+    def claims(s):
+        return s.check_equality(s.ideal_closure(s.a_term(i)), s.h_term(i), f"<A[{i}]>", f"H_{i}")
+
+    return claims
 
 
-def _check_lem_46(s, j):
+def _check_lem_ideal(cap, char):
+    index_in_cap(cap, **{"2": 2})
+
+    def claims(s):
+        full = s.full()
+        cases = (("full", full), ("A[2]", s.a_term(2)))
+        out = []
+        for blabel, B in cases:
+            br = s.bracket_space(B, full)
+            rhs = s.sum(s.product_space(full, br), br)
+            label = f"(full,{blabel},full) <= full*[{blabel},full] + [{blabel},full]"
+            out.append(s.check_inclusion(s.associator_space(full, B, full), rhs, label))
+        for blabel, B in cases:
+            out += _bracket_ideal(s, blabel, B, two_sided=True)
+        return out
+
+    return claims
+
+
+def _check_lem_ass_ap(cap, char, p, q):
+    index_in_cap(cap, p=p, q=q, **{"p+q": p + q})
+
+    def claims(s):
+        hp, hq = s.h_term(p), s.h_term(q)
+        target = s.h_term(p + q)
+        return [
+            _product_rule(s, p, q),
+            s.check_inclusion(s.bracket_space(hp, hq), target, f"[H_{p},H_{q}] <= H_{p + q}"),
+            s.check_inclusion(
+                s.associator_space(hp, hq, s.full()), target, f"(H_{p},H_{q},full) <= H_{p + q}"
+            ),
+        ]
+
+    return claims
+
+
+def _check_lem_46(cap, char, j):
     if j % 2 == 0:
         raise InputError("this check is stated for odd j only")
-    if s.field.char in (2, 3):
+    if char in (2, 3):
         raise InputError("this check assumes characteristic not 2 or 3")
-    index_in_cap(s.degree_cap, j=j, **{"j+1": j + 1})
-    br = s.bracket_space(s.ideal_closure(s.a_term(j)), s.full())
-    return [s.check_inclusion(br, s.a_term(j + 1), f"[<A[{j}]>,full] <= A[{j + 1}]")]
+    index_in_cap(cap, j=j, **{"j+1": j + 1})
 
+    def claims(s):
+        br = s.bracket_space(s.ideal_closure(s.a_term(j)), s.full())
+        return [s.check_inclusion(br, s.a_term(j + 1), f"[<A[{j}]>,full] <= A[{j + 1}]")]
 
-def _check_cp_ass(s, i, j):
-    if i % 2 == 0 and j % 2 == 0:
-        raise InputError("this check is stated for i or j odd")
-    if s.field.char in (2, 3):
-        raise InputError("this check assumes characteristic not 2 or 3")
-    index_in_cap(s.degree_cap, i=i, j=j, **{"i+j-1": i + j - 1})
-    return [_closed_product(s, i, j)]
-
-
-def _check_bicom_metabelian(s):
-    b2 = s.bracket_space(s.full(), s.full())
-    return [s.check_inclusion(s.bracket_space(b2, b2), s.zero(), "[[full,full],[full,full]] == 0")]
-
-
-def _check_bicom_right_nilpotency(s):
-    """One claim per step n = 1..D-1: the right power H_2 full...full with
-    n - 1 factors full is nonzero. A cap below 2 leaves no step to check."""
-    index_in_cap(s.degree_cap, **{"2": 2})
-    claims = []
-    term = s.h_term(2)
-    for step in range(1, s.degree_cap):
-        if step > 1:
-            term = s.product_space(term, s.full())
-        claims.append(
-            {
-                "claim": f"right_power_{step}(H_2) != 0",
-                "verdict": "verified" if not term.is_zero() else "violated",
-                "witness": None,
-                "total_dim": term.total_dim(),
-            }
-        )
     return claims
 
 
-def _check_assoc_even_even(s):
-    index_in_cap(s.degree_cap, **{"3": 3})
-    return [_closed_product(s, 2, 2)]
+def _check_cp_ass(cap, char, i, j):
+    if i % 2 == 0 and j % 2 == 0:
+        raise InputError("this check is stated for i or j odd")
+    if char in (2, 3):
+        raise InputError("this check assumes characteristic not 2 or 3")
+    index_in_cap(cap, i=i, j=j, **{"i+j-1": i + j - 1})
+
+    def claims(s):
+        return [_closed_product(s, i, j)]
+
+    return claims
+
+
+def _check_bicom_metabelian(cap, char):
+    def claims(s):
+        b2 = s.bracket_space(s.full(), s.full())
+        claim = "[[full,full],[full,full]] == 0"
+        return [s.check_inclusion(s.bracket_space(b2, b2), s.zero(), claim)]
+
+    return claims
+
+
+def _check_bicom_right_nilpotency(cap, char):
+    """One claim per step n = 1..D-1: the right power H_2 full...full with
+    n - 1 factors full is nonzero. A cap below 2 leaves no step to check."""
+    index_in_cap(cap, **{"2": 2})
+
+    def claims(s):
+        out = []
+        term = s.h_term(2)
+        for step in range(1, s.degree_cap):
+            if step > 1:
+                term = s.product_space(term, s.full())
+            out.append(
+                {
+                    "claim": f"right_power_{step}(H_2) != 0",
+                    "verdict": "verified" if not term.is_zero() else "violated",
+                    "witness": None,
+                    "total_dim": term.total_dim(),
+                }
+            )
+        return out
+
+    return claims
+
+
+def _check_assoc_even_even(cap, char):
+    index_in_cap(cap, **{"3": 3})
+
+    def claims(s):
+        return [_closed_product(s, 2, 2)]
+
+    return claims
 
 
 _THEOREMS: dict[str, Callable] = {
@@ -667,7 +757,7 @@ _OWN_STATUS: dict[str, tuple[str, dict]] = {
 
 def _reads(handler: Callable) -> tuple[str, ...]:
     code = handler.__code__
-    return code.co_varnames[1 : code.co_argcount]
+    return code.co_varnames[2 : code.co_argcount]
 
 
 def theorem_names() -> tuple[str, ...]:
@@ -679,10 +769,12 @@ def theorem_params() -> tuple[str, ...]:
     return tuple(sorted({n for h in _THEOREMS.values() for n in _reads(h)}))
 
 
-def check_params(name: str, params: dict) -> None:
+def check_params(name: str, params: dict, degree_cap: int, char: int) -> Callable:
     """Refuse an unknown check, then a parameter it does not read, then a
-    missing one it needs (a handler parameter without a default). Nothing
-    is built, so a caller can run this before it builds the slice."""
+    missing one it needs (a handler parameter without a default), then what
+    the check itself refuses at this degree cap and characteristic. Nothing
+    is built, so a caller can run this before it builds the slice. Returns
+    the function that checks the statement on a slice."""
     handler = _THEOREMS.get(name)
     if handler is None:
         raise InputError(f"unknown check {name!r}; known: {', '.join(theorem_names())}")
@@ -696,19 +788,20 @@ def check_params(name: str, params: dict) -> None:
     for n in reads[: len(reads) - len(handler.__defaults__ or ())]:
         if params.get(n) is None:
             raise InputError(f"check needs parameter {n!r}")
+    return handler(degree_cap, char, **params)
 
 
 def check_theorem(
     slice_: AlgebraSlice, name: str, params: Optional[dict] = None
 ) -> TheoremReport:
     """Run the named check on the slice. A handler's parameters are what
-    the check reads, and ``check_params`` refuses any other request. Its
+    the check reads, and ``check_params`` refuses any other request or
+    one the check cannot take at the slice's cap and characteristic. Its
     status is the check's own status when every claim is verified, else
     ``violated``; its note is the one the check gives for that status, if
     any."""
     params = dict(params or {})
-    check_params(name, params)
-    claims = _THEOREMS[name](slice_, **params)
+    claims = check_params(name, params, slice_.degree_cap, slice_.field.char)(slice_)
     held, notes = _OWN_STATUS.get(name, ("verified", {}))
     status = held if all(c["verdict"] == "verified" for c in claims) else "violated"
     return TheoremReport(slice_, name, params, claims, status, notes.get(status))

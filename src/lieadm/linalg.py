@@ -29,6 +29,12 @@ pivots, ``member`` clears only the pivot columns present in a vector, in
 one pass. ``sum_bases`` reduces the smaller basis against the larger one
 that way and returns the larger one itself when nothing is left over;
 otherwise only the larger basis's rows and the leftovers are eliminated.
+
+An elimination stops at full rank: the row that makes the rank equal to
+the ambient dimension is the last one read, and the basis is
+``identity_basis``, the unique reduced basis of the whole space. Callers
+that generate rows lazily, as the span operations of ``ideals`` do, stop
+generating there too.
 """
 
 from __future__ import annotations
@@ -332,6 +338,10 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
     basis of the span, independent of input order and of the scaling of
     each row. Rows may be SparseVector values or plain index->scalar
     dicts, with int or ``Fraction`` scalars; zero rows are skipped.
+    ``rows`` is read lazily and every row read is checked, but once the
+    rank reaches ``ambient_dim`` the span is the whole space: the result
+    is ``identity_basis`` and rows past that point are not read, so a
+    generator of rows stops being advanced there.
 
     The pivot rows are kept fully reduced after every insertion, so each
     holds no pivot column but its own (LaMacchia & Odlyzko, CRYPTO '90).
@@ -355,7 +365,9 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
 
 def _rref(field: Field, ambient_dim: int, rows: Iterable[dict[int, int]]) -> EchelonBasis:
     """``rref`` of integer rows already read (``_row_as_dict``, ``_integral``),
-    which it updates in place."""
+    which it updates in place. The row that brings the rank to
+    ``ambient_dim`` is the last one read, and its pivot is not cleared from
+    the older rows: the basis is ``identity_basis``."""
     p = field.char
     piv: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -364,6 +376,8 @@ def _rref(field: Field, ambient_dim: int, rows: Iterable[dict[int, int]]) -> Ech
         row = _normalized(p, row)
         if not row:
             continue
+        if len(piv) + 1 == ambient_dim:
+            return identity_basis(field, ambient_dim)
         lead = min(row)
         for prow in piv.values():
             if lead in prow:

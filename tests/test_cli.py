@@ -386,6 +386,46 @@ class TestCheck:
         assert time.perf_counter() - t0 < 0.5
         assert (code, out, err) == (2, "", message)
 
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            (
+                ["--theorem", "circ_pro", "--p", "1", "--q", "1"],
+                "parameter p+q=2 references chain index beyond degree cap 1",
+            ),
+            (
+                ["--theorem", "th_pro", "--m", "1"],
+                "parameter m+1=2 references chain index beyond degree cap 1",
+            ),
+            (["--theorem", "th_pro", "--p", "1"], "parameters p and q come together"),
+            (
+                ["--theorem", "lem_ass_ap", "--p", "1", "--q", "1"],
+                "parameter p+q=2 references chain index beyond degree cap 1",
+            ),
+            (["--theorem", "cp_ass", "--i", "2", "--j", "2"], "this check is stated for i or j odd"),
+            (
+                ["--theorem", "cp_ass", "--i", "1", "--j", "1", "--char", "3"],
+                "this check assumes characteristic not 2 or 3",
+            ),
+            (["--theorem", "lem_46", "--j", "2"], "this check is stated for odd j only"),
+            (
+                ["--theorem", "lem_46", "--j", "1"],
+                "parameter j+1=2 references chain index beyond degree cap 1",
+            ),
+        ],
+        ids=["circ_pro", "th_pro-m", "th_pro-pair", "lem_ass_ap", "cp_ass-parity",
+             "cp_ass-char", "lem_46-parity", "lem_46-cap"],
+    )
+    def test_check_rules_refused_before_the_slice(self, capsys, params, message):
+        # cap, parity and characteristic rules need no slice, and the slice
+        # of 3000 generators takes seconds to build
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "check", "--variety", "novikov", "--gens", "3000", "--degree", "1", *params
+        )
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_lem_mni1_violated_in_magma(self, capsys):
         code, doc, _ = run_json(
             capsys,

@@ -15,9 +15,9 @@ from lieadm.ideals import (
     theorem_names,
     theorem_params,
 )
-from lieadm.linalg import GF, QQ, rref
-from lieadm.terms import Polynomial, associator, evaluate, leaf, node
-from lieadm.variety import FreeAlgebraComponent, builtin_variety
+from lieadm.linalg import GF, QQ, identity_basis, rref
+from lieadm.terms import Polynomial, associator, evaluate, format_multidegree, leaf, node
+from lieadm.variety import FreeAlgebraComponent, builtin_variety, variety_names
 
 from naive_oracle import naive_is_zero, naive_reducer
 
@@ -387,6 +387,171 @@ class TestSpanMemo:
             # whatever the order of the checks: 13 of 28 calls, the rest
             # read from the memo, as are closures, powers and chain terms
             assert (counts["calls"], counts["computed"]) == (28, 13)
+
+
+def ordered_bracket_parts(s, U):
+    """The parts of [U, U] spanned over every ordered pair of rows of U,
+    nothing skipped, each bracket formed by its two products."""
+    rows = {}
+    for mu1, b1 in U.parts.items():
+        for mu2, b2 in U.parts.items():
+            mu = tuple(x + y for x, y in zip(mu1, mu2))
+            if sum(mu) > s.degree_cap:
+                continue
+            comp = s.component(mu)
+            for u in b1.rows:
+                for v in b2.rows:
+                    acc = {}
+                    comp.add_product(acc, mu1, u.entries, v.entries)
+                    comp.add_product(acc, mu2, v.entries, u.entries, -1)
+                    rows.setdefault(mu, []).append(acc)
+    bases = {mu: rref(s.field, s.component(mu).quotient_dim, r) for mu, r in rows.items()}
+    return {mu: b for mu, b in bases.items() if b.rank}
+
+
+def scan_witness(s, U, V):
+    """The first row of U, in canonical order, outside V, reducing every
+    row of every part: the witness ``check_inclusion`` should give."""
+    for mu, basis in U.parts.items():
+        target = V.parts.get(mu)
+        for row in basis.rows:
+            residual = row.entries if target is None else linalg.member(target, row)
+            if residual:
+                comp = s.component(mu)
+                return {
+                    "multidegree": format_multidegree(mu),
+                    "element": comp.render_coords(row.entries),
+                    "residual": comp.render_coords(residual),
+                }
+    return None
+
+
+class TestSpanWork:
+    @pytest.mark.parametrize("operand", ["full", "A[2]"])
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    @pytest.mark.parametrize("name", variety_names())
+    def test_bracket_of_equal_operands_takes_each_unordered_pair_once(
+        self, monkeypatch, name, field, operand
+    ):
+        s = make_slice(name, field=field, k=2, cap=4)
+        U = s.full() if operand == "full" else s.a_term(2)
+        want = ordered_bracket_parts(s, U)
+        # rows (part n, row i): the ordered pairs within the cap, and those
+        # with (n1, i1) < (n2, i2)
+        parts = list(U.parts.items())
+        ordered = unordered = 0
+        for n1, (mu1, b1) in enumerate(parts):
+            for n2, (mu2, b2) in enumerate(parts):
+                if sum(mu1) + sum(mu2) <= s.degree_cap:
+                    ordered += b1.rank * b2.rank
+                    if n1 < n2:
+                        unordered += b1.rank * b2.rank
+                    elif n1 == n2:
+                        unordered += b1.rank * (b1.rank - 1) // 2
+        calls = 0
+        add_product, span = FreeAlgebraComponent.add_product, AlgebraSlice.span
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return add_product(self, *args)
+
+        def eager_span(self, rows):  # every row generated, full or not
+            return span(self, {mu: list(r) for mu, r in rows.items()})
+
+        monkeypatch.setattr(FreeAlgebraComponent, "add_product", counted)
+        monkeypatch.setattr(AlgebraSlice, "span", eager_span)
+        got = s.bracket_space(U, U)
+        assert got.parts == want
+        # two products per bracket, over fewer than half the ordered pairs
+        # (at this cap A[2] has one row per part in degree 2, so none)
+        assert calls == 2 * unordered <= ordered
+        assert ordered and (unordered or operand == "A[2]")
+
+    def test_no_member_call_for_an_equal_or_full_part(self, monkeypatch):
+        owners, skipped, reduced_against = [], [], []
+        check_inclusion, member = AlgebraSlice.check_inclusion, ideals_module.member
+
+        def watched_inclusion(self, U, V, label):
+            owners.append({id(r): b for b in U.parts.values() for r in b.rows})
+            skipped.extend(
+                mu for mu, b in U.parts.items()
+                if V.parts.get(mu) in (b, identity_basis(self.field, b.ambient_dim))
+            )
+            try:
+                return check_inclusion(self, U, V, label)
+            finally:
+                owners.pop()
+
+        def watched_member(target, row):
+            reduced_against.append((owners[-1][id(row)], target))
+            return member(target, row)
+
+        monkeypatch.setattr(AlgebraSlice, "check_inclusion", watched_inclusion)
+        monkeypatch.setattr(ideals_module, "member", watched_member)
+        for name, params in BATTERY + [("com_id", {"i": 2}), ("lem_mni1", {"i": 2})]:
+            check_theorem(make_slice(), name, params)
+        check_theorem(make_slice("magma"), "lem_mni1", {"i": 2})
+        assert skipped and reduced_against
+        for part, target in reduced_against:
+            assert part != target
+            assert target.rank < target.ambient_dim
+
+    @pytest.mark.parametrize("name", ["magma", "novikov"])
+    def test_witness_is_the_first_of_a_full_scan(self, name):
+        s = make_slice(name, k=2, cap=4)
+        full, h2, h3, a2 = s.full(), s.h_term(2), s.h_term(3), s.a_term(2)
+        cases = [
+            (s.product_space(a2, a2), s.ideal_closure(s.a_term(3))),  # lem_mni1 i=2
+            (s.product_space(h2, h2), h3),
+            (full, h2),
+            (h2, full),
+            (h2, h3),
+            (h3, h2),
+            (s.bracket_space(full, h2), s.a_term(3)),
+        ]
+        violated = 0
+        for U, V in cases:
+            got = s.check_inclusion(U, V, "claim")
+            assert got["witness"] == scan_witness(s, U, V)
+            violated += got["verdict"] == "violated"
+        assert violated >= 2
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_span_work_bound(self, monkeypatch, field):
+        # Rows that the span eliminations read, and products of two rows
+        # formed, while a novikov k=3 D=4 slice runs both chains and a
+        # battery. The counts are deterministic and the same over Q and F_5:
+        # 1066 rows and 1759 products when each span stops generating rows at
+        # full rank and a bracket of equal operands takes each unordered pair
+        # of rows once. Generating every row of every ordered pair reads 1434
+        # rows and forms 2334 products; generating every row but stopping
+        # the elimination at full rank forms 1950.
+        s = make_slice("novikov", field=field, k=3, cap=4)
+        read = products = 0
+        add_product = FreeAlgebraComponent.add_product
+
+        def counted_rows(rows):
+            nonlocal read
+            for row in rows:
+                read += 1
+                yield row
+
+        def counted(self, *args):
+            nonlocal products
+            products += 1
+            return add_product(self, *args)
+
+        monkeypatch.setattr(
+            ideals_module, "rref", lambda field, n, rows: rref(field, n, counted_rows(rows))
+        )
+        monkeypatch.setattr(FreeAlgebraComponent, "add_product", counted)
+        lower_central_chain(s, 4)
+        lie_power_series(s, 4)
+        for name, params in BATTERY + [("th_pro", {"p": 1, "q": 1})]:
+            check_theorem(s, name, params)
+        assert read <= 1100
+        assert products <= 1800
 
 
 class TestChains:

@@ -241,6 +241,40 @@ class TestRref:
         assert b == identity_basis(QQ, n)
 
 
+class TestFullRankExit:
+    """Once its rows span the whole space, rref reads no further row."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_no_row_read_past_full_rank(self, field):
+        # the fourth row brings the rank to 3; the two after it, one of them
+        # out of range, are never read
+        rows = [{0: 2, 1: 1}, {0: 4, 1: 2}, {1: 3, 2: 1}, {0: 1, 2: 1}, {0: 1}, {5: 1}]
+        read = []
+
+        def generated():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        got = rref(field, 3, generated())
+        assert len(read) == 4
+        full = identity_basis(field, 3)
+        assert got == full and hash(got) == hash(full)
+        assert [r.entries for r in got.rows] == [((0, 1),), ((1, 1),), ((2, 1),)]
+        assert all(type(c) is int for r in got.rows for _, c in r.entries)
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_malformed_row_before_full_rank_rejected(self, field):
+        with pytest.raises(InputError):
+            rref(field, 3, [{0: 1}, {1: 1}, {3: 1}, {2: 1}])
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_sum_reaching_full_rank_is_the_identity(self, field):
+        a = rref(field, 3, [{0: 1, 1: 1}, {2: 1}])
+        b = rref(field, 3, [{0: 1, 1: 2}])
+        assert sum_bases(a, b) == identity_basis(field, 3)
+
+
 class TestRowIntake:
     """rref and member read a row in one pass: SparseVector or dict rows,
     ints and Fractions mixed, each index checked."""

@@ -11,7 +11,9 @@ back (a benchmark change repairing it) does not fail the test.
 import importlib.util
 from pathlib import Path
 
-from lieadm.ideals import AlgebraSlice
+from lieadm.ideals import AlgebraSlice, check_theorem, lower_central_chain
+from lieadm.linalg import GF
+from lieadm.variety import builtin_variety, clear_caches
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -53,3 +55,33 @@ def test_span_methods_live_on_the_slice_class_itself():
     for name in SPAN_METHODS:
         assert name in vars(AlgebraSlice), name
 
+
+
+def traced_pass():
+    """A chain and a check on a small slice over F_5 built from nothing:
+    their documents."""
+    clear_caches()
+    s = AlgebraSlice(builtin_variety("novikov"), GF(5), 2, 4)
+    chain = lower_central_chain(s, 4).to_doc()
+    check = check_theorem(s, "th_pro", {"p": 1, "q": 1}).to_doc()
+    return chain, check
+
+
+def test_traced_documents_and_counters_repeat():
+    # the tracer's rref hook lists the rows it is handed, so a traced span
+    # generates every row where an untraced one stops at full rank: the
+    # documents must not change, and the counters must be the same per pass
+    untraced = traced_pass()
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        counters = []
+        for _ in range(2):
+            tracer.reset()
+            assert traced_pass() == untraced
+            counters.append(tracer.snapshot()[0])
+    finally:
+        tracer.uninstall()
+        clear_caches()
+    assert counters[0] == counters[1]
+    assert counters[0]["linalg.rref.span.calls"] and counters[0]["linalg.rref.span.rows_in"]
