@@ -350,8 +350,9 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
     first column becomes a new pivot, cleared from the older pivot rows at
     once. Only the work depends on the order of ``rows``. A pivot row
     holds no column left of its lead, so a new pivot left of every older
-    pivot touches no older row: ``variety.relation_rows`` feeds its rows
-    in descending lead order for that reason.
+    pivot touches no older row: ``variety.relation_rows`` feeds the rows
+    of its identities with fewest terms first, in descending lead order
+    within each group, for that reason.
 
     Rows are integer dicts over both fields: over F_p they are monic
     with entries in [0, p); over Q each stands for its rational line as a
