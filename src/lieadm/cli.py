@@ -21,7 +21,7 @@ from .ideals import AlgebraSlice, check_params, check_theorem, index_in_cap
 from .ideals import lie_power_series, lower_central_chain, theorem_names, theorem_params
 from .linalg import field_of_char
 from .reports import canonical_json, with_schema
-from .terms import format_multidegree, multidegrees
+from .terms import format_multidegree, slice_multidegrees
 from .variety import builtin_variety, component_basis, custom_variety, variety_names, verify_identity
 
 
@@ -209,7 +209,7 @@ def cmd_basis(args) -> int:
             raise WorkbenchError("--multilinear needs --degree equal to --gens")
         mus = [(1,) * k]
     else:
-        mus = multidegrees((cap,) * k, cap)
+        mus = slice_multidegrees(k, cap)
     dims = []
     for mu in mus:
         comp = component_basis(variety, field, k, mu)

@@ -52,7 +52,7 @@ from .errors import InputError
 from .exprs import builtin
 from .linalg import Field, identity_basis, member, reduced, rref
 from .linalg import sum_bases as _sum_bases
-from .terms import evaluate, format_multidegree, mdeg_add, mdeg_total, multidegrees
+from .terms import evaluate, format_multidegree, mdeg_add, mdeg_total, slice_multidegrees
 from .variety import FreeAlgebraComponent, VarietySpec, component_basis
 
 
@@ -118,8 +118,7 @@ class AlgebraSlice:
         self.variety = variety
         self.k = k
         components = {
-            mu: component_basis(variety, field, k, mu)
-            for mu in multidegrees((degree_cap,) * k, degree_cap)
+            mu: component_basis(variety, field, k, mu) for mu in slice_multidegrees(k, degree_cap)
         }
         self._init_spans(field, degree_cap, components)
 

@@ -7,28 +7,30 @@ their bases compare equal, which makes bases usable as canonical values in
 reports and caches. No floating point anywhere.
 
 Over the rationals a scalar is an ``int`` or a ``fractions.Fraction``:
-``rref`` and the ``Field`` conversions give an int for every integral
-value, so the common integral case runs at int speed, and ``int`` is a
-``numbers.Rational``, so the two compare, hash and mix exactly. Over a
-prime field a scalar is an int in ``[0, p)``. ``Field`` holds
-inversion, conversions and rendering, but no per-scalar arithmetic:
+``rref``, ``member`` and the ``Field`` conversions give an int for every
+integral value, so the common integral case runs at int speed, and
+``int`` is a ``numbers.Rational``, so the two compare, hash and mix
+exactly. Over a prime field a scalar is an int in ``[0, p)``. ``Field``
+holds inversion, conversions and rendering, but no per-scalar arithmetic:
 callers sum with plain ``+`` and ``*`` and take the field step once per
-finished vector (``reduced``). ``rref`` works the same way
-on integer rows for both fields, reducing mod p and making each row monic
-over F_p, or making it primitive with a positive lead over Q, where a
-non-integral ``Fraction`` appears only in the finished basis.
+finished vector (``reduced``). ``rref`` works the same way on integer
+rows for both fields, reducing mod p and making each row monic over F_p,
+or making it primitive with a positive lead over Q, where a non-integral
+``Fraction`` appears only in the finished basis.
 
 Only ``rref`` makes a vector canonical, and its basis rows
 (``SparseVector``) are the only canonical vectors. Rows reach it as plain
 dicts in any scaling; a normal form or residual is a sorted tuple of
-(index, scalar) pairs (``vector``).
+(index, scalar) pairs (``vector``). One step makes a row monic at its
+lead (``_monic``), for ``rref``, ``member`` and ``sum_bases`` alike.
 
 A basis computes its hash once and, when first reduced against, a map
 from each pivot column to its row. Since every row vanishes at the other
 pivots, ``member`` clears only the pivot columns present in a vector, in
-one pass. ``sum_bases`` reduces the smaller basis against the larger one
-that way and returns the larger one itself when nothing is left over;
-otherwise only the larger basis's rows and the leftovers are eliminated.
+one pass, and ``sum_bases`` reduces the smaller basis against the larger
+one that way. Leftover rows vanish at the larger basis's pivots, so they
+are eliminated alone, and only the larger basis's rows that hold one of
+their pivots are reduced against them.
 
 An elimination stops at full rank: the row that makes the rank equal to
 the ambient dimension is the last one read, and the basis is
@@ -260,22 +262,6 @@ def _row_as_dict(row, ambient_dim: int, p: int) -> dict[int, int]:
     return {j: v.numerator * (lcm // v.denominator) for j, v in out.items()}
 
 
-def _integral(p: int, entries) -> dict[int, int]:
-    """The integer row of (index, scalar) pairs the engine made itself, such
-    as the rows of an ``EchelonBasis``: indices in range and no zeros, so
-    unlike ``_row_as_dict`` nothing is checked. Over F_p the scalars are
-    ints in [0, p) already; over Q the row is scaled by the lcm of its
-    denominators. ``entries`` is read twice."""
-    if p:
-        return dict(entries)
-    lcm = 1
-    for _, c in entries:
-        d = c.denominator
-        if d != 1:
-            lcm = lcm // gcd(lcm, d) * d
-    return {j: c.numerator * (lcm // c.denominator) for j, c in entries}
-
-
 # ---------------------------------------------------------------------------
 # echelon bases
 
@@ -365,8 +351,8 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
 
 
 def _rref(field: Field, ambient_dim: int, rows: Iterable[dict[int, int]]) -> EchelonBasis:
-    """``rref`` of integer rows already read (``_row_as_dict``, ``_integral``),
-    which it updates in place. The row that brings the rank to
+    """``rref`` of integer rows already read (``_row_as_dict``), which it
+    updates in place. The row that brings the rank to
     ``ambient_dim`` is the last one read, and its pivot is not cleared from
     the older rows: the basis is ``identity_basis``."""
     p = field.char
@@ -387,14 +373,8 @@ def _rref(field: Field, ambient_dim: int, rows: Iterable[dict[int, int]]) -> Ech
                     _strip_content(prow)
         piv[lead] = row
 
-    out = []
-    for lead in sorted(piv):
-        row = piv[lead]
-        if not p:
-            pl = row[lead]
-            row = {j: v // pl if not v % pl else Fraction(v, pl) for j, v in row.items()}
-        out.append(SparseVector(row.items()))
-    return EchelonBasis(field, ambient_dim, tuple(out))
+    out = tuple(SparseVector(_monic(p, piv[lead]).items()) for lead in sorted(piv))
+    return EchelonBasis(field, ambient_dim, out)
 
 
 def _eliminate(p: int, row: dict[int, int], col: int, prow: dict[int, int]) -> None:
@@ -435,18 +415,26 @@ def _normalized(p: int, row: dict[int, int]) -> dict[int, int]:
     over Q. Empty when the row is zero."""
     if p:
         row = {j: r for j, v in row.items() if (r := v % p)}
-        if not row:
-            return row
-        c = row[min(row)]
-        if c != 1:
-            ic = pow(c, p - 2, p)
-            row = {j: v * ic % p for j, v in row.items()}
-        return row
+        return _monic(p, row) if row else row
     if row:
         _strip_content(row)
         if row[min(row)] < 0:
             row = {j: -v for j, v in row.items()}
     return row
+
+
+def _monic(p: int, row: dict) -> dict:
+    """The nonzero ``row`` divided by its lead. Over F_p its entries are in
+    [0, p) already and it is multiplied by the lead's inverse mod p; over Q
+    each entry is divided exactly, and one the lead divides becomes an
+    ``int``, so every integral value of a finished vector is an int."""
+    pl = row[min(row)]
+    if p:
+        if pl == 1:
+            return row
+        ic = pow(pl, p - 2, p)
+        return {j: v * ic % p for j, v in row.items()}
+    return {j: v // pl if not v % pl else Fraction(v, pl) for j, v in row.items()}
 
 
 def _strip_content(row: dict[int, int]) -> None:
@@ -476,25 +464,23 @@ def _residual(p: int, row: dict, index: dict[int, tuple]) -> dict:
 
 def member(basis: EchelonBasis, v) -> tuple:
     """The residual of ``v`` (an ``rref`` row) modulo the basis, as sorted
-    pairs (``vector``) monic at the lead, so equal residual lines compare
-    equal; empty exactly when ``v`` lies in the span."""
+    pairs monic at the lead (``_monic``), so equal residual lines compare
+    equal and an integral entry is an int; empty exactly when ``v`` lies in
+    the span."""
     p = basis.field.char
     row = _residual(p, _row_as_dict(v, basis.ambient_dim, p), basis.pivot_index())
-    if not row:
-        return ()
-    ic = basis.field.inv(row[min(row)])
-    return vector(p, {j: c * ic for j, c in row.items()})
+    return tuple(sorted(_monic(p, row).items())) if row else ()
 
 
 def sum_bases(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
     """Canonical basis of the subspace sum a + b.
 
     The rows of the smaller basis (``b`` on a tie) are reduced against the
-    larger one. When none is left over, the sum is the larger basis, and
-    that very object is returned; otherwise ``rref``'s elimination
-    (``_rref``) takes only the larger basis's rows and the leftovers, read
-    unchecked (``_integral``); the field and ambient dimension are
-    checked here."""
+    larger one. When none is left over, that larger basis object is the
+    sum. Otherwise the leftovers are eliminated alone (``rref``), the
+    larger basis's rows that hold one of their pivots are reduced against
+    them, and every other row object is kept. The field and ambient
+    dimension are checked here."""
     if a.field != b.field or a.ambient_dim != b.ambient_dim:
         raise InputError("subspace sum needs matching field and ambient dimension")
     big, small = (a, b) if a.rank >= b.rank else (b, a)
@@ -502,9 +488,17 @@ def sum_bases(a: EchelonBasis, b: EchelonBasis) -> EchelonBasis:
         return big
     p = a.field.char
     index = big.pivot_index()
-    rest = [row for r in small.rows if (row := _residual(p, dict(r.entries), index))]
-    if not rest:
+    left = [row for r in small.rows if (row := _residual(p, dict(r.entries), index))]
+    if not left:
         return big
-    rows = [_integral(p, r.entries) for r in big.rows]
-    rows += [_integral(p, row.items()) for row in rest]
-    return _rref(a.field, a.ambient_dim, rows)
+    rest = rref(a.field, a.ambient_dim, left)
+    new = rest.pivot_index()
+    rows = [
+        SparseVector(_monic(p, _residual(p, dict(r.entries), new)).items())
+        if any(j in new for j, _ in r.entries)
+        else r
+        for r in big.rows
+    ]
+    rows.extend(rest.rows)
+    rows.sort(key=lambda r: r.entries[0][0])
+    return EchelonBasis(a.field, a.ambient_dim, tuple(rows))

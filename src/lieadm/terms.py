@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from math import comb
 from typing import Callable, Optional
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .linalg import Field, Scalar, reduced
 
 
@@ -139,6 +140,27 @@ def multidegrees(bound: tuple[int, ...], max_total: Optional[int] = None) -> lis
     prefixes.sort(key=operator.itemgetter(0))
     zeros = (0,) * len(bound)
     return [tuple(map(dict(nz).get, range(len(bound)), zeros)) for _, nz in prefixes[1:]]
+
+
+# the entries of the multidegree listing of a slice over k generators up to
+# total degree D, k * (C(k+D, D) - 1); basis --gens 2000 --degree 1 lists 4M
+MAX_SLICE_ENTRIES = 5_000_000
+
+
+def slice_multidegrees(k: int, cap: int) -> list[tuple[int, ...]]:
+    """``multidegrees((cap,) * k, cap)``, refused before it is listed with a
+    ResourceError when its k * (C(k+cap, cap) - 1) entries are more than
+    MAX_SLICE_ENTRIES. The listing has at least k * max(k, cap) entries,
+    so past that bound no binomial is taken, however large k and cap are."""
+    least = k * max(k, cap)
+    entries = least if least > MAX_SLICE_ENTRIES else k * (comb(k + cap, cap) - 1)
+    if entries > MAX_SLICE_ENTRIES:
+        raise ResourceError(
+            f"multidegrees over {k} generators up to degree {cap} have "
+            f"{'at least ' if entries == least else ''}{entries} entries, "
+            f"over the guard of {MAX_SLICE_ENTRIES}"
+        )
+    return multidegrees((cap,) * k, cap)
 
 
 @lru_cache(maxsize=None)

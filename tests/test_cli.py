@@ -15,6 +15,7 @@ from lieadm.errors import ResourceError
 from lieadm.exprs import MAX_TEMPLATE_TERMS, Identity
 from lieadm.fdalg import MAX_DIM
 from lieadm.linalg import QQ
+from lieadm.terms import MAX_SLICE_ENTRIES
 from lieadm.variety import builtin_variety, clear_caches, component_basis
 
 DATA = Path(lieadm.__file__).parent / "data"
@@ -113,6 +114,31 @@ class TestBasis:
         assert code == 0
         assert len(doc["dims"]) == 2000 and {r["dim"] for r in doc["dims"]} == {1}
         clear_caches()
+
+    @pytest.mark.parametrize(
+        "argv,entries",
+        [
+            (
+                ["basis", "--variety", "magma", "--gens", "4000", "--degree", "1"],
+                "at least 16000000",
+            ),
+            (["basis", "--variety", "magma", "--gens", "2", "--degree", "3000"], "9009000"),
+            (["basis", "--variety", "magma", "--gens", "3", "--degree", "300"], "13771650"),
+            (["chain", "--variety", "novikov", "--gens", "2", "--degree", "3000"], "9009000"),
+        ],
+        ids=["magma-k4000", "magma-D3000", "magma-D300", "chain-D3000"],
+    )
+    def test_multidegree_listing_refused_before_it_is_made(self, capsys, argv, entries):
+        # each listing took 10 s to minutes and up to 1.5 GB before the guard
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (2, "")
+        k, cap = argv[4], argv[6]
+        assert err == (
+            f"error: multidegrees over {k} generators up to degree {cap} have {entries} "
+            f"entries, over the guard of {MAX_SLICE_ENTRIES}\n"
+        )
 
     @pytest.mark.parametrize("command", ["basis", "verify", "chain", "check", "search"])
     def test_help_lists_no_guard_option(self, command, capsys):

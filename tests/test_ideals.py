@@ -6,7 +6,7 @@ import pytest
 
 from lieadm import ideals as ideals_module
 from lieadm import linalg
-from lieadm.errors import InputError
+from lieadm.errors import InputError, ResourceError
 from lieadm.ideals import (
     AlgebraSlice,
     check_theorem,
@@ -68,6 +68,11 @@ class TestSliceBasics:
             make_slice(k=0)
         with pytest.raises(InputError):
             make_slice(cap=0)
+
+    def test_multidegree_listing_guarded_before_any_build(self):
+        # 2 * (C(3002, 3000) - 1) entries; the cap alone builds nothing
+        with pytest.raises(ResourceError, match="have 9009000 entries"):
+            make_slice(k=2, cap=3000)
 
     def test_class_products_are_normal_forms_of_products(self):
         # the product table read by the span products, on basis classes,

@@ -418,6 +418,12 @@ class TestMember:
         assert member(basis, {0: 2, 1: 2}) == ()
         assert member(basis, {0: 1, 1: 2})
 
+    def test_integral_residual_entries_are_ints(self):
+        # the residual 2e1 + 4e2 + 3e3 is made monic by exact division
+        got = member(rref(QQ, 4, [{0: 1, 1: 1}]), {1: 2, 2: 4, 3: 3})
+        assert got == ((1, 1), (2, 2), (3, Fraction(3, 2)))
+        assert [type(c) for _, c in got] == [int, int, Fraction]
+
 
 class TestSubspaceOps:
     def test_sum_and_containment(self):
@@ -477,6 +483,27 @@ class TestIncrementalSums:
         assert calls == []
         assert sum_bases(small, outside) == want
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_merge_eliminates_only_the_leftovers(self, field, monkeypatch):
+        big = rref(field, 6, [{0: 1, 2: Fraction(1, 2)}, {1: 1, 4: 2}, {3: 1, 5: 1}])
+        # residuals against big: e4 and -2*e4, one leftover pivot, 4
+        small = rref(field, 6, [{0: 1, 2: Fraction(1, 2), 4: 1}, {1: 1}])
+        want = rref(field, 6, big.rows + small.rows)
+        fed, inner = [], linalg._rref
+
+        def counted(field, n, rows):
+            rows = list(rows)
+            fed.append([dict(r) for r in rows])
+            return inner(field, n, rows)
+
+        monkeypatch.setattr(linalg, "_rref", counted)
+        got = sum_bases(big, small)
+        assert fed == [[{4: 1}, {4: -2 % field.char if field.char else -2}]]
+        assert got == want and got.pivots == (0, 1, 3, 4)
+        # only the row holding column 4 is rewritten: e1 + 2e4 becomes e1
+        assert got.rows[0] is big.rows[0] and got.rows[2] is big.rows[2]
+        assert got.rows[1].entries == ((1, 1),)
 
     def test_hash_computed_once_as_the_tuple_hash(self):
         b = rref(QQ, 4, frac_rows([{0: 1, 2: 3}, {1: 2, 3: -1}]))
@@ -542,9 +569,15 @@ def test_sum_and_member_agree_with_dense_reducer(case):
     assert S.rank == both.rank
     assert all(not any(both.reduce(dense(p, n, dict(r.entries)))) for r in S.rows)
     assert S == sum_bases(B, A)
+    # S is the canonical basis of both operands' rows, down to each scalar's type
+    typed = [[(j, type(c), c) for j, c in r.entries] for r in S.rows]
+    want = rref(field, n, A.rows + B.rows)
+    assert typed == [[(j, type(c), c) for j, c in r.entries] for r in want.rows]
     inside = all(not any(oracle_of(p, n, a).reduce(dense(p, n, r))) for r in b)
     if inside:
         assert S is A
+    elif all(not any(oracle_of(p, n, b).reduce(dense(p, n, r))) for r in a):
+        assert S is B
     # member: the verdict of the dense reducer; outside, a monic residual
     # free of A's pivots that lies in A + <v> but not in A
     got = member(A, v)
@@ -554,6 +587,7 @@ def test_sum_and_member_agree_with_dense_reducer(case):
         assert got == tuple(sorted(got))
         res = dict(got)
         assert res[min(res)] == 1
+        assert all(type(c) is int for c in res.values() if c.denominator == 1)
         assert not set(res) & set(A.pivots)
         assert any(alone.reduce(dense(p, n, res)))
         assert not any(oracle_of(p, n, a + [v]).reduce(dense(p, n, res)))

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from lieadm.errors import InputError
+from lieadm import terms
+from lieadm.errors import InputError, ResourceError
 from lieadm.linalg import GF, QQ
 from lieadm.terms import (
     Polynomial,
@@ -25,6 +26,7 @@ from lieadm.terms import (
     node,
     render_monomial,
     render_polynomial,
+    slice_multidegrees,
     substitute,
 )
 
@@ -120,6 +122,22 @@ class TestMultidegreeHelpers:
         t0 = time.perf_counter()
         assert len(multidegrees((9,) * 8, 9)) == math.comb(17, 8) - 1
         assert time.perf_counter() - t0 < 2
+
+    def test_slice_listing_guarded_by_its_entries(self, monkeypatch):
+        # k=2 D=3 lists C(5, 3) - 1 = 9 multidegrees of 2 entries each
+        assert slice_multidegrees(2, 3) == multidegrees((3, 3), 3)
+        monkeypatch.setattr(terms, "MAX_SLICE_ENTRIES", 18)
+        assert len(slice_multidegrees(2, 3)) == 9
+        monkeypatch.setattr(terms, "MAX_SLICE_ENTRIES", 17)
+        with pytest.raises(ResourceError, match="degree 3 have 18 entries, over the guard of 17"):
+            slice_multidegrees(2, 3)
+
+    def test_slice_listing_refused_without_a_huge_binomial(self):
+        # k * max(k, D) entries at least: no binomial of 10^12 is taken
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceError, match="have at least 10{24} entries"):
+            slice_multidegrees(10**12, 10**12)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_parts_of_a_multidegree(self):
         assert multidegrees((1, 1)) == [(0, 1), (1, 0), (1, 1)]
