@@ -1,10 +1,12 @@
 """Command-line workbench.
 
 Subcommands: basis, verify, chain, check, algebra, search. Every command
-prints either an aligned text table (default) or a JSON document
-(--format json) carrying the same fields. Exit codes: 0 all checks
-verified or held, 1 at least one violation (witness printed), 2 usage,
-schema, or resource errors, or stdout closed before the output was written.
+returns its document and exit code; ``main`` alone stamps the schema and
+the command name, renders the document as an aligned text table (default,
+the command's ``_table_*``) or as JSON (--format json) carrying the same
+fields, and writes it. Exit codes: 0 all checks verified or held, 1 at
+least one violation (witness printed), 2 usage, schema, or resource
+errors, or stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -68,13 +70,6 @@ def _variety_from(args):
     if args.variety is None:
         raise WorkbenchError("need --variety or --identity")
     return builtin_variety(args.variety)
-
-
-def _emit(doc: dict, fmt: str, renderer) -> None:
-    if fmt == "json":
-        sys.stdout.write(canonical_json(doc))
-    else:
-        print(renderer(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +190,10 @@ def _table_search(doc) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its document, unstamped, and its exit code
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> tuple[dict, int]:
     field = field_of_char(args.char)
     variety = _variety_from(args)
     k, cap = args.gens, args.degree
@@ -214,34 +209,28 @@ def cmd_basis(args) -> int:
     for mu in mus:
         comp = component_basis(variety, field, k, mu)
         dims.append({"multidegree": format_multidegree(mu), "dim": comp.quotient_dim})
-    doc = with_schema(
-        {
-            "command": "basis",
-            "variety": variety.name,
-            "field": field.name,
-            "generators": k,
-            "degree": cap,
-            "multilinear": bool(args.multilinear),
-            "dims": dims,
-        }
-    )
-    _emit(doc, args.format, _table_basis)
-    return 0
+    doc = {
+        "variety": variety.name,
+        "field": field.name,
+        "generators": k,
+        "degree": cap,
+        "multilinear": bool(args.multilinear),
+        "dims": dims,
+    }
+    return doc, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     field = field_of_char(args.char)
     variety = _variety_from(args)
     if (args.builtin is None) == (args.expr is None):
         raise WorkbenchError("need exactly one of --builtin or --expr")
     ident = builtin(args.builtin) if args.builtin else Identity("expr", args.expr)
     doc = verify_identity(variety, field, ident, cap=args.cap)
-    doc = with_schema({"command": "verify", **doc})
-    _emit(doc, args.format, _table_verify)
-    return 1 if doc["verdict"] == "fails" else 0
+    return doc, 1 if doc["verdict"] == "fails" else 0
 
 
-def cmd_chain(args) -> int:
+def cmd_chain(args) -> tuple[dict, int]:
     if args.terms is not None:  # the default, the degree cap, is the slice's to check
         index_in_cap(args.degree, terms=args.terms)
     field = field_of_char(args.char)
@@ -249,44 +238,30 @@ def cmd_chain(args) -> int:
     slice_ = AlgebraSlice(variety, field, args.gens, args.degree)
     chain = lower_central_chain if args.series == "lower-central" else lie_power_series
     report = chain(slice_, args.degree if args.terms is None else args.terms)
-    doc = with_schema({"command": "chain", **report.to_doc()})
-    _emit(doc, args.format, _table_chain)
-    return 0
+    return report.to_doc(), 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     params = {n: getattr(args, n) for n in theorem_params() if getattr(args, n) is not None}
     check_params(args.theorem, params, args.degree, args.char)
     field = field_of_char(args.char)
     variety = _variety_from(args)
     slice_ = AlgebraSlice(variety, field, args.gens, args.degree)
     report = check_theorem(slice_, args.theorem, params)
-    doc = with_schema({"command": "check", **report.to_doc()})
-    _emit(doc, args.format, _table_check)
-    return 1 if report.status == "violated" else 0
+    return report.to_doc(), 1 if report.status == "violated" else 0
 
 
-def cmd_algebra(args) -> int:
+def cmd_algebra(args) -> tuple[dict, int]:
     alg = FiniteDimAlgebra.load(args.file)
     report = audit(alg)
     asserted = None
     if args.variety:
         asserted = report["memberships"][args.variety]["member"]
-    doc = with_schema(
-        {
-            "command": "algebra",
-            **report,
-            "asserted_variety": args.variety,
-            "asserted_member": asserted,
-        }
-    )
-    _emit(doc, args.format, _table_algebra)
-    if report["status"] == "FAIL" or asserted is False:
-        return 1
-    return 0
+    doc = {**report, "asserted_variety": args.variety, "asserted_member": asserted}
+    return doc, 1 if report["status"] == "FAIL" or asserted is False else 0
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple[dict, int]:
     field = field_of_char(args.char)
     grid = []
     if args.target == "bicom-right-nilpotency":
@@ -318,17 +293,8 @@ def cmd_search(args) -> int:
                 break
         outcome = "VIOLATION-FOUND" if found else "INCONCLUSIVE-AT-CAP"
         exit_code = 1 if found else 0
-    doc = with_schema(
-        {
-            "command": "search",
-            "target": args.target,
-            "field": field.name,
-            "grid": grid,
-            "outcome": outcome,
-        }
-    )
-    _emit(doc, args.format, _table_search)
-    return exit_code
+    doc = {"target": args.target, "field": field.name, "grid": grid, "outcome": outcome}
+    return doc, exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--multilinear", action="store_true", help="only the all-ones multidegree")
     _add_field(sp)
     _add_format(sp)
-    sp.set_defaults(run=cmd_basis)
+    sp.set_defaults(run=cmd_basis, render=_table_basis)
 
     sp = sub.add_parser("verify", help="check one identity against a variety")
     _add_variety(sp)
@@ -365,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_field(sp)
     _add_format(sp)
-    sp.set_defaults(run=cmd_verify)
+    sp.set_defaults(run=cmd_verify, render=_table_verify)
 
     sp = sub.add_parser("chain", help="lower central chain or Lie powers")
     _add_variety(sp)
@@ -381,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_field(sp)
     _add_format(sp)
-    sp.set_defaults(run=cmd_chain)
+    sp.set_defaults(run=cmd_chain, render=_table_chain)
 
     sp = sub.add_parser("check", help="run one named structural check")
     sp.add_argument("--theorem", choices=theorem_names(), required=True)
@@ -392,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(f"--{name}", type=int, default=None)
     _add_field(sp)
     _add_format(sp)
-    sp.set_defaults(run=cmd_check)
+    sp.set_defaults(run=cmd_check, render=_table_check)
 
     sp = sub.add_parser("algebra", help="audit a structure-constant algebra file")
     sp.add_argument("--file", required=True, metavar="PATH")
@@ -402,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="additionally assert membership in this variety (exit 1 if it fails)",
     )
     _add_format(sp)
-    sp.set_defaults(run=cmd_algebra)
+    sp.set_defaults(run=cmd_algebra, render=_table_algebra)
 
     sp = sub.add_parser("search", help="exploratory searches over a degree grid")
     sp.add_argument(
@@ -414,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, required=True, metavar="D")
     _add_field(sp)
     _add_format(sp)
-    sp.set_defaults(run=cmd_search)
+    sp.set_defaults(run=cmd_search, render=_table_search)
 
     return parser
 
@@ -423,7 +389,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.run(args)
+        doc, code = args.run(args)
+        doc = with_schema({"command": args.command, **doc})
+        if args.format == "json":
+            sys.stdout.write(canonical_json(doc))
+        else:
+            print(args.render(doc))
         sys.stdout.flush()
         return code
     except WorkbenchError as err:

@@ -11,12 +11,13 @@ Over the rationals a scalar is an ``int`` or a ``fractions.Fraction``:
 integral value, so the common integral case runs at int speed, and
 ``int`` is a ``numbers.Rational``, so the two compare, hash and mix
 exactly. Over a prime field a scalar is an int in ``[0, p)``. ``Field``
-holds inversion, conversions and rendering, but no per-scalar arithmetic:
+only converts and renders; it holds no arithmetic, not even inversion:
 callers sum with plain ``+`` and ``*`` and take the field step once per
-finished vector (``reduced``). ``rref`` works the same way on integer
-rows for both fields, reducing mod p and making each row monic over F_p,
-or making it primitive with a positive lead over Q, where a non-integral
-``Fraction`` appears only in the finished basis.
+finished vector (``reduced``), and a row is made monic in one place
+(``_monic``). ``rref`` works the same way on integer rows for both
+fields, reducing mod p and making each row monic over F_p, or making it
+primitive with a positive lead over Q, where a non-integral ``Fraction``
+appears only in the finished basis.
 
 Only ``rref`` makes a vector canonical, and its basis rows
 (``SparseVector``) are the only canonical vectors. Rows reach it as plain
@@ -87,7 +88,7 @@ class Field:
     """The rationals (``char == 0``) or the prime field F_p (``char == p``).
 
     Arithmetic on scalars is plain Python arithmetic followed by
-    ``reduced``; the field only inverts, converts and renders.
+    ``reduced``; the field only converts and renders.
     """
 
     __slots__ = ("char",)
@@ -112,28 +113,17 @@ class Field:
     def name(self) -> str:
         return "Q" if self.char == 0 else f"F{self.char}"
 
-    # -- inversion -----------------------------------------------------------
-
-    def inv(self, a: Scalar) -> Scalar:
-        if not a:
-            raise FieldError("division by zero")
-        if self.char == 0:
-            return self.from_fraction(1 / Fraction(a))
-        return pow(a, self.char - 2, self.char)
-
     # -- conversions ---------------------------------------------------------
 
     def from_fraction(self, q: Fraction) -> Scalar:
         """Image of a rational in this field (an int when integral over Q);
         FieldError if the denominator vanishes mod p."""
-        q = Fraction(q)
-        if self.char == 0:
+        q, p = Fraction(q), self.char
+        if p == 0:
             return q.numerator if q.denominator == 1 else q
-        if q.denominator % self.char == 0:
-            raise FieldError(
-                f"denominator {q.denominator} is not invertible mod {self.char}"
-            )
-        return (q.numerator % self.char) * self.inv(q.denominator % self.char) % self.char
+        if q.denominator % p == 0:
+            raise FieldError(f"denominator {q.denominator} is not invertible mod {p}")
+        return q.numerator * pow(q.denominator, p - 2, p) % p
 
     def parse(self, text: str) -> Scalar:
         """Read a scalar from text of the form -?[0-9]+(/[0-9]+)?, with no

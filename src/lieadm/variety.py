@@ -23,10 +23,10 @@ an audit evaluates identities on basis vectors.
 An identity that a swap of two variables negates gives the same
 relation line (up to sign) for a substitution and for its swap, so only
 the substitutions ``Identity.representatives`` keeps are evaluated.
-The relation rows reach ``rref`` as evaluated, those of the identities
-with fewest terms first and each such group in one descending lead order,
-which cuts the work of keeping the pivot rows reduced; ``rref`` alone makes
-them canonical, so neither order nor scaling changes the basis.
+The relation rows reach ``rref`` as evaluated, in one sort: those of the
+identities with fewest terms first, each such group in descending lead
+order, which cuts the work of keeping the pivot rows reduced; ``rref``
+alone makes them canonical, so neither order nor scaling changes the basis.
 
 Components are memoized per (variety, field, generators, multidegree) and
 immutable once built; lower components come from the same cache. Only a
@@ -169,12 +169,10 @@ def _compositions(mu: tuple[int, ...], m: int) -> list[tuple[tuple[int, ...], ..
     ]
 
 
-def relation_rows(
-    variety: VarietySpec, field: Field, k: int, mu: tuple[int, ...], space=None
-) -> list[dict]:
+def relation_rows(variety: VarietySpec, field: Field, mu: tuple[int, ...], space) -> list[dict]:
     """The nonzero top-level relation rows at mu, as column->coefficient
-    dicts over the product space (``space``, from ``_product_space``),
-    as evaluated (``reduced``): ``rref`` makes them canonical.
+    dicts over the product space ``space`` (from ``_product_space``), as
+    evaluated (``reduced``): ``rref`` makes them canonical.
 
     For each identity term g*h, g and h are evaluated on the lower normal
     monomials through ``terms.evaluate``, with one table per call, and
@@ -185,24 +183,24 @@ def relation_rows(
     (a non-multilinear identity is refused there, before the c*x = 0
     case). No builtin identity has another symmetry, so no builtin
     component repeats a line; the repeats a custom one gives (a symmetric
-    swap, a cyclic sum) ``rref`` reduces to zero.
+    swap, a cyclic sum) ``rref`` reduces to zero. An identity whose
+    template vanishes over the field gives no rows.
 
-    The rows come in one group per number of terms in an identity's
-    template, fewest first (c*x = 0 is the one-term case), since a shorter
-    identity gives sparser rows. Within a group the identities are taken
-    in the order of their sources, so the order the variety lists them in
-    does not matter, and all the group's rows are stably sorted by
-    descending lead column, the sparsest first on ties: a key of the
-    support, which no scaling changes. A pivot row holds no column left
-    of its lead, so ``rref`` then makes fewer pivots that older pivot rows
-    hold and has fewer of them to clear. In a cold multilinear degree-5
-    build over Q, one sort over assosymmetric's two four-term identities
-    takes rref's entry updates from 666,423 (one sorted block per
-    identity) to 438,176; Novikov's two-term rows are best reduced before
-    its four-term ones, and one sort over both would take it from 375,463
-    to 560,245.
+    The identities are taken in the order of their sources, so the order
+    the variety lists them in does not matter, and all their rows are
+    stably sorted once, by the number of terms in their identity's
+    template, fewest first (c*x = 0 is the one-term case, and a shorter
+    identity gives sparser rows), then by descending lead column, then
+    the sparsest first: a key of the support, which no scaling changes.
+    A pivot row holds no column left of its lead, so ``rref`` then makes
+    fewer pivots that older pivot rows hold and has fewer of them to
+    clear. In a cold multilinear degree-5 build over Q, sorting
+    assosymmetric's two four-term identities together takes rref's entry
+    updates from 666,423 (one sorted block per identity) to 438,176;
+    Novikov's two-term rows are best reduced before its four-term ones,
+    and ignoring the term count would take it from 375,463 to 560,245.
     """
-    lower, cols = space or _product_space(variety, field, k, mu)
+    lower, cols = space
     columns = {key: j for j, (key, _) in enumerate(cols)}
     p = field.char
     # the keys of each part, which ``lower`` lists by total degree, then part
@@ -212,21 +210,20 @@ def relation_rows(
         units.update(((key,), (a, ((q, 1),))) for q, key in enumerate(pools[a]))
     table = {(1,): units}
     compositions: dict[int, list] = {}  # by arity, shared by the identities
-    groups: dict[int, list] = {}  # (source, rows) per identity, by term count
-    for ident in variety.identities:
+    rows: list[tuple[int, dict]] = []  # (term count, row)
+    for ident in sorted(variety.identities, key=lambda i: i.source):
         m = len(ident.variables)
         if m not in compositions:
             compositions[m] = _compositions(mu, m)
         every = (itertools.product(*(pools[a] for a in parts)) for parts in compositions[m])
         substitutions = ident.representatives(field, itertools.chain.from_iterable(every))
         template = ident.template(field)
-        if not template.terms:
+        size = len(template.terms)
+        if not size:
             continue
-        block: list[dict] = []
-        groups.setdefault(len(template.terms), []).append((ident.source, block))
         if m == 1:
             # c*x = 0 kills every element, so every column is a relation
-            block += ({j: 1} for j in range(len(cols)))
+            rows += ((size, {j: 1}) for j in range(len(cols)))
             continue
         # a term has m >= 2 leaves, so itemgetter gives a tuple
         terms = [
@@ -246,13 +243,9 @@ def relation_rows(
                         row[j] = row.get(j, 0) + cx * yq
             row = reduced(p, row)
             if row:
-                block.append(row)
-    rows: list[dict] = []
-    for size in sorted(groups):
-        group = [row for _, block in sorted(groups[size], key=itemgetter(0)) for row in block]
-        group.sort(key=lambda row: (-min(row), len(row)))
-        rows += group
-    return rows
+                rows.append((size, row))
+    rows.sort(key=lambda sized: (sized[0], -min(sized[1]), len(sized[1])))
+    return [row for _, row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ class FreeAlgebraComponent:
         self.mu = mu
         self.lower, cols = _product_space(variety, field, k, mu)
         self.column_count = len(cols)
-        rows = relation_rows(variety, field, k, mu, (self.lower, cols))
+        rows = relation_rows(variety, field, mu, (self.lower, cols))
         basis = rref(field, self.column_count, rows)
 
         pivots = set(basis.pivots)
@@ -433,10 +426,15 @@ def verify_identity(variety: VarietySpec, field: Field, identity: Identity, cap:
     A multilinear identity is decided by the one assignment of variable i
     to generator i: the template vanishes in the relatively free algebra
     iff it lies in the relation space at (1,...,1). Anything else is
-    tested by substituting every tuple of monomials of degree <= cap, in
+    tested by substituting the tuples of monomials of degree <= cap, in
     canonical order, and reducing every homogeneous piece of the result,
     so ``cap`` must be at least 1: an empty substitution pool would make
-    every identity hold.
+    every identity hold. The scan stops after the identity's own
+    variables, the tuple (x_1, ..., x_n), which the pool always holds:
+    every other tuple is its image under an endomorphism of the free
+    algebra, which maps the relation ideal into itself, so once that
+    tuple leaves no residual the identity holds. A failing identity fails
+    at or before it, so the witness is the first in canonical order.
     """
     if cap < 1:
         raise InputError(f"substitution degree cap must be at least 1, got {cap}")
@@ -449,8 +447,9 @@ def verify_identity(variety: VarietySpec, field: Field, identity: Identity, cap:
         "field": field.name,
         "multilinear": multilinear,
     }
+    own = tuple(leaf(i) for i in range(nvars))
     if multilinear:
-        tuples = [tuple(leaf(i) for i in range(nvars))]
+        tuples = [own]
     else:
         # the pool has C(n-1) * nvars^n monomials of degree n, C the Catalan
         # numbers; count them degree by degree and refuse before enumerating
@@ -491,4 +490,6 @@ def verify_identity(variety: VarietySpec, field: Field, identity: Identity, cap:
                     "residual": comp.render_coords(residual),
                 }
                 return {**doc, "verdict": "fails", "witness": witness}
+        if ts == own:
+            break
     return {**doc, "verdict": "holds", "witness": None}

@@ -53,6 +53,14 @@ class TestBasis:
         assert code == 0
         assert doc["dims"] == [{"multidegree": "(1,1,1)", "dim": 7}]
 
+    def test_identity_vanishing_over_the_field_gives_no_relations(self, capsys):
+        # 2*x*y is zero over F2, so the variety it defines is the magma
+        argv = ["basis", "--gens", "2", "--degree", "3", "--char", "2"]
+        code, custom, _ = run_json(capsys, *argv, "--identity", "2*x*y")
+        assert code == 0 and custom["variety"] == "custom"
+        _, magma, _ = run_json(capsys, *argv, "--variety", "magma")
+        assert custom["dims"] == magma["dims"]
+
     def test_multilinear_needs_matching_degree(self, capsys):
         code, out, err = run(
             capsys,
@@ -213,6 +221,19 @@ class TestVerify:
         )
         assert code == 2
         assert "offset" in err or "error" in err
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("-x", "expected a number after sign (at offset 0)"),
+            ("x y", "unexpected 'y' after expression (at offset 2)"),
+            ("x*y)", "unexpected ')' after expression (at offset 3)"),
+        ],
+        ids=["sign", "juxtaposed", "closing"],
+    )
+    def test_syntax_refusals_name_the_offset(self, capsys, expr, message):
+        got = run(capsys, "verify", "--variety", "novikov", f"--expr={expr}")
+        assert got == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("flag", ["--expr", "--identity"])
     def test_literal_over_digit_limit_refused(self, capsys, flag):
@@ -375,6 +396,13 @@ class TestCheck:
         )
         assert code == 1
         assert doc["status"] == "violated"
+
+    def test_th_pro_needs_some_parameter(self, capsys):
+        got = run(
+            capsys,
+            "check", "--theorem", "th_pro", "--variety", "novikov", "--gens", "2", "--degree", "3",
+        )
+        assert got == (2, "", "error: check needs p and q, or m\n")
 
     def test_missing_param(self, capsys):
         code, _, err = run(
@@ -553,6 +581,20 @@ class TestAlgebra:
         bad.write_text('{"field": "Q", "dim": 2}')
         code, _, err = run(capsys, "algebra", "--file", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "products, message",
+        [
+            ("{}", "products must be a list"),
+            ("[[1, 1, 1, 1.5]]", "products[0]: coefficient must be text"),
+            ("[[1, 1, 1, true]]", "products[0]: coefficient must be text"),
+        ],
+        ids=["object", "float", "bool"],
+    )
+    def test_malformed_products_refused(self, capsys, tmp_path, products, message):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"field": "Q", "dim": 1, "products": {products}}}')
+        assert run(capsys, "algebra", "--file", str(path)) == (2, "", f"error: {message}\n")
 
     def test_dim_over_limit_refused_at_once(self, capsys, tmp_path):
         big = tmp_path / "big.json"

@@ -69,6 +69,14 @@ class TestSliceBasics:
         with pytest.raises(InputError):
             make_slice(cap=0)
 
+    def test_exponent_and_chain_index_below_one_refused(self):
+        s = make_slice(cap=2)
+        with pytest.raises(InputError, match="power exponent must be at least 1"):
+            s.power(s.full(), 0)
+        for term in (s.h_term, s.a_term):
+            with pytest.raises(InputError, match="chain index must be at least 1"):
+                term(0)
+
     def test_multidegree_listing_guarded_before_any_build(self):
         # 2 * (C(3002, 3000) - 1) entries; the cap alone builds nothing
         with pytest.raises(ResourceError, match="have 9009000 entries"):

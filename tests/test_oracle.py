@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from lieadm.linalg import QQ, rref
+from lieadm.linalg import QQ
 from lieadm.terms import Polynomial, enumerate_monomials
 from lieadm.variety import builtin_variety, component_basis
 
 from naive_oracle import (
+    DenseReducer,
     convert_monomial,
     naive_is_zero,
     naive_monomials,
@@ -49,13 +50,16 @@ class TestRelationBasisAgreement:
         comp = component_basis(builtin_variety(name), QQ, k, mu)
         monos = enumerate_monomials(k, mu)
         oracle = naive_reducer(sources_of(name), k, mu)
-        # the oracle's rows span its relation space; rref them in the
-        # engine's canonical column order
+        # the oracle's rows span its relation space; eliminate them again,
+        # in the engine's canonical column order, with the oracle's own
+        # reducer: its leading columns are the pivots of the reduced basis
         reducer, naive_index = oracle
-        column = {naive_index[convert_monomial(m)]: i for i, m in enumerate(monos)}
-        rows = [{column[j]: c for j, c in enumerate(row) if c} for _, row in reducer.rows]
-        basis = rref(QQ, len(monos), rows)
-        free = [i for i in range(len(monos)) if i not in set(basis.pivots)]
+        column = [naive_index[convert_monomial(m)] for m in monos]
+        again = DenseReducer(len(monos))
+        for _, row in reducer.rows:
+            again.insert([row[j] for j in column])
+        pivots = {j for j, _ in again.rows}
+        free = [i for i in range(len(monos)) if i not in pivots]
         assert free == [monos.index(m) for m in comp.quotient_monomials]
         assert all(naive_is_zero(oracle, relation_element(comp, m)) for m in monos)
 

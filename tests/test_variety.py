@@ -23,9 +23,12 @@ from lieadm.linalg import GF, QQ, reduced, rref, vector
 from lieadm.terms import (
     Polynomial,
     enumerate_monomials,
+    format_multidegree,
     leaf,
+    multidegree,
     multidegrees,
     node,
+    render_polynomial,
     substitute,
 )
 from lieadm.variety import (
@@ -360,7 +363,8 @@ class TestDerivedViews:
     def test_rows_are_product_space_rows(self):
         v = builtin_variety("novikov")
         comp = component_basis(v, QQ, 3, (1, 1, 1))
-        rows = relation_rows(v, QQ, 3, (1, 1, 1))
+        space = variety_module._product_space(v, QQ, 3, (1, 1, 1))
+        rows = relation_rows(v, QQ, (1, 1, 1), space)
         assert rows and all(j < comp.column_count for row in rows for j in row)
         # rows come as evaluated, not monic: nonzero and without zeros
         assert all(row and row == reduced(0, row) for row in rows)
@@ -380,7 +384,7 @@ class TestEliminationFeed:
     def test_basis_independent_of_row_order(self, name, field):
         v, mu = builtin_variety(name), (1, 1, 1, 1)
         comp = component_basis(v, field, 4, mu)
-        rows = relation_rows(v, field, 4, mu)
+        rows = relation_rows(v, field, mu, variety_module._product_space(v, field, 4, mu))
         orders = [rows, rows[::-1]]
         for seed in (1, 2, 3):
             shuffled = list(rows)
@@ -409,7 +413,7 @@ class TestEliminationFeed:
         v = FEED_VARIETIES.get(name) or builtin_variety(name)
         mu = (1, 1, 1, 1)
         space = variety_module._product_space(v, field, 4, mu)
-        rows = relation_rows(v, field, 4, mu, space)
+        rows = relation_rows(v, field, mu, space)
 
         def size(ident):
             return len(ident.template(field).terms)
@@ -420,7 +424,7 @@ class TestEliminationFeed:
             group = [
                 row
                 for ident in members
-                for row in relation_rows(VarietySpec(name, (ident,)), field, 4, mu, space)
+                for row in relation_rows(VarietySpec(name, (ident,)), field, mu, space)
             ]
             assert group
             assert rows[start : start + len(group)] == sorted(
@@ -437,7 +441,11 @@ class TestEliminationFeed:
         v = FEED_VARIETIES.get(name) or builtin_variety(name)
         mu = (1, 1, 1, 1)
         reverse = VarietySpec(name + "_reversed", v.identities[::-1])
-        assert relation_rows(reverse, field, 4, mu) == relation_rows(v, field, 4, mu)
+        rows = [
+            relation_rows(u, field, mu, variety_module._product_space(u, field, 4, mu))
+            for u in (reverse, v)
+        ]
+        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize(
         "name, bound", [("assosymmetric", 480_000), ("novikov", 430_000)]
@@ -471,7 +479,7 @@ FIELD_IDS = ["Q", "F5", "F3", "F2"]
 
 def line(field, row):
     """The line of a nonzero row, as its monic sorted pairs."""
-    inv = field.inv(row[min(row)])
+    inv = field.from_fraction(1 / Fraction(row[min(row)]))
     return vector(field.char, {j: c * inv for j, c in row.items()})
 
 
@@ -500,10 +508,10 @@ class TestRelationPlan:
     @staticmethod
     def rows_both_ways(monkeypatch, v, field, k, mu):
         space = variety_module._product_space(v, field, k, mu)
-        planned = relation_rows(v, field, k, mu, space)
+        planned = relation_rows(v, field, mu, space)
         with monkeypatch.context() as m:
             m.setattr(Identity, "representatives", every_tuple)
-            every = relation_rows(v, field, k, mu, space)
+            every = relation_rows(v, field, mu, space)
         return planned, first_of_each_line(field, every)
 
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -515,7 +523,7 @@ class TestRelationPlan:
         v = builtin_variety(name)
         cells = [(3, mu) for mu in multidegrees((4, 4, 4), 4)] + [(5, (1,) * 5)]
         for k, mu in cells:
-            rows = relation_rows(v, field, k, mu)
+            rows = relation_rows(v, field, mu, variety_module._product_space(v, field, k, mu))
             lines = {line(field, row) for row in rows}
             assert len(lines) == len(rows), (mu, len(rows) - len(lines))
 
@@ -576,11 +584,11 @@ class TestRelationPlan:
             return evaluate(*args)
 
         monkeypatch.setattr(variety_module, "evaluate", counted)
-        relation_rows(v, field, 4, mu, space)
+        relation_rows(v, field, mu, space)
         planned = len(calls)
         calls.clear()
         monkeypatch.setattr(Identity, "representatives", every_tuple)
-        relation_rows(v, field, 4, mu, space)
+        relation_rows(v, field, mu, space)
         assert 2 * planned == len(calls)
 
 
@@ -655,7 +663,7 @@ class TestNormalForm:
 
     def test_relation_rows_multidegree_guard(self):
         with pytest.raises(InputError):
-            relation_rows(builtin_variety("novikov"), QQ, 2, (0, 0))
+            variety_module._product_space(builtin_variety("novikov"), QQ, 2, (0, 0))
 
 
 @st.composite
@@ -792,6 +800,89 @@ class TestVerifyIdentity:
             "verdict": "holds",
             "witness": None,
         }
+
+
+# identities that are not multilinear, in one and two variables
+SCAN_SOURCES = (
+    "x*x",
+    "(x*x)*x - x*(x*x)",
+    "2*((x*x)*x)",
+    "(x*x)*y - (x*y)*x",
+    "(x*x)*y - x*(x*y)",
+    "(y*x)*x - y*(x*x)",
+    "(x*y)*x - x*(y*x)",
+    "(x*y)*y + (y*x)*x",
+)
+
+
+def full_scan(variety, field, identity, cap):
+    """The verify document of the substitution search run over every tuple
+    of the pool, with no stop: the first tuple, in canonical order, that
+    leaves a residual in some homogeneous piece gives the witness."""
+    nvars = len(identity.variables)
+    template = identity.template(field)
+    pool = [m for mu in multidegrees((cap,) * nvars, cap) for m in enumerate_monomials(nvars, mu)]
+    pool.sort(key=lambda m: m.sort_key(nvars))
+    doc = {
+        "identity": identity.name,
+        "variety": variety.name,
+        "field": field.name,
+        "multilinear": identity.multilinear(field),
+    }
+    for ts in itertools.product(pool, repeat=nvars):
+        pieces = {}
+        for mono, c in substitute(template, dict(enumerate(ts))).terms.items():
+            pieces.setdefault(multidegree(mono, nvars), {})[mono] = c
+        for mu in sorted(pieces, key=lambda t: (sum(t), t)):
+            comp = component_basis(variety, field, nvars, mu)
+            residual = comp.normal_form(Polynomial(field, pieces[mu]))
+            if residual:
+                names = identity.variables
+                witness = {
+                    "assignment": {
+                        name: render_polynomial(P(field, ts[i]), key_gens=nvars)
+                        for i, name in enumerate(names)
+                    },
+                    "multidegree": format_multidegree(mu),
+                    "residual": comp.render_coords(residual),
+                }
+                return {**doc, "verdict": "fails", "witness": witness}
+    return {**doc, "verdict": "holds", "witness": None}
+
+
+class TestSubstitutionStop:
+    """A non-multilinear identity's scan stops after the tuple of its own
+    variables: every later tuple is that tuple's image under an
+    endomorphism, which keeps the relation ideal."""
+
+    @pytest.mark.parametrize(
+        "source, cap, count",
+        [("(x*x)*y - (x*y)*x", 3, 23), ("((x*x)*y)*z - ((x*x)*z)*y", 2, 301)],
+        ids=["two-vars-cap3", "three-vars-cap2"],
+    )
+    def test_holding_identity_stops_at_its_own_variables(self, monkeypatch, source, cap, count):
+        # the full pools have 22^2 = 484 and 12^3 = 1728 tuples
+        calls = []
+
+        def counted(template, assignment):
+            calls.append(assignment)
+            return substitute(template, assignment)
+
+        monkeypatch.setattr(variety_module, "substitute", counted)
+        doc = verify_identity(builtin_variety("novikov"), QQ, Identity("t", source), cap=cap)
+        assert doc["verdict"] == "holds"
+        nvars = len(calls[-1])
+        assert len(calls) == count and calls[-1] == {i: leaf(i) for i in range(nvars)}
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+    @pytest.mark.parametrize("name", variety_names())
+    def test_same_verdict_and_witness_as_a_full_scan(self, name, field):
+        v = builtin_variety(name)
+        for source in SCAN_SOURCES:
+            ident = Identity("t", source)
+            for cap in (1, 2):
+                got = verify_identity(v, field, ident, cap=cap)
+                assert got == full_scan(v, field, ident, cap), (source, cap)
 
 
 class TestSubstitutionGuard:
