@@ -36,6 +36,29 @@ pair of rows once, since [v, u] = -[u, v] and [u, u] = 0. An inclusion
 check reduces no row of a part whose target part equals it or is the
 whole component: every such row is a member.
 
+Each generator permutation is computed once. The relation ideal is a
+T-ideal, invariant under every endomorphism of the free algebra (Drensky,
+*Free Algebras and PI-Algebras*, ch. 4), and so is the truncation, so a
+permutation of the generators is an automorphism of the slice; it maps
+every span built from ``full`` onto itself. ``GradedSubspace.invariant``
+records this by structure: ``full`` and ``zero`` are invariant, a
+product, bracket, associator space, sum, power or closure is invariant
+exactly when all its operands are, hence so are the chain terms, and
+``span`` of arbitrary rows never is. In a span operation on invariant
+operands, a target multidegree mu not sorted in descending order is
+never generated: its part is ``rref`` of the images of the basis rows of
+the part at its representative rep = sorted(mu, descending), under the
+permutation sending generator g to ``order[g]``, where ``order`` is the
+stable descending sort of the generators by their degree in mu. An
+absent part at rep gives an absent part at mu, and a whole component a
+whole one. The basis is the canonical reduced one, so every document is
+the one a direct span gives. The map A_rep -> A_mu is built on first use,
+one ``terms.evaluate`` per normal monomial of rep, and kept in
+``_images`` for the slice's lifetime. Memo keys stay parts: a memo hit
+returns the span first stored, with its flag. A slice of a
+structure-constant algebra has only the empty multidegree, which is
+sorted, so nothing is derived there.
+
 Each named check is declared once, by a handler in ``_THEOREMS``, in two
 stages: the refusals that read only the degree cap, the characteristic
 and the parameters come first (``check_params``), so the CLI runs them
@@ -50,7 +73,7 @@ from typing import Callable, Optional
 
 from .errors import InputError
 from .exprs import builtin
-from .linalg import Field, identity_basis, member, reduced, rref
+from .linalg import EchelonBasis, Field, identity_basis, member, reduced, rref
 from .linalg import sum_bases as _sum_bases
 from .terms import evaluate, format_multidegree, mdeg_add, mdeg_total, slice_multidegrees
 from .variety import FreeAlgebraComponent, VarietySpec, component_basis
@@ -60,23 +83,33 @@ def _mu_order(mu: tuple[int, ...]) -> tuple:
     return (sum(mu), mu)
 
 
+def _representative(mu: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(mu, reverse=True))
+
+
 class GradedSubspace:
     """A subspace with one echelon basis per multidegree component.
 
     Missing multidegrees mean zero there. Parts are kept in canonical
     order (ascending total degree, then lexicographic) so iteration and
     witness selection are deterministic.
+
+    ``invariant`` is set by how the subspace was built: true when every
+    permutation of the generators is known to map it onto itself (see the
+    module docstring). It lets span operations on it derive parts, and
+    it takes no part in equality or in memo keys.
     """
 
-    __slots__ = ("slice", "parts")
+    __slots__ = ("slice", "parts", "invariant")
 
-    def __init__(self, slice_: "AlgebraSlice", parts: dict):
+    def __init__(self, slice_: "AlgebraSlice", parts: dict, invariant: bool = False):
         self.slice = slice_
         self.parts = {
             mu: basis
             for mu, basis in sorted(parts.items(), key=lambda kv: _mu_order(kv[0]))
             if basis.rank
         }
+        self.invariant = invariant
 
     def dims(self) -> list[tuple[str, int]]:
         """Per-multidegree ranks in canonical order (report-friendly)."""
@@ -108,6 +141,7 @@ class AlgebraSlice:
         "components",
         "_full",
         "_memo",
+        "_images",
     )
 
     def __init__(self, variety: VarietySpec, field: Field, k: int, degree_cap: int):
@@ -125,13 +159,14 @@ class AlgebraSlice:
     def _init_spans(self, field: Field, degree_cap: int, components: dict) -> None:
         """The state every span operation reads: the field, the degree cap,
         the components by multidegree (each with ``quotient_dim`` and
-        ``add_product``), the full space and the memo of derived spans
-        (see the module docstring)."""
+        ``add_product``), the full space, the memo of derived spans and
+        the maps that derive parts (see the module docstring)."""
         self.field = field
         self.degree_cap = degree_cap
         self.components = components
         self._full: Optional[GradedSubspace] = None
         self._memo: dict[tuple, GradedSubspace] = {}
+        self._images: dict[tuple, list] = {}
 
     def component(self, mu: tuple[int, ...]) -> FreeAlgebraComponent:
         comp = self.components.get(mu)
@@ -154,19 +189,82 @@ class AlgebraSlice:
                 for mu, comp in self.components.items()
                 if comp.quotient_dim
             }
-            self._full = GradedSubspace(self, parts)
+            self._full = GradedSubspace(self, parts, True)
         return self._full
 
     def zero(self) -> GradedSubspace:
-        return GradedSubspace(self, {})
+        return GradedSubspace(self, {}, True)
 
     def span(self, rows_by_mu: dict) -> GradedSubspace:
+        """The subspace spanned by the rows at each multidegree: ``rref``
+        of each part's rows, which may be a lazy generator. The rows are
+        arbitrary, so the span is never flagged ``invariant``."""
         parts = {}
         for mu, rows in rows_by_mu.items():
             basis = rref(self.field, self.component(mu).quotient_dim, rows)
             if basis.rank:
                 parts[mu] = basis
         return GradedSubspace(self, parts)
+
+    def _spanned(self, rows_by_mu: dict, invariant: bool) -> GradedSubspace:
+        """The span a span operation builds from one lazy row generator per
+        target, flagged ``invariant`` when every operand is. Then only the
+        targets sorted in descending order are spanned from their rows; the
+        part at any other target is derived from its representative's
+        (``_image``), and that target's rows are never generated."""
+        if not invariant:
+            return self.span(rows_by_mu)
+        reps = {mu: _representative(mu) for mu in rows_by_mu}
+        parts = self.span({mu: rows for mu, rows in rows_by_mu.items() if reps[mu] == mu}).parts
+        derived = {
+            mu: self._image(mu, parts[rep])
+            for mu, rep in reps.items()
+            if rep != mu and rep in parts
+        }
+        return GradedSubspace(self, {**parts, **derived}, True)
+
+    def _image(self, mu: tuple[int, ...], part: EchelonBasis) -> EchelonBasis:
+        """The part at mu of an invariant span whose part at mu's
+        representative is ``part``: ``rref`` of the images of its rows
+        under the map A_rep -> A_mu (``_permutation_images``). The map is
+        an isomorphism, so the images are independent and none reduces to
+        zero, and a whole component maps onto the whole component. They
+        are fed in descending lead order: a new pivot left of every older
+        one is cleared from no older row (see ``rref``)."""
+        if part.rank == part.ambient_dim:
+            return identity_basis(self.field, part.ambient_dim)
+        images = self._permutation_images(mu)
+        rows = []
+        for row in part.rows:
+            acc: dict = {}
+            for q, c in row.entries:
+                for j, w in images[q]:
+                    acc[j] = acc.get(j, 0) + c * w
+            rows.append(reduced(self.field.char, acc))
+        rows.sort(key=lambda r: -min(r))
+        return rref(self.field, part.ambient_dim, rows)
+
+    def _permutation_images(self, mu: tuple[int, ...]) -> list:
+        """The images in A_mu of the normal monomials of A_rep, rep the
+        representative of mu, under the permutation sending generator g to
+        ``order[g]``, where ``order`` is the stable descending sort of the
+        generators by their degree in mu. One ``terms.evaluate`` per normal
+        monomial; built on first use and kept for the slice's lifetime."""
+        images = self._images.get(mu)
+        if images is None:
+            order = sorted(range(self.k), key=lambda g: -mu[g])
+            units = {}
+            for g, h in enumerate(order):
+                if mu[h]:  # a generator of rep's support
+                    unit = tuple(int(i == h) for i in range(self.k))
+                    units[(g,)] = (unit, self.components[unit].products[()])
+            table = {(1,): units}
+            p = self.field.char
+            images = self._images[mu] = [
+                evaluate(m, m.leaves, table, self.components, p)[1]
+                for m in self.components[_representative(mu)].quotient_monomials
+            ]
+        return images
 
     # -- span operations -------------------------------------------------------
 
@@ -216,7 +314,8 @@ class AlgebraSlice:
                         if acc:
                             yield acc
 
-        got = self._memo[key] = self.span({mu: rows(mu, plan) for mu, plan in pairs.items()})
+        targets = {mu: rows(mu, plan) for mu, plan in pairs.items()}
+        got = self._memo[key] = self._spanned(targets, U.invariant and V.invariant)
         if bracket:
             self._memo[(True, b, a)] = got
         return got
@@ -280,7 +379,8 @@ class AlgebraSlice:
                     if acc:
                         yield acc
 
-        return self.span({mu: rows(plan) for mu, plan in triples.items()})
+        targets = {mu: rows(plan) for mu, plan in triples.items()}
+        return self._spanned(targets, all(X.invariant for X in operands))
 
     def sum(self, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
         self._same(U)
@@ -294,7 +394,7 @@ class AlgebraSlice:
                 parts[mu] = a
             else:
                 parts[mu] = _sum_bases(a, b)
-        return GradedSubspace(self, parts)
+        return GradedSubspace(self, parts, U.invariant and V.invariant)
 
     def power(self, U: GradedSubspace, m: int) -> GradedSubspace:
         """U^m = sum of U^i * U^(m-i); products of m factors, all bracketings.

@@ -9,6 +9,7 @@ from lieadm import linalg
 from lieadm.errors import InputError, ResourceError
 from lieadm.ideals import (
     AlgebraSlice,
+    check_params,
     check_theorem,
     lie_power_series,
     lower_central_chain,
@@ -16,6 +17,7 @@ from lieadm.ideals import (
     theorem_params,
 )
 from lieadm.linalg import GF, QQ, identity_basis, rref
+from lieadm.reports import canonical_json
 from lieadm.terms import Polynomial, associator, evaluate, format_multidegree, leaf, node
 from lieadm.variety import FreeAlgebraComponent, builtin_variety, variety_names
 
@@ -402,12 +404,13 @@ class TestSpanMemo:
             assert (counts["calls"], counts["computed"]) == (28, 13)
 
 
-def ordered_bracket_parts(s, U):
-    """The parts of [U, U] spanned over every ordered pair of rows of U,
-    nothing skipped, each bracket formed by its two products."""
+def ordered_bracket_parts(s, U, V=None):
+    """The parts of [U, V] (V defaults to U) spanned over every ordered
+    pair of rows, nothing skipped, each bracket formed by its two
+    products."""
     rows = {}
     for mu1, b1 in U.parts.items():
-        for mu2, b2 in U.parts.items():
+        for mu2, b2 in (U if V is None else V).parts.items():
             mu = tuple(x + y for x, y in zip(mu1, mu2))
             if sum(mu) > s.degree_cap:
                 continue
@@ -448,6 +451,9 @@ class TestSpanWork:
     ):
         s = make_slice(name, field=field, k=2, cap=4)
         U = s.full() if operand == "full" else s.a_term(2)
+        # rebuilt through span, so not invariant: every target's rows are
+        # generated, none of its parts derived from another
+        U = s.span({mu: b.rows for mu, b in U.parts.items()})
         want = ordered_bracket_parts(s, U)
         # rows (part n, row i): the ordered pairs within the cap, and those
         # with (n1, i1) < (n2, i2)
@@ -535,11 +541,15 @@ class TestSpanWork:
         # Rows that the span eliminations read, and products of two rows
         # formed, while a novikov k=3 D=4 slice runs both chains and a
         # battery. The counts are deterministic and the same over Q and F_5:
-        # 1066 rows and 1759 products when each span stops generating rows at
-        # full rank and a bracket of equal operands takes each unordered pair
-        # of rows once. Generating every row of every ordered pair reads 1434
-        # rows and forms 2334 products; generating every row but stopping
-        # the elimination at full rank forms 1950.
+        # 716 rows and 784 products (those that build the permutation maps
+        # included) when each part at a multidegree not sorted in descending
+        # order is derived from the sorted one. Computing every part
+        # directly reads 1066 rows and forms 1759 products when each span
+        # stops generating rows at full rank and a bracket of equal operands
+        # takes each unordered pair of rows once. Generating every row of
+        # every ordered pair reads 1434 rows and forms 2334 products;
+        # generating every row but stopping the elimination at full rank
+        # forms 1950.
         s = make_slice("novikov", field=field, k=3, cap=4)
         read = products = 0
         add_product = FreeAlgebraComponent.add_product
@@ -563,8 +573,133 @@ class TestSpanWork:
         lie_power_series(s, 4)
         for name, params in BATTERY + [("th_pro", {"p": 1, "q": 1})]:
             check_theorem(s, name, params)
-        assert read <= 1100
-        assert products <= 1800
+        assert read <= 750
+        assert products <= 800
+
+
+# named checks over a parameter grid like the benchmark's theorem session,
+# plus every other check; check_params refuses what a cap or field does not admit
+GRID = (
+    [("com_id", {}), ("com_id", {"i": 2}), ("lem_ideal", {})]
+    + [("th_pro", {"p": p, "q": q}) for p in range(1, 5) for q in range(1, 5) if p + q <= 5]
+    + [("th_pro", {"m": m}) for m in (1, 2, 3)]
+    + [("prod_com_id", {"i": i}) for i in (1, 2, 3, 4)]
+    + [("circ_pro", {"p": 1, "q": 2}), ("circ_pro", {"p": 2, "q": 2})]
+    + [("lem_mni1", {"i": i}) for i in (1, 2, 3)]
+    + [("lem_ass_ap", {"p": 1, "q": 2}), ("lem_ass_ap", {"p": 2, "q": 2})]
+    + [("lem_46", {"j": 1}), ("lem_46", {"j": 3})]
+    + [("cp_ass", {"i": 1, "j": 2}), ("cp_ass", {"i": 3, "j": 2})]
+    + [("bicom_metabelian", {}), ("bicom_not_right_nilpotent", {}), ("assoc_even_even", {})]
+)
+
+
+def slice_documents(s) -> list[str]:
+    """The canonical JSON of both chains and of every GRID check the slice
+    admits."""
+    docs = [lower_central_chain(s, s.degree_cap), lie_power_series(s, s.degree_cap)]
+    for name, params in GRID:
+        try:
+            check_params(name, params, s.degree_cap, s.field.char)
+        except InputError:
+            continue
+        docs.append(check_theorem(s, name, params))
+    return [canonical_json(d.to_doc()) for d in docs]
+
+
+def representative(mu) -> tuple:
+    """mu sorted in descending order: the multidegree a part is derived from."""
+    return tuple(sorted(mu, reverse=True))
+
+
+def is_sorted(mu) -> bool:
+    return mu == representative(mu)
+
+
+class TestPermutedParts:
+    """A span of invariant operands derives each part at a multidegree not
+    sorted in descending order from the part at its sorted representative."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["Q", "F2", "F5"])
+    @pytest.mark.parametrize("name", variety_names())
+    def test_derived_equals_direct(self, monkeypatch, name, field):
+        derived = make_slice(name, field, k=3, cap=5)
+        want = slice_documents(derived)
+        assert derived.h_term(2).invariant and derived.a_term(2).invariant
+        assert any(not is_sorted(mu) for mu in derived.h_term(2).parts)
+        # a fresh slice, so its memo holds nothing derived, whose full space
+        # is rebuilt through span: no operand is invariant, no part derived
+        full = AlgebraSlice.full
+
+        def rebuilt_full(self):
+            return self.span({mu: b.rows for mu, b in full(self).parts.items()})
+
+        monkeypatch.setattr(AlgebraSlice, "full", rebuilt_full)
+        direct = make_slice(name, field, k=3, cap=5)
+        assert not direct.h_term(2).invariant
+        assert slice_documents(direct) == want
+
+    def test_non_invariant_operands_are_computed_directly(self):
+        s = make_slice("novikov", QQ, k=3, cap=5)
+        full = s.full()
+        U = s.span({(1, 0, 0): [{0: 1}]})  # the class of x1 alone
+        assert full.invariant and not U.invariant
+        assert s.span({mu: b.rows for mu, b in full.parts.items()}) == full
+        spans = [s.bracket_space(U, full), s.power(U, 2), s.ideal_closure(U)]
+        for got in spans:
+            assert not got.invariant
+            for mu in full.parts:
+                if mu[0] == 0 and representative(mu) in got.parts:
+                    assert mu not in got.parts, mu
+        # [x1, full] spanned from every bracket of rows, at every target
+        assert spans[0].parts == ordered_bracket_parts(s, U, full)
+        assert any(not is_sorted(mu) for mu in spans[0].parts)
+
+    def test_derived_parts_generate_no_rows_and_reduce_none(self, monkeypatch):
+        s = make_slice("novikov", QQ, k=3, cap=5)
+        targets, derived, reads, mapping, pending = set(), [], [], [], []
+        add_product, image = FreeAlgebraComponent.add_product, AlgebraSlice._image
+        images = AlgebraSlice._permutation_images
+
+        def watched_add_product(self, *args):
+            if not mapping:  # a product that generates a row of its target
+                targets.add(self.mu)
+            return add_product(self, *args)
+
+        def watched_images(self, mu):
+            mapping.append(mu)
+            try:
+                return images(self, mu)
+            finally:
+                mapping.pop()
+
+        def watched_image(self, mu, part):
+            derived.append(mu)
+            pending.append(part.rank)
+            try:
+                return image(self, mu, part)
+            finally:
+                pending.pop()
+
+        def watched_rref(field, n, rows):
+            if not pending:
+                return rref(field, n, rows)
+            rows = list(rows)
+            got = rref(field, n, rows)
+            reads.append((len(rows), got.rank, pending[-1]))
+            return got
+
+        monkeypatch.setattr(FreeAlgebraComponent, "add_product", watched_add_product)
+        monkeypatch.setattr(AlgebraSlice, "_permutation_images", watched_images)
+        monkeypatch.setattr(AlgebraSlice, "_image", watched_image)
+        monkeypatch.setattr(ideals_module, "rref", watched_rref)
+        chain = lower_central_chain(s, 5)
+        assert targets and all(is_sorted(mu) for mu in targets)
+        assert derived and not any(is_sorted(mu) for mu in derived)
+        # rref reads the representative's rank in rows, and each is a pivot
+        assert reads and all(read == rank == want for read, rank, want in reads)
+        for term in chain.terms:
+            for mu, part in term.parts.items():
+                assert part.rank == term.parts[representative(mu)].rank
 
 
 class TestChains:

@@ -324,7 +324,9 @@ class TestClosedForms:
         # Engine-only: assosymmetric has no closed form here, and the naive
         # oracle stops at degree 5, so nothing independent checks 762 yet.
         # Built cold in a process of its own, so that its peak RSS is its
-        # own, within a budget: about 60 s and 175 MB on a 2-core x86 box.
+        # own, within a budget: 55 to 140 s and 176 MB on a shared 2-core
+        # x86 box, whose load moves the time; the time bound is twice the
+        # slowest build measured there.
         code = (
             "import json, resource, time\n"
             "from lieadm.linalg import QQ\n"
@@ -341,7 +343,7 @@ class TestClosedForms:
         assert proc.returncode == 0, proc.stderr
         dim, seconds, rss_mb = json.loads(proc.stdout)
         assert dim == 762
-        assert seconds < 120 and rss_mb < 260, (seconds, rss_mb)
+        assert seconds < 280 and rss_mb < 260, (seconds, rss_mb)
 
 
 class TestDerivedViews:
