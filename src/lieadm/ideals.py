@@ -230,7 +230,7 @@ class AlgebraSlice:
         an isomorphism, so the images are independent and none reduces to
         zero, and a whole component maps onto the whole component. They
         are fed in descending lead order: a new pivot left of every older
-        one is cleared from no older row (see ``rref``)."""
+        one is owed by no older row, so no row is settled (see ``rref``)."""
         if part.rank == part.ambient_dim:
             return identity_basis(self.field, part.ambient_dim)
         images = self._permutation_images(mu)

@@ -33,6 +33,11 @@ one that way. Leftover rows vanish at the larger basis's pivots, so they
 are eliminated alone, and only the larger basis's rows that hold one of
 their pivots are reduced against them.
 
+An elimination clears a new pivot from no older row when it inserts it:
+each older row that holds it owes that column, and is settled (cleared
+of what it owes) only when an incoming row hits its pivot, or after the
+last row (``rref``).
+
 An elimination stops at full rank: the row that makes the rank equal to
 the ambient dimension is the last one read, and the basis is
 ``identity_basis``, the unique reduced basis of the whole space. Callers
@@ -319,16 +324,22 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
     is ``identity_basis`` and rows past that point are not read, so a
     generator of rows stops being advanced there.
 
-    The pivot rows are kept fully reduced after every insertion, so each
-    holds no pivot column but its own (LaMacchia & Odlyzko, CRYPTO '90).
-    An incoming row therefore meets each pivot column present in it
-    exactly once; what remains lies in free columns, and if nonzero its
-    first column becomes a new pivot, cleared from the older pivot rows at
-    once. Only the work depends on the order of ``rows``. A pivot row
+    Upward clearing is deferred, in the spirit of structured elimination
+    (LaMacchia & Odlyzko, CRYPTO '90). An incoming row is reduced by each
+    pivot column present in it, once, against a settled pivot row, which
+    holds no pivot column but its own; what remains lies in free columns,
+    and if nonzero its first column becomes a new pivot. No older row is
+    updated then: each older row holding that column owes it. When an
+    incoming row hits a pivot whose row owes, that row is settled first:
+    the rows it owes are settled, then each owed column is cleared from
+    it. After the last row, the rows that still owe are settled in
+    descending lead order. Much of the fill an eager clearing makes is
+    later cancelled, and a row that no incoming row hits pays once, at
+    the end. Only the work depends on the order of ``rows``. A pivot row
     holds no column left of its lead, so a new pivot left of every older
-    pivot touches no older row: ``variety.relation_rows`` feeds the rows
-    of its identities with fewest terms first, in descending lead order
-    within each group, for that reason.
+    pivot is owed by no older row: ``variety.relation_rows`` feeds the
+    rows of its identities with fewest terms first, in descending lead
+    order within each group, for that reason.
 
     Rows are integer dicts over both fields: over F_p they are monic
     with entries in [0, p); over Q each stands for its rational line as a
@@ -342,29 +353,74 @@ def rref(field: Field, ambient_dim: int, rows: Iterable) -> EchelonBasis:
 
 def _rref(field: Field, ambient_dim: int, rows: Iterable[dict[int, int]]) -> EchelonBasis:
     """``rref`` of integer rows already read (``_row_as_dict``), which it
-    updates in place. The row that brings the rank to
-    ``ambient_dim`` is the last one read, and its pivot is not cleared from
-    the older rows: the basis is ``identity_basis``."""
+    updates in place. ``owed`` maps the lead of each pivot row that still
+    holds later pivot columns to those columns; when it is empty, as in
+    most small eliminations, no row is settled, looked up or sorted for
+    it. The row that brings the rank to ``ambient_dim`` is the last one
+    read, and nothing owed is settled: the basis is ``identity_basis``."""
     p = field.char
     piv: dict[int, dict[int, int]] = {}
+    owed: dict[int, list[int]] = {}  # lead -> later pivots its row still holds
     for row in rows:
-        for j in [j for j in row if j in piv]:
-            _eliminate(p, row, j, piv[j])
+        if owed:
+            for j in [j for j in row if j in piv]:
+                if j in owed:
+                    _settle(p, piv, owed, j)
+                _eliminate(p, row, j, piv[j])
+        else:
+            for j in [j for j in row if j in piv]:
+                _eliminate(p, row, j, piv[j])
         row = _normalized(p, row)
         if not row:
             continue
         if len(piv) + 1 == ambient_dim:
             return identity_basis(field, ambient_dim)
         lead = min(row)
-        for prow in piv.values():
+        for j, prow in piv.items():
             if lead in prow:
-                _eliminate(p, prow, lead, row)
-                if not p:
-                    _strip_content(prow)
+                if j in owed:
+                    owed[j].append(lead)
+                else:
+                    owed[j] = [lead]
         piv[lead] = row
 
+    if owed:
+        # each row owes only pivots right of its lead, settled before it
+        for j in sorted(owed, reverse=True):
+            _pay(p, piv, j, owed[j])
     out = tuple(SparseVector(_monic(p, piv[lead]).items()) for lead in sorted(piv))
     return EchelonBasis(field, ambient_dim, out)
+
+
+def _settle(p: int, piv: dict, owed: dict, lead: int) -> None:
+    """Clear from the pivot row at ``lead`` every column it owes, each
+    with a settled row, so that it holds no pivot but its own. Depth
+    first on an explicit stack, since a chain of owing rows may be longer
+    than the recursion limit: popping an owing row pushes ``~j``, which
+    pays for it, then the owing rows it owes, which are settled before
+    ``~j`` comes back up. A row owes only pivots right of its lead, so
+    every row pushed above ``~j`` lies right of j; a row pushed twice is
+    settled at its first pop and skipped at the next."""
+    stack = [lead]
+    while stack:
+        j = stack.pop()
+        if j < 0:
+            _pay(p, piv, ~j, owed.pop(~j))
+        elif j in owed:
+            stack.append(~j)
+            for c in owed[j]:
+                if c in owed:
+                    stack.append(c)
+
+
+def _pay(p: int, piv: dict, lead: int, cols: list[int]) -> None:
+    """Clear the owed ``cols`` from the pivot row at ``lead`` with their
+    settled rows, then strip its content once over Q."""
+    row = piv[lead]
+    for c in cols:
+        _eliminate(p, row, c, piv[c])
+    if not p:
+        _strip_content(row)
 
 
 def _eliminate(p: int, row: dict[int, int], col: int, prow: dict[int, int]) -> None:

@@ -196,9 +196,10 @@ def relation_rows(variety: VarietySpec, field: Field, mu: tuple[int, ...], space
     fewer pivots that older pivot rows hold and has fewer of them to
     clear. In a cold multilinear degree-5 build over Q, sorting
     assosymmetric's two four-term identities together takes rref's entry
-    updates from 666,423 (one sorted block per identity) to 438,176;
-    Novikov's two-term rows are best reduced before its four-term ones,
-    and ignoring the term count would take it from 375,463 to 560,245.
+    updates from 276,162 or 439,852 (one sorted block per identity, in
+    listing or source order) to 220,049; Novikov's two-term rows are best
+    reduced before its four-term ones, and ignoring the term count would
+    take it from 342,266 to 483,075.
     """
     lower, cols = space
     columns = {key: j for j, (key, _) in enumerate(cols)}

@@ -1,6 +1,7 @@
 """Exact linear algebra: canonical echelon form, membership, field ops."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,73 @@ class TestFullRankExit:
         a = rref(field, 3, [{0: 1, 1: 1}, {2: 1}])
         b = rref(field, 3, [{0: 1, 1: 2}])
         assert sum_bases(a, b) == identity_basis(field, 3)
+
+
+def assert_canonical_span(p, n, rows, got):
+    """``got`` spans what ``rows`` span, by the dense reducer (its rank,
+    and each row of ``got`` in that span), and is dense Gauss-Jordan's
+    reduced basis, entry by entry."""
+    red = oracle_of(p, n, rows)
+    assert got.rank == red.rank
+    assert all(not any(red.reduce(dense(p, n, dict(r.entries)))) for r in got.rows)
+    assert [r.entries for r in got.rows] == dense_rref(p, n, rows)
+
+
+class TestOwedColumns:
+    """A new pivot is cleared from no older row when it is inserted: each
+    older row holding it owes that column, and is settled when an incoming
+    row hits its pivot, or after the last row."""
+
+    @pytest.mark.parametrize("p", [0, 2, 5], ids=["Q", "F2", "F5"])
+    def test_owing_feeds_agree_with_dense_reducer(self, p, monkeypatch):
+        # Rows fed by ascending lead make each older row owe the pivots of
+        # the later ones, in chains; the rows after them hit those pivots.
+        field, rng = field_of_char(p), random.Random(2027 + p)
+        settled, settle = [], linalg._settle
+
+        def counted(p, piv, owed, lead):
+            settled.append(lead)
+            settle(p, piv, owed, lead)
+
+        monkeypatch.setattr(linalg, "_settle", counted)
+        for trial in range(60):
+            n = rng.randrange(3, 12)
+            rows = []
+            for _ in range(rng.randrange(2, n + 4)):
+                cols = rng.sample(range(n), rng.randrange(1, min(n, 4) + 1))
+                row = {j: rng.randrange(-4, 5) or 1 for j in cols}
+                rows.append({j: c % p for j, c in row.items()} if p else row)
+            rows = [r for r in rows if any(r.values())]
+            cut = len(rows) // 2
+            feed = sorted(rows[:cut], key=lambda r: min(j for j, c in r.items() if c)) + rows[cut:]
+            assert_canonical_span(p, n, feed, rref(field, n, feed))
+        assert settled
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["Q", "F2", "F5"])
+    def test_chain_longer_than_the_recursion_limit(self, field):
+        # e_i - e_(i+1), fed in order, make a chain of m owing rows: row i
+        # owes pivot i + 1. The last row hits pivot 0, which settles the
+        # whole chain at once, then adds the pivot m, which every row owes.
+        m = sys.getrecursionlimit() + 100
+        neg = field.from_fraction(Fraction(-1))
+        rows = [{i: 1, i + 1: neg} for i in range(m)] + [{0: 1, m + 1: 1}]
+        got = rref(field, m + 2, rows)
+        assert [r.entries for r in got.rows] == [((i, 1), (m + 1, 1)) for i in range(m + 1)]
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_full_rank_exit_while_rows_owe(self, field):
+        # e_i + 2e_(i+1) by ascending lead: rows 0..3 owe when e_4 brings the
+        # rank to 5, and the rows after it are never read
+        rows = [{i: 1, i + 1: 2} for i in range(4)] + [{4: 3}, {0: 1}, {9: 1}]
+        read = []
+
+        def generated():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        assert rref(field, 5, generated()) == identity_basis(field, 5)
+        assert len(read) == 5
 
 
 class TestRowIntake:

@@ -324,7 +324,7 @@ class TestClosedForms:
         # Engine-only: assosymmetric has no closed form here, and the naive
         # oracle stops at degree 5, so nothing independent checks 762 yet.
         # Built cold in a process of its own, so that its peak RSS is its
-        # own, within a budget: 55 to 140 s and 176 MB on a shared 2-core
+        # own, within a budget: 8.8 to 10.8 s and 82 MB on a shared 2-core
         # x86 box, whose load moves the time; the time bound is twice the
         # slowest build measured there.
         code = (
@@ -343,7 +343,7 @@ class TestClosedForms:
         assert proc.returncode == 0, proc.stderr
         dim, seconds, rss_mb = json.loads(proc.stdout)
         assert dim == 762
-        assert seconds < 280 and rss_mb < 260, (seconds, rss_mb)
+        assert seconds < 22 and rss_mb < 260, (seconds, rss_mb)
 
 
 class TestDerivedViews:
@@ -450,15 +450,18 @@ class TestEliminationFeed:
         assert rows[0] == rows[1]
 
     @pytest.mark.parametrize(
-        "name, bound", [("assosymmetric", 480_000), ("novikov", 430_000)]
+        "name, bound", [("assosymmetric", 242_000), ("novikov", 377_000)]
     )
     def test_elimination_work_bound(self, name, bound, monkeypatch):
         # Entries of the pivot rows that rref's updates run over, in a cold
         # multilinear degree-5 build over Q and over F5. The count is
         # deterministic: the feed by term count, one descending-lead sort
-        # per group, gives 438176 and 395062 (assosymmetric) and 375463
-        # and 363463 (Novikov). One sorted block per identity gave 666423
-        # and 614574 on assosymmetric, and the same work on Novikov.
+        # per group, with columns owed and settled when hit, gives 220049
+        # and 215549 (assosymmetric) and 342266 and 329634 (Novikov). One
+        # sorted block per identity gives 276162 (listing order) or 439852
+        # (source order) over Q on assosymmetric, and the same work on
+        # Novikov. Clearing each new pivot from the older rows at once
+        # gave 438176 and 395062, 375463 and 363463.
         eliminate, touched = linalg._eliminate, []
 
         def counting(p, row, col, prow):
