@@ -25,7 +25,8 @@ second Lie power, the generator of H_2 and of the commutator ideal) is
 formed once per audit, through the slice's memo.
 
 Membership evaluates each identity on every tuple of basis vectors,
-through ``terms.evaluate`` with the basis vectors as leaves. One audit
+through ``terms.nonzero_values`` with the basis vectors as leaves, and a
+failing identity's witness is its first value. One audit
 keeps that evaluation table of monomial values keyed by (shape, basis
 arguments), shared by the terms, identities and varieties it checks, so
 each subproduct such as (e_1 e_2) e_3 is multiplied out once per audit;
@@ -63,13 +64,12 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from operator import itemgetter
 from typing import Optional
 
 from .errors import FieldError, ResourceError, SchemaError
 from .ideals import AlgebraSlice
-from .linalg import Field, GF, QQ, reduced
-from .terms import evaluate
+from .linalg import Field, GF, QQ
+from .terms import nonzero_values, template_terms
 from .variety import VarietySpec, builtin_variety, variety_names
 
 # largest dim and audit cost estimate from_doc accepts (see the module docstring)
@@ -261,43 +261,19 @@ def check_membership(
 
 def _first_failure(alg: FiniteDimAlgebra, ident, table: dict) -> Optional[dict]:
     """The witness of the first basis tuple, in lexicographic order, on
-    which the identity fails, or None. Only the tuples
-    ``Identity.representatives`` keeps are scanned: a skipped tuple is the
-    swap of a kept one that comes before it, or gives zero, so the first
-    failing tuple is the same."""
+    which the identity fails (the first ``terms.nonzero_values``), or None.
+    Only the tuples ``Identity.representatives`` keeps are scanned: a
+    skipped tuple is the swap of a kept one before it, or gives zero."""
     f = alg.field
-    p = f.char
-    components = {(): alg}
-    # (values of the monomial's shape, its leaf arguments, monomial, coefficient)
-    terms = [
-        (
-            table.setdefault(m.shape, {}),
-            itemgetter(*m.leaves) if m.degree > 1 else lambda combo, g=m.gen: (combo[g],),
-            m,
-            c,
-        )
-        for m, c in ident.template(f).terms.items()
-    ]
     combos = itertools.product(range(alg.dim), repeat=len(ident.variables))
-    for combo in ident.representatives(f, combos):
-        acc: dict = {}
-        for by_args, leaves_of, m, coeff in terms:
-            args = leaves_of(combo)
-            value = by_args.get(args)
-            if value is None:
-                value = evaluate(m, args, table, components, p)
-            for k, c in value[1]:
-                acc[k] = acc.get(k, 0) + coeff * c
-        if acc:
-            acc = reduced(p, acc)
-        if acc:
-            return {
-                "identity": ident.name,
-                "arguments": {
-                    name: f"e{combo[pos] + 1}" for pos, name in enumerate(ident.variables)
-                },
-                "residual": _render_fd(f, acc.items()),
-            }
+    terms = template_terms(ident.template(f), table)
+    values = nonzero_values(terms, ident.representatives(f, combos), table, {(): alg}, f.char)
+    for combo, acc in values:
+        return {
+            "identity": ident.name,
+            "arguments": {name: f"e{combo[pos] + 1}" for pos, name in enumerate(ident.variables)},
+            "residual": _render_fd(f, acc.items()),
+        }
     return None
 
 

@@ -68,14 +68,14 @@ before it builds the slice, and the claims are built on the slice after.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import InputError
 from .exprs import builtin
 from .linalg import EchelonBasis, Field, identity_basis, member, reduced, rref
 from .linalg import sum_bases as _sum_bases
-from .terms import evaluate, format_multidegree, mdeg_add, mdeg_total, slice_multidegrees
+from .terms import evaluate, format_multidegree, mdeg_add, mdeg_total, nonzero_values
+from .terms import slice_multidegrees, template_terms
 from .variety import FreeAlgebraComponent, VarietySpec, component_basis
 
 
@@ -331,7 +331,7 @@ class AlgebraSlice:
     ) -> GradedSubspace:
         """Span of the associators (uv)w - u(vw) over the basis rows u of U,
         v of V and w of W: the catalog ``assoc`` template evaluated by
-        ``terms.evaluate`` on rows keyed (part number, row index), each
+        ``terms.nonzero_values`` on rows keyed (part number, row index), each
         distinct part of the operands numbered once, so each product of
         two rows is formed once per call, even across operands. Each
         target multidegree gets one lazy row generator."""
@@ -353,8 +353,7 @@ class AlgebraSlice:
             for i, r in enumerate(b.rows)
         }
         table = {(1,): units}
-        template = builtin("assoc").template(self.field)
-        terms = [(m, itemgetter(*m.leaves), c) for m, c in template.terms.items()]
+        terms = template_terms(builtin("assoc").template(self.field), table)
         cap = self.degree_cap
         triples: dict[tuple, list] = {}  # target multidegree -> triples of parts
         for mu1, keys1 in legs[0]:
@@ -369,15 +368,8 @@ class AlgebraSlice:
                     triples.setdefault(mu, []).append((keys1, keys2, keys3))
 
         def rows(plan):
-            for legs_keys in plan:
-                for keys in itertools.product(*legs_keys):
-                    acc: dict = {}
-                    for m, leaves_of, c in terms:
-                        for j, w in evaluate(m, leaves_of(keys), table, self.components, p)[1]:
-                            acc[j] = acc.get(j, 0) + c * w
-                    acc = reduced(p, acc)
-                    if acc:
-                        yield acc
+            keys = itertools.chain.from_iterable(itertools.product(*k) for k in plan)
+            return (row for _, row in nonzero_values(terms, keys, table, self.components, p))
 
         targets = {mu: rows(plan) for mu, plan in triples.items()}
         return self._spanned(targets, all(X.invariant for X in operands))

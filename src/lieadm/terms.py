@@ -12,7 +12,8 @@ Identity templates reuse the same trees with variable indices in place
 of generator indices, and ``substitute`` replaces them by monomials.
 
 ``evaluate`` is the one evaluator of a monomial in an algebra, shared by
-relation rows, normal forms, membership scans and associator spans.
+relation rows, normal forms and ``nonzero_values``, the one scan of a
+template over argument tuples (verify, audit membership, associator spans).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import InputError, ResourceError
 from .linalg import Field, Scalar, reduced
@@ -112,7 +113,7 @@ def mdeg_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def format_multidegree(mu: tuple[int, ...]) -> str:
     """Report key for a multidegree, e.g. (2,1); stable across k=1."""
-    return "(" + ",".join(str(c) for c in mu) + ")"
+    return "(" + ",".join(map(str, mu)) + ")"
 
 
 def multidegrees(bound: tuple[int, ...], max_total: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -127,19 +128,23 @@ def multidegrees(bound: tuple[int, ...], max_total: Optional[int] = None) -> lis
     top = mdeg_total(bound) if max_total is None else max_total
     if top < 1:
         return []
-    # prefixes in lexicographic order, each as (total, nonzero (position,
-    # exponent) pairs), extended only within the total; the stable sort
-    # by total keeps that order within each total, and the zero comes first
-    prefixes = [(0, ())]
+    # prefixes as (total, nonzero (position, exponent) pairs), extended only
+    # within the total; one that reaches the top takes zeros from there on,
+    # so it is set aside rather than walked again at every later position
+    done, prefixes = [], [(0, ())]
     for i, c in enumerate(bound):
-        prefixes = [
-            (t + e, nz + ((i, e),) if e else nz)
-            for t, nz in prefixes
-            for e in range(min(c, top - t) + 1)
-        ]
-    prefixes.sort(key=operator.itemgetter(0))
-    zeros = (0,) * len(bound)
-    return [tuple(map(dict(nz).get, range(len(bound)), zeros)) for _, nz in prefixes[1:]]
+        walked = []
+        for t, nz in prefixes:
+            for e in range(min(c, top - t) + 1):
+                (done if t + e == top else walked).append((t + e, nz + ((i, e),) if e else nz))
+        prefixes = walked
+    out = []
+    for t, nz in done + prefixes[1:]:  # the zero prefix stays first
+        mu = [0] * len(bound)
+        for i, e in nz:
+            mu[i] = e
+        out.append((t, tuple(mu)))
+    return [mu for _, mu in sorted(out)]
 
 
 # the entries of the multidegree listing of a slice over k generators up to
@@ -290,6 +295,38 @@ def evaluate(m: Monomial, args: tuple, table: dict, components, p: int) -> tuple
             components[nu].add_product(acc, a, x, y)
         value = by_args[args] = (nu, tuple(reduced(p, acc).items()) if acc else ())
     return value
+
+
+def template_terms(template: Polynomial, table: dict) -> list:
+    """The template's terms prepared for ``nonzero_values`` on the table:
+    per term, its shape's values in ``table``, the getter of its leaf
+    arguments from an argument tuple, the term and its coefficient."""
+    return [
+        (
+            table.setdefault(m.shape, {}),
+            operator.itemgetter(*m.leaves) if m.degree > 1 else lambda args, g=m.gen: (args[g],),
+            m,
+            c,
+        )
+        for m, c in template.terms.items()
+    ]
+
+
+def nonzero_values(terms: list, tuples: Iterable[tuple], table: dict, components, p: int):
+    """Yield (args, value) for each argument tuple, in order, on which the
+    ``template_terms`` do not vanish: value is their sum, evaluated with
+    variable i set to the element keyed ``args[i]``, a ``reduced`` dict."""
+    for args in tuples:
+        acc: dict = {}
+        for by_args, leaves_of, m, c in terms:
+            keys = leaves_of(args)
+            value = by_args.get(keys)
+            if value is None:
+                value = evaluate(m, keys, table, components, p)
+            for j, w in value[1]:
+                acc[j] = acc.get(j, 0) + c * w
+        if acc and (acc := reduced(p, acc)):
+            yield args, acc
 
 
 # ---------------------------------------------------------------------------

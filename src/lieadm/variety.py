@@ -18,8 +18,9 @@ of the reduced relation basis are exactly the free-magma monomials that
 lead no element of I_mu: the quotient basis and every normal form are the
 canonical ones, whichever way the component is built. A product of two
 normal monomials is a column, so its normal form is a table look-up.
-Substitutions and normal forms are evaluated by ``terms.evaluate``, as
-an audit evaluates identities on basis vectors.
+Substitutions are evaluated by ``terms.evaluate``, and ``verify_identity``
+scans an identity through ``terms.nonzero_values``, as an audit does on
+basis vectors.
 An identity that a swap of two variables negates gives the same
 relation line (up to sign) for a substitution and for its swap, so only
 the substitutions ``Identity.representatives`` keeps are evaluated.
@@ -63,8 +64,10 @@ from .terms import (
     multidegree,
     multidegrees,
     node,
+    nonzero_values,
+    render_monomial,
     render_polynomial,
-    substitute,
+    template_terms,
 )
 
 # The resource guards, for library and CLI calls alike. The most
@@ -127,7 +130,7 @@ def _lower_components(variety, field, k, mu) -> dict:
     """The lower components of mu (every proper nonzero part), from
     ``component_basis``. A ResourceError if mu's product space has more
     than MAX_COLUMNS columns, counted from their dimensions."""
-    if len(mu) != k or any(c < 0 for c in mu) or mdeg_total(mu) < 1:
+    if len(mu) != k or mdeg_total(mu) < 1 or min(mu) < 0:
         raise InputError(f"multidegree {mu} is not a nonzero multidegree over {k} generators")
     n = mdeg_total(mu)
     lower = {a: component_basis(variety, field, k, a) for a in multidegrees(mu, n - 1)}
@@ -307,30 +310,6 @@ class FreeAlgebraComponent:
                 for j, w in products[(a, p, q)]:
                     acc[j] = acc.get(j, 0) + c * w
 
-    def normal_form(self, p: Polynomial) -> tuple:
-        """Quotient coordinates of p as sorted pairs (``vector``), empty iff
-        p lies in the relation space. Each monomial is evaluated
-        (``terms.evaluate``) on the classes of its generators."""
-        if p.field != self.field:
-            raise InputError("polynomial field does not match component field")
-        components = {**self.lower, self.mu: self}
-        units = [(e, c) for e, c in components.items() if sum(e) == 1]
-        table = {(1,): {(e.index(1),): (e, c.products[()]) for e, c in units}}
-        acc: dict[int, object] = {}
-        for mono, c in p.terms.items():
-            try:
-                nu = multidegree(mono, self.k)
-            except InputError:
-                nu = "?"
-            if nu != self.mu:
-                raise InputError(
-                    f"monomial of multidegree {nu} does not belong to component {self.mu}"
-                )
-            _, entries = evaluate(mono, mono.leaves, table, components, self.field.char)
-            for j, w in entries:
-                acc[j] = acc.get(j, 0) + c * w
-        return vector(self.field.char, acc)
-
     def coords_to_polynomial(self, vec) -> Polynomial:
         """The canonical representative with the quotient coordinates
         ``vec``, (index, scalar) pairs."""
@@ -436,6 +415,12 @@ def verify_identity(variety: VarietySpec, field: Field, identity: Identity, cap:
     algebra, which maps the relation ideal into itself, so once that
     tuple leaves no residual the identity holds. A failing identity fails
     at or before it, so the witness is the first in canonical order.
+
+    The scan is ``terms.nonzero_values``, once per tuple and piece, on one
+    table whose leaf keys are the pool monomials, each set to its class.
+    A word's piece is the sum of its variables' class degrees, and the
+    pieces go in ascending (total, multidegree) order, each after its
+    component is built: a low piece fails before a high one is refused.
     """
     if cap < 1:
         raise InputError(f"substitution degree cap must be at least 1, got {cap}")
@@ -469,26 +454,35 @@ def verify_identity(variety: VarietySpec, field: Field, identity: Identity, cap:
             pool.extend(enumerate_monomials(nvars, mu))
         pool.sort(key=lambda m: m.sort_key(nvars))
         tuples = itertools.product(pool, repeat=nvars)
+    p = field.char
+    # a generator's class is the one of its degree-one component, empty
+    # when an identity kills the generators
+    units = {}
+    for x in own:
+        e = multidegree(x, nvars)
+        units[(x,)] = (e, component_basis(variety, field, nvars, e).products[()])
+    table = {(1,): units}
+    words: dict[tuple, list] = {}  # sorted leaf word -> its terms
+    for term in template_terms(template, table):
+        words.setdefault(tuple(sorted(term[2].leaves)), []).append(term)
     for ts in tuples:
-        value = substitute(template, dict(enumerate(ts)))
-        by_mu: dict[tuple[int, ...], Polynomial] = {}
-        for mono, c in value.terms.items():
-            mu = multidegree(mono, nvars)
-            piece = by_mu.setdefault(mu, Polynomial(field))
-            piece.terms[mono] = c
-        for mu in sorted(by_mu, key=lambda t: (mdeg_total(t), t)):
+        for t in ts:
+            if (t,) not in units:  # a pool monomial's class, on first use
+                comp = component_basis(variety, field, nvars, multidegree(t, nvars))
+                below = {**comp.lower, comp.mu: comp}
+                units[(t,)] = evaluate(t, tuple(own[g] for g in t.leaves), table, below, p)
+        pieces: dict[tuple, list] = {}
+        for word, terms in words.items():
+            mu = tuple(map(sum, zip(*(units[(ts[v],)][0] for v in word))))
+            pieces.setdefault(mu, []).extend(terms)
+        for mu in sorted(pieces, key=lambda t: (mdeg_total(t), t)):
             comp = component_basis(variety, field, nvars, mu)
-            residual = comp.normal_form(by_mu[mu])
-            if residual:
+            below = {**comp.lower, mu: comp}
+            for _, residual in nonzero_values(pieces[mu], (ts,), table, below, p):
                 witness = {
-                    "assignment": {
-                        name: render_polynomial(
-                            Polynomial.of(field, ts[i]), key_gens=nvars
-                        )
-                        for i, name in enumerate(identity.variables)
-                    },
+                    "assignment": {v: render_monomial(t) for v, t in zip(identity.variables, ts)},
                     "multidegree": format_multidegree(mu),
-                    "residual": comp.render_coords(residual),
+                    "residual": comp.render_coords(residual.items()),
                 }
                 return {**doc, "verdict": "fails", "witness": witness}
         if ts == own:

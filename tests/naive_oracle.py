@@ -8,17 +8,17 @@ degree-by-degree product spaces of lower normal forms, rows are kept
 dense, unsorted and with duplicates, and the eliminator is plain Gaussian
 reduction over Fraction lists. Agreement
 between this module and the engine is therefore meaningful evidence, not
-the same code computing the same thing twice. The one engine-side helper,
-``relation_element``, states the engine's relations for the oracle to
-check.
+the same code computing the same thing twice. The two engine-side
+helpers, ``normal_form`` and ``relation_element``, state the engine's
+normal forms and relations for the oracle to check.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
 from lieadm.exprs import builtin
-from lieadm.linalg import QQ
-from lieadm.terms import Polynomial
+from lieadm.linalg import QQ, vector
+from lieadm.terms import Polynomial, evaluate
 
 # tuple-tree monomials: a leaf is an int generator, a product is a pair
 
@@ -216,8 +216,24 @@ def naive_is_zero(reducer_and_index, poly):
     return not any(red.reduce(row))
 
 
+def normal_form(comp, poly):
+    """The quotient coordinates of ``poly``, a polynomial of the component
+    ``comp``'s multidegree, as sorted (index, scalar) pairs: empty iff poly
+    lies in the relation space. Each monomial is evaluated
+    (``terms.evaluate``) on the classes of its generators."""
+    components = {**comp.lower, comp.mu: comp}
+    units = [(e, c) for e, c in components.items() if sum(e) == 1]
+    table = {(1,): {(e.index(1),): (e, c.products[()]) for e, c in units}}
+    acc = {}
+    for mono, c in poly.terms.items():
+        _, entries = evaluate(mono, mono.leaves, table, components, comp.field.char)
+        for j, w in entries:
+            acc[j] = acc.get(j, 0) + c * w
+    return vector(comp.field.char, acc)
+
+
 def relation_element(comp, m):
     """The engine's relation m - nf(m) for a monomial m of the component
     ``comp``, as a polynomial: zero exactly when m is normal."""
     p = Polynomial.of(comp.field, m)
-    return p.sub(comp.coords_to_polynomial(comp.normal_form(p)))
+    return p.sub(comp.coords_to_polynomial(normal_form(comp, p)))

@@ -21,7 +21,7 @@ from lieadm.reports import canonical_json
 from lieadm.terms import Polynomial, associator, evaluate, format_multidegree, leaf, node
 from lieadm.variety import FreeAlgebraComponent, builtin_variety, variety_names
 
-from naive_oracle import naive_is_zero, naive_reducer
+from naive_oracle import naive_is_zero, naive_reducer, normal_form
 
 
 def make_slice(name="novikov", field=QQ, k=2, cap=4, **kw):
@@ -226,7 +226,7 @@ class TestAssociatorSpace:
                                     s.component(mu2).coords_to_polynomial(v.entries),
                                     s.component(mu3).coords_to_polynomial(w.entries),
                                 )
-                                rows.setdefault(mu, []).append(dict(comp.normal_form(value)))
+                                rows.setdefault(mu, []).append(dict(normal_form(comp, value)))
         want = {}
         for mu, vecs in rows.items():
             basis = rref(field, s.component(mu).quotient_dim, vecs)
