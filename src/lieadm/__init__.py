@@ -30,9 +30,7 @@ from .fdalg import (
 )
 from .ideals import (
     AlgebraSlice,
-    ChainReport,
     GradedSubspace,
-    TheoremReport,
     check_theorem,
     lie_power_series,
     lower_central_chain,
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraSlice",
     "BUILTIN_SOURCES",
-    "ChainReport",
     "EchelonBasis",
     "ExprSyntaxError",
     "Field",
@@ -85,7 +82,6 @@ __all__ = [
     "ResourceError",
     "SchemaError",
     "SparseVector",
-    "TheoremReport",
     "UnsupportedVarietyError",
     "VarietySpec",
     "WorkbenchError",

@@ -1,12 +1,15 @@
 """Command-line workbench.
 
 Subcommands: basis, verify, chain, check, algebra, search. Every command
-returns its document and exit code; ``main`` alone stamps the schema and
-the command name, renders the document as an aligned text table (default,
-the command's ``_table_*``) or as JSON (--format json) carrying the same
-fields, and writes it. Exit codes: 0 all checks verified or held, 1 at
-least one violation (witness printed), 2 usage, schema, or resource
-errors, or stdout closed before the output was written.
+returns its document and exit code. A chain, check or verify document is
+the one the library call returns, and the algebra and search documents
+are built from the audit and check documents. ``main`` alone stamps the
+schema and the command name, renders the document as an aligned text
+table (default, the command's ``_table_*``) or as JSON (--format json)
+carrying the same fields, and writes it. Exit codes: 0 all checks
+verified or held, 1 at least one violation (witness printed), 2 usage,
+schema, or resource errors, or stdout closed before the output was
+written.
 """
 
 from __future__ import annotations
@@ -237,8 +240,7 @@ def cmd_chain(args) -> tuple[dict, int]:
     variety = _variety_from(args)
     slice_ = AlgebraSlice(variety, field, args.gens, args.degree)
     chain = lower_central_chain if args.series == "lower-central" else lie_power_series
-    report = chain(slice_, args.degree if args.terms is None else args.terms)
-    return report.to_doc(), 0
+    return chain(slice_, args.degree if args.terms is None else args.terms), 0
 
 
 def cmd_check(args) -> tuple[dict, int]:
@@ -247,8 +249,8 @@ def cmd_check(args) -> tuple[dict, int]:
     field = field_of_char(args.char)
     variety = _variety_from(args)
     slice_ = AlgebraSlice(variety, field, args.gens, args.degree)
-    report = check_theorem(slice_, args.theorem, params)
-    return report.to_doc(), 1 if report.status == "violated" else 0
+    doc = check_theorem(slice_, args.theorem, params)
+    return doc, 1 if doc["status"] == "violated" else 0
 
 
 def cmd_algebra(args) -> tuple[dict, int]:
@@ -268,10 +270,9 @@ def cmd_search(args) -> tuple[dict, int]:
         if args.degree < 2:
             raise WorkbenchError("bicom-right-nilpotency needs --degree at least 2")
         slice_ = AlgebraSlice(builtin_variety("bicommutative"), field, args.gens, args.degree)
-        report = check_theorem(slice_, "bicom_not_right_nilpotent")
-        cell = report.to_doc()
+        cell = check_theorem(slice_, "bicom_not_right_nilpotent")
         grid.append(cell)
-        ok = report.status == "verified"
+        ok = cell["status"] == "verified"
         outcome = "NOT-NILPOTENT-UP-TO-CAP" if ok else "COLLAPSED-WITHIN-CAP"
         exit_code = 0 if ok else 1
     else:
@@ -284,9 +285,9 @@ def cmd_search(args) -> tuple[dict, int]:
         for k in range(2, args.gens + 1):
             for cap in range(4, args.degree + 1):
                 slice_ = AlgebraSlice(builtin_variety("associative"), field, k, cap)
-                report = check_theorem(slice_, "assoc_even_even")
-                grid.append(report.to_doc())
-                if report.status == "violated":
+                cell = check_theorem(slice_, "assoc_even_even")
+                grid.append(cell)
+                if cell["status"] == "violated":
                     found = True
                     break
             if found:

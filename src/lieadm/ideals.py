@@ -9,7 +9,9 @@ inclusion verified here is a genuine statement about degrees <= D.
 On top of the slice sit graded subspaces (one echelon basis per
 multidegree), the usual span operations (brackets, products,
 associators, powers, ideal closure), the two canonical chains, and a
-dispatch table of named structural checks with witness reporting.
+dispatch table of named structural checks with witnesses. A chain or a
+check returns its document, the dict the CLI prints; the subspaces of a
+chain are the slice's ``h_term(i)`` and ``a_term(i)``.
 
 One span calculus serves both kinds of algebra. The span operations read
 a component only through ``quotient_dim`` and ``add_product``, so
@@ -508,29 +510,44 @@ class AlgebraSlice:
 
 
 # ---------------------------------------------------------------------------
-# chain reports
+# chain and check documents
 
 
-class ChainReport:
-    """A computed chain with its dimension table and class data."""
+class _Document(dict):
+    """A chain or check document: the plain dict the CLI prints.
 
-    __slots__ = ("slice", "kind", "terms")
-
-    def __init__(self, slice_: AlgebraSlice, kind: str, terms: list[GradedSubspace]):
-        self.slice = slice_
-        self.kind = kind
-        self.terms = terms
+    ``to_doc`` returns the document itself. Its one reader is
+    ``bench/workloads.py`` (lines 204 and 213), which renders chain and
+    check results with ``r.to_doc()``; the method goes once the benchmark
+    renders documents directly (the tracer item of ROADMAP.md). The
+    dead-name test cannot see it, since ``FiniteDimAlgebra.to_doc`` shares
+    its name."""
 
     def to_doc(self) -> dict:
-        s, terms = self.slice, self.terms
-        vanish = next((i for i, t in enumerate(terms, start=1) if t.is_zero()), None)
-        stable = next((i for i in range(1, len(terms)) if terms[i - 1] == terms[i]), None)
-        return {
-            "chain": self.kind,
-            "variety": s.variety.name,
-            "field": s.field.name,
-            "generators": s.k,
-            "degree_cap": s.degree_cap,
+        return self
+
+
+def _document(s: AlgebraSlice, fields: dict) -> _Document:
+    """``fields`` with the slice's own: variety, field, generators and
+    degree cap."""
+    return _Document(
+        variety=s.variety.name,
+        field=s.field.name,
+        generators=s.k,
+        degree_cap=s.degree_cap,
+        **fields,
+    )
+
+
+def _chain_document(s: AlgebraSlice, kind: str, term: Callable, n: int) -> _Document:
+    index_in_cap(s.degree_cap, terms=n)
+    terms = [term(i) for i in range(1, n + 1)]
+    vanish = next((i for i, t in enumerate(terms, start=1) if t.is_zero()), None)
+    stable = next((i for i in range(1, n) if terms[i - 1] == terms[i]), None)
+    return _document(
+        s,
+        {
+            "chain": kind,
             "terms": [
                 {
                     "index": i,
@@ -542,50 +559,22 @@ class ChainReport:
             "vanishing_index": vanish,
             "class": vanish - 1 if vanish is not None else None,
             "stabilized_at": stable,
-        }
+        },
+    )
 
 
-def _chain_report(slice_: AlgebraSlice, kind: str, term: Callable, n: int) -> ChainReport:
-    index_in_cap(slice_.degree_cap, terms=n)
-    return ChainReport(slice_, kind, [term(i) for i in range(1, n + 1)])
+def lower_central_chain(slice_: AlgebraSlice, n: int) -> dict:
+    """The chain document of H_1..H_n (see ``AlgebraSlice.h_term``)."""
+    return _chain_document(slice_, "lower-central", slice_.h_term, n)
 
 
-def lower_central_chain(slice_: AlgebraSlice, n: int) -> ChainReport:
-    return _chain_report(slice_, "lower-central", slice_.h_term, n)
-
-
-def lie_power_series(slice_: AlgebraSlice, n: int) -> ChainReport:
-    return _chain_report(slice_, "lie-powers", slice_.a_term, n)
+def lie_power_series(slice_: AlgebraSlice, n: int) -> dict:
+    """The chain document of A_[1]..A_[n] (see ``AlgebraSlice.a_term``)."""
+    return _chain_document(slice_, "lie-powers", slice_.a_term, n)
 
 
 # ---------------------------------------------------------------------------
 # named structural checks
-
-
-class TheoremReport:
-    __slots__ = ("slice", "theorem", "params", "claims", "status", "note")
-
-    def __init__(self, slice_, theorem, params, claims, status, note=None):
-        self.slice = slice_
-        self.theorem = theorem
-        self.params = params
-        self.claims = claims
-        self.status = status
-        self.note = note
-
-    def to_doc(self) -> dict:
-        s = self.slice
-        return {
-            "theorem": self.theorem,
-            "variety": s.variety.name,
-            "field": s.field.name,
-            "generators": s.k,
-            "degree_cap": s.degree_cap,
-            "params": self.params,
-            "claims": self.claims,
-            "status": self.status,
-            "note": self.note,
-        }
 
 
 def index_in_cap(cap: int, **named: int) -> None:
@@ -600,6 +589,12 @@ def index_in_cap(cap: int, **named: int) -> None:
             raise InputError(
                 f"parameter {name}={idx} references chain index beyond degree cap {cap}"
             )
+
+
+def _needs_cap(cap: int, least: int) -> None:
+    """Refuse a degree cap below the least one the check can speak of."""
+    if cap < least:
+        raise InputError(f"degree cap {cap} is too small: this check needs at least {least}")
 
 
 # Each handler states one check in two stages. Called with the degree cap,
@@ -704,7 +699,7 @@ def _check_prod_com_id(cap, char, i):
 
 
 def _check_lem_ideal(cap, char):
-    index_in_cap(cap, **{"2": 2})
+    _needs_cap(cap, 2)
 
     def claims(s):
         full = s.full()
@@ -778,7 +773,7 @@ def _check_bicom_metabelian(cap, char):
 def _check_bicom_right_nilpotency(cap, char):
     """One claim per step n = 1..D-1: the right power H_2 full...full with
     n - 1 factors full is nonzero. A cap below 2 leaves no step to check."""
-    index_in_cap(cap, **{"2": 2})
+    _needs_cap(cap, 2)
 
     def claims(s):
         out = []
@@ -800,7 +795,7 @@ def _check_bicom_right_nilpotency(cap, char):
 
 
 def _check_assoc_even_even(cap, char):
-    index_in_cap(cap, **{"3": 3})
+    _needs_cap(cap, 3)
 
     def claims(s):
         return [_closed_product(s, 2, 2)]
@@ -882,17 +877,24 @@ def check_params(name: str, params: dict, degree_cap: int, char: int) -> Callabl
     return handler(degree_cap, char, **params)
 
 
-def check_theorem(
-    slice_: AlgebraSlice, name: str, params: Optional[dict] = None
-) -> TheoremReport:
-    """Run the named check on the slice. A handler's parameters are what
-    the check reads, and ``check_params`` refuses any other request or
-    one the check cannot take at the slice's cap and characteristic. Its
-    status is the check's own status when every claim is verified, else
-    ``violated``; its note is the one the check gives for that status, if
-    any."""
+def check_theorem(slice_: AlgebraSlice, name: str, params: Optional[dict] = None) -> dict:
+    """The check document of the named check on the slice. A handler's
+    parameters are what the check reads, and ``check_params`` refuses any
+    other request or one the check cannot take at the slice's cap and
+    characteristic. Its status is the check's own status when every claim
+    is verified, else ``violated``; its note is the one the check gives for
+    that status, if any."""
     params = dict(params or {})
     claims = check_params(name, params, slice_.degree_cap, slice_.field.char)(slice_)
     held, notes = _OWN_STATUS.get(name, ("verified", {}))
     status = held if all(c["verdict"] == "verified" for c in claims) else "violated"
-    return TheoremReport(slice_, name, params, claims, status, notes.get(status))
+    return _document(
+        slice_,
+        {
+            "theorem": name,
+            "params": params,
+            "claims": claims,
+            "status": status,
+            "note": notes.get(status),
+        },
+    )

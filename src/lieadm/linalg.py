@@ -355,21 +355,18 @@ def _rref(field: Field, ambient_dim: int, rows: Iterable[dict[int, int]]) -> Ech
     """``rref`` of integer rows already read (``_row_as_dict``), which it
     updates in place. ``owed`` maps the lead of each pivot row that still
     holds later pivot columns to those columns; when it is empty, as in
-    most small eliminations, no row is settled, looked up or sorted for
-    it. The row that brings the rank to ``ambient_dim`` is the last one
-    read, and nothing owed is settled: the basis is ``identity_basis``."""
+    most small eliminations, no row is settled or sorted for it, and each
+    pivot a row meets costs one miss in it. The row that brings the rank
+    to ``ambient_dim`` is the last one read, and nothing owed is settled:
+    the basis is ``identity_basis``."""
     p = field.char
     piv: dict[int, dict[int, int]] = {}
     owed: dict[int, list[int]] = {}  # lead -> later pivots its row still holds
     for row in rows:
-        if owed:
-            for j in [j for j in row if j in piv]:
-                if j in owed:
-                    _settle(p, piv, owed, j)
-                _eliminate(p, row, j, piv[j])
-        else:
-            for j in [j for j in row if j in piv]:
-                _eliminate(p, row, j, piv[j])
+        for j in [j for j in row if j in piv]:
+            if j in owed:
+                _settle(p, piv, owed, j)
+            _eliminate(p, row, j, piv[j])
         row = _normalized(p, row)
         if not row:
             continue

@@ -136,7 +136,7 @@ def run_ideal_descriptions():
     for name in ("novikov", "bicommutative"):
         s = slice_for(name)
         for i in (2, 3):
-            docs.append(check_theorem(s, "com_id", {"i": i}).to_doc())
+            docs.append(check_theorem(s, "com_id", {"i": i}))
     return docs
 
 
@@ -145,9 +145,9 @@ def run_product_rules():
     for name in ("novikov", "bicommutative"):
         s = slice_for(name)
         for p, q in PQ_PAIRS:
-            docs.append(check_theorem(s, "th_pro", {"p": p, "q": q}).to_doc())
+            docs.append(check_theorem(s, "th_pro", {"p": p, "q": q}))
         for m in (1, 2, 3):
-            docs.append(check_theorem(s, "th_pro", {"m": m}).to_doc())
+            docs.append(check_theorem(s, "th_pro", {"m": m}))
     return docs
 
 
@@ -157,30 +157,30 @@ def run_closed_lie_powers():
         for char in (0, 5):
             s = slice_for(name, char=char)
             for i in (1, 2, 3, 4):
-                docs.append(check_theorem(s, "prod_com_id", {"i": i}).to_doc())
+                docs.append(check_theorem(s, "prod_com_id", {"i": i}))
     return docs
 
 
 def run_assosym_precursors():
     s = slice_for("assosymmetric")
     return [
-        check_theorem(s, "lem_ass_ap", {"p": p, "q": q}).to_doc()
+        check_theorem(s, "lem_ass_ap", {"p": p, "q": q})
         for p, q in PQ_PAIRS
     ]
 
 
 def run_assosym_ideal_products():
     s = slice_for("assosymmetric")
-    docs = [check_theorem(s, "lem_46", {"j": 3}).to_doc()]
-    docs.append(check_theorem(s, "cp_ass", {"i": 2, "j": 3}).to_doc())
-    docs.append(check_theorem(s, "cp_ass", {"i": 3, "j": 2}).to_doc())
+    docs = [check_theorem(s, "lem_46", {"j": 3})]
+    docs.append(check_theorem(s, "cp_ass", {"i": 2, "j": 3}))
+    docs.append(check_theorem(s, "cp_ass", {"i": 3, "j": 2}))
     return docs
 
 
 def run_bicom_remarks():
     meta = check_theorem(slice_for("bicommutative", k=3, cap=4), "bicom_metabelian")
     right = check_theorem(slice_for("bicommutative", k=3, cap=5), "bicom_not_right_nilpotent")
-    return [meta.to_doc(), right.to_doc()]
+    return [meta, right]
 
 
 def run_fd_audits():

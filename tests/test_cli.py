@@ -14,7 +14,8 @@ from lieadm.cli import main
 from lieadm.errors import ResourceError
 from lieadm.exprs import MAX_TEMPLATE_TERMS, Identity
 from lieadm.fdalg import MAX_DIM
-from lieadm.linalg import QQ
+from lieadm.ideals import AlgebraSlice, check_theorem, lie_power_series, lower_central_chain
+from lieadm.linalg import GF, QQ
 from lieadm.terms import MAX_SLICE_ENTRIES
 from lieadm.variety import builtin_variety, clear_caches, component_basis
 
@@ -480,6 +481,24 @@ class TestCheck:
         assert time.perf_counter() - t0 < 0.5
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "theorem,degree,least",
+        [("lem_ideal", 1, 2), ("bicom_not_right_nilpotent", 1, 2), ("assoc_even_even", 2, 3)],
+    )
+    def test_too_small_cap_refused_as_the_cap(self, capsys, theorem, degree, least):
+        # a check with no chain-index parameter refuses a small cap by the
+        # cap it needs, naming no parameter the user did not give, and
+        # before the slice of 3000 generators is built
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "check", "--theorem", theorem, "--variety", "novikov",
+            "--gens", "3000", "--degree", str(degree),
+        )
+        assert time.perf_counter() - t0 < 0.5
+        message = f"error: degree cap {degree} is too small: this check needs at least {least}\n"
+        assert (code, out, err) == (2, "", message)
+
     def test_lem_mni1_violated_in_magma(self, capsys):
         code, doc, _ = run_json(
             capsys,
@@ -711,3 +730,25 @@ class TestSearch:
         assert time.perf_counter() - t0 < 0.5
         assert (code, out) == (2, "")
         assert err == "error: bicom-right-nilpotency needs --degree at least 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv,call",
+    [
+        (["chain"], lambda s: lower_central_chain(s, 3)),
+        (["chain", "--series", "lie-powers", "--terms", "2"], lambda s: lie_power_series(s, 2)),
+        (["check", "--theorem", "th_pro", "--p", "1", "--q", "2"],
+         lambda s: check_theorem(s, "th_pro", {"p": 1, "q": 2})),
+        (["check", "--theorem", "bicom_not_right_nilpotent"],
+         lambda s: check_theorem(s, "bicom_not_right_nilpotent")),
+    ],
+    ids=["lower-central", "lie-powers", "check", "check-note"],
+)
+def test_library_returns_the_printed_document(capsys, argv, call):
+    # the library's chain and check results are plain dicts: the CLI's JSON
+    # document without the schema and command it stamps
+    slice_args = ["--variety", "novikov", "--gens", "2", "--degree", "3", "--char", "5"]
+    code, doc, _ = run_json(capsys, *argv, *slice_args)
+    assert code == 0 and (doc.pop("schema"), doc.pop("command")) == (1, argv[0])
+    got = call(AlgebraSlice(builtin_variety("novikov"), GF(5), 2, 3))
+    assert isinstance(got, dict) and got == doc

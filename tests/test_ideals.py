@@ -388,8 +388,7 @@ class TestSpanMemo:
     @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
     def test_battery_on_one_slice_matches_fresh_slices(self, monkeypatch, field):
         fresh = [
-            check_theorem(make_slice(field=field), name, params).to_doc()
-            for name, params in BATTERY
+            check_theorem(make_slice(field=field), name, params) for name, params in BATTERY
         ]
         counts = count_pair_spaces(monkeypatch)
         for seed in range(3):
@@ -397,7 +396,7 @@ class TestSpanMemo:
             s = make_slice(field=field)
             counts.update(calls=0, computed=0)
             for i in order:
-                assert check_theorem(s, *BATTERY[i]).to_doc() == fresh[i]
+                assert check_theorem(s, *BATTERY[i]) == fresh[i]
             # each distinct product or bracket is computed once per slice,
             # whatever the order of the checks: 13 of 28 calls, the rest
             # read from the memo, as are closures, powers and chain terms
@@ -603,7 +602,7 @@ def slice_documents(s) -> list[str]:
         except InputError:
             continue
         docs.append(check_theorem(s, name, params))
-    return [canonical_json(d.to_doc()) for d in docs]
+    return [canonical_json(d) for d in docs]
 
 
 def representative(mu) -> tuple:
@@ -692,12 +691,12 @@ class TestPermutedParts:
         monkeypatch.setattr(AlgebraSlice, "_permutation_images", watched_images)
         monkeypatch.setattr(AlgebraSlice, "_image", watched_image)
         monkeypatch.setattr(ideals_module, "rref", watched_rref)
-        chain = lower_central_chain(s, 5)
+        lower_central_chain(s, 5)
         assert targets and all(is_sorted(mu) for mu in targets)
         assert derived and not any(is_sorted(mu) for mu in derived)
         # rref reads the representative's rank in rows, and each is a pivot
         assert reads and all(read == rank == want for read, rank, want in reads)
-        for term in chain.terms:
+        for term in map(s.h_term, range(1, 6)):
             for mu, part in term.parts.items():
                 assert part.rank == term.parts[representative(mu)].rank
 
@@ -705,13 +704,12 @@ class TestPermutedParts:
 class TestChains:
     def test_bicommutative_lower_central_dims(self):
         s = make_slice("bicommutative", cap=4)
-        rep = lower_central_chain(s, 4)
-        assert [t.total_dim() for t in rep.terms] == [43, 29, 14, 3]
+        doc = lower_central_chain(s, 4)
+        assert [t["total_dim"] for t in doc["terms"]] == [43, 29, 14, 3]
 
     def test_chain_is_descending(self):
         s = make_slice("novikov", cap=4)
-        rep = lower_central_chain(s, 4)
-        closed = [s.ideal_closure(t) for t in rep.terms]
+        closed = [s.ideal_closure(s.h_term(i)) for i in range(1, 5)]
         for a, b in zip(closed, closed[1:]):
             assert s.check_inclusion(b, a, "descent")["verdict"] == "verified"
 
@@ -720,8 +718,7 @@ class TestChains:
         # the series is not an ideal chain
         for name in ("novikov", "bicommutative"):
             s = make_slice(name, cap=4)
-            rep = lie_power_series(s, 4)
-            terms = rep.terms
+            terms = [s.a_term(i) for i in range(1, 5)]
             for a, b in zip(terms, terms[1:]):
                 assert s.check_inclusion(b, a, "descent")["verdict"] == "verified"
 
@@ -731,16 +728,16 @@ class TestChains:
         # every chain term are unchanged
         small = make_slice("bicommutative", cap=4)
         large = make_slice("bicommutative", cap=5)
-        for i in (1, 2, 3):
-            dims_small = dict(lower_central_chain(small, 3).terms[i - 1].dims())
-            dims_large = dict(lower_central_chain(large, 3).terms[i - 1].dims())
-            for mu, d in dims_small.items():
-                assert dims_large.get(mu, 0) == d
+        terms_small = lower_central_chain(small, 3)["terms"]
+        terms_large = lower_central_chain(large, 3)["terms"]
+        for t_small, t_large in zip(terms_small, terms_large):
+            dims_large = {row["multidegree"]: row["dim"] for row in t_large["dims"]}
+            for row in t_small["dims"]:
+                assert dims_large.get(row["multidegree"], 0) == row["dim"]
 
     def test_vanishing_and_class(self):
         s = make_slice("bicommutative", cap=3)
-        rep = lower_central_chain(s, 3)
-        doc = rep.to_doc()
+        doc = lower_central_chain(s, 3)
         assert doc["chain"] == "lower-central"
         assert [t["total_dim"] for t in doc["terms"]] == [18, 9, 2]
         assert doc["vanishing_index"] is None
@@ -748,7 +745,7 @@ class TestChains:
 
     def test_chain_report_doc_dims_ordered(self):
         s = make_slice("novikov", cap=3)
-        doc = lower_central_chain(s, 2).to_doc()
+        doc = lower_central_chain(s, 2)
         mus = [row["multidegree"] for row in doc["terms"][0]["dims"]]
         assert mus == ["(0,1)", "(1,0)", "(0,2)", "(1,1)", "(2,0)",
                        "(0,3)", "(1,2)", "(2,1)", "(3,0)"]
@@ -763,7 +760,7 @@ class TestChains:
         with pytest.raises(InputError, match="terms=0 must be at least 1"):
             chain(s, 0)
         assert not s._memo
-        assert len(chain(s, 3).terms) == 3
+        assert len(chain(s, 3)["terms"]) == 3
 
 
 class TestTheoremDispatch:
@@ -831,29 +828,28 @@ class TestTheoremDispatch:
 
     def test_commutator_ideal_description(self):
         s = make_slice("novikov", cap=4)
-        rep = check_theorem(s, "com_id", {"i": 2})
-        assert rep.status == "verified"
-        assert len(rep.claims) == 4  # two equalities, two directions each
+        doc = check_theorem(s, "com_id", {"i": 2})
+        assert doc["status"] == "verified"
+        assert len(doc["claims"]) == 4  # two equalities, two directions each
 
     def test_product_rule(self):
         s = make_slice("novikov", cap=4)
-        rep = check_theorem(s, "th_pro", {"p": 2, "q": 2, "m": 2})
-        assert rep.status == "verified"
+        assert check_theorem(s, "th_pro", {"p": 2, "q": 2, "m": 2})["status"] == "verified"
 
     def test_closed_lie_powers_match_lower_central(self):
         for name in ("novikov", "bicommutative"):
             s = make_slice(name, cap=4)
             for i in (2, 3):
-                rep = check_theorem(s, "prod_com_id", {"i": i})
-                assert rep.status == "verified", (name, i)
+                doc = check_theorem(s, "prod_com_id", {"i": i})
+                assert doc["status"] == "verified", (name, i)
 
     @pytest.mark.parametrize("name", ["novikov", "bicommutative", "assosymmetric"])
     def test_lem_mni1_verified(self, name):
         s = make_slice(name, cap=5)
         for i in (1, 2, 3):
-            rep = check_theorem(s, "lem_mni1", {"i": i})
-            assert [c["claim"] for c in rep.claims] == [f"A[2]*A[{i}] <= <A[{i + 1}]>"]
-            assert rep.status == "verified", (name, i)
+            doc = check_theorem(s, "lem_mni1", {"i": i})
+            assert [c["claim"] for c in doc["claims"]] == [f"A[2]*A[{i}] <= <A[{i + 1}]>"]
+            assert doc["status"] == "verified", (name, i)
 
     def test_lem46_refuses_bad_characteristic(self):
         s = make_slice("assosymmetric", field=GF(3), cap=4)
@@ -872,42 +868,41 @@ class TestTheoremDispatch:
 
     def test_bicom_metabelian(self):
         s = make_slice("bicommutative", k=3, cap=4)
-        rep = check_theorem(s, "bicom_metabelian")
-        assert rep.status == "verified"
+        assert check_theorem(s, "bicom_metabelian")["status"] == "verified"
 
     def test_exploratory_check_never_verifies(self):
         s = make_slice("associative", k=2, cap=4)
-        rep = check_theorem(s, "assoc_even_even")
-        assert rep.status in ("inconclusive", "violated")
-        assert rep.status != "verified"
+        status = check_theorem(s, "assoc_even_even")["status"]
+        assert status in ("inconclusive", "violated")
+        assert status != "verified"
 
     def test_commutator_ideal_description_is_universal(self):
         # [u,v]w = [uv,w] - [vu,w] + w[u,v] holds in every algebra, so the
         # description verifies even with no defining identities at all
         s = make_slice("magma", k=2, cap=3)
-        assert check_theorem(s, "com_id").status == "verified"
+        assert check_theorem(s, "com_id")["status"] == "verified"
 
     def test_violated_status_with_witness(self):
         # the product rule needs the variety relations: free magma breaks
         # it, and the first violation sits at multidegree (2,2)
         s = make_slice("magma", k=2, cap=4)
-        rep = check_theorem(s, "th_pro", {"p": 2, "q": 2, "m": 2})
-        assert rep.status == "violated"
-        bad = [c for c in rep.claims if c["verdict"] == "violated"]
+        doc = check_theorem(s, "th_pro", {"p": 2, "q": 2, "m": 2})
+        assert doc["status"] == "violated"
+        bad = [c for c in doc["claims"] if c["verdict"] == "violated"]
         assert bad[0]["claim"] == "H_2*H_2 <= H_3"
         assert bad[0]["witness"]["multidegree"] == "(2,2)"
         assert bad[0]["witness"]["element"]
 
     def test_metabelian_check_not_vacuous_at_three_generators(self):
         s = make_slice("magma", k=3, cap=4)
-        rep = check_theorem(s, "bicom_metabelian")
-        assert rep.status == "violated"
-        bad = [c for c in rep.claims if c["verdict"] == "violated"]
+        doc = check_theorem(s, "bicom_metabelian")
+        assert doc["status"] == "violated"
+        bad = [c for c in doc["claims"] if c["verdict"] == "violated"]
         assert bad[0]["witness"]["multidegree"] == "(1,1,2)"
 
     def test_report_doc_shape(self):
         s = make_slice("novikov", cap=3)
-        doc = check_theorem(s, "circ_pro", {"p": 1, "q": 2}).to_doc()
+        doc = check_theorem(s, "circ_pro", {"p": 1, "q": 2})
         assert doc["theorem"] == "circ_pro"
         assert doc["variety"] == "novikov"
         assert doc["field"] == "Q"

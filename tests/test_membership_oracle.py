@@ -351,7 +351,7 @@ def check_slice_chains(variety, p, k, cap):
     s = AlgebraSlice(builtin_variety(variety), field_of_char(p), k, cap)
     lower, lie, _ = reference_chains(DenseAlgebra(slice_document(s)))
     for chain, dense in ((lower_central_chain, lower), (lie_power_series, lie)):
-        dims = [t.total_dim() for t in chain(s, cap).terms]
+        dims = [t["total_dim"] for t in chain(s, cap)["terms"]]
         dense = dense + [0] * (cap + 1 - len(dense))
         assert (dims, dense[cap:]) == (dense[:cap], [0]), chain.__name__
 

@@ -62,9 +62,7 @@ def traced_pass():
     their documents."""
     clear_caches()
     s = AlgebraSlice(builtin_variety("novikov"), GF(5), 2, 4)
-    chain = lower_central_chain(s, 4).to_doc()
-    check = check_theorem(s, "th_pro", {"p": 1, "q": 1}).to_doc()
-    return chain, check
+    return lower_central_chain(s, 4), check_theorem(s, "th_pro", {"p": 1, "q": 1})
 
 
 def test_traced_documents_and_counters_repeat():
